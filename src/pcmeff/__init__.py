@@ -37,7 +37,6 @@ from .pcm import (
     classify_perturbation,
     consistent_pcm,
     is_consistent,
-    make_pcm,
     reconstruct,
 )
 from .spectral import (

@@ -27,10 +27,11 @@ from .efficiency import DEFAULT_TIE_TOL, find_sink_improvement, is_efficient, to
 from .errors import ParseError, PcmError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
-from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, Pcm, classify_perturbation
+from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, PerturbationKind, Pcm, classify_perturbation
 from .spectral import DEFAULT_POWER_TOL, closed_form_eigenvector, power_iteration
 from .verification import (
     ALL_CHECK_IDS,
+    LEMMAS,
     SuiteGrid,
     run_lemma_suite,
     verify_main_theorem,
@@ -64,7 +65,8 @@ def _classification_dict(structure) -> dict:
 
 
 def _analysis_report(m: Pcm, source: dict, tol_consistency: float, tie_tol: float,
-                     power_tol: float, lemma_suite_seed: int | None) -> dict:
+                     power_tol: float):
+    """The analyze report, and the efficiency verdict it was built from."""
     t0 = time.perf_counter()
     structure = classify_perturbation(m, tol_consistency)
     spectral = power_iteration(m, tol=power_tol)
@@ -83,17 +85,6 @@ def _analysis_report(m: Pcm, source: dict, tol_consistency: float, tie_tol: floa
         }
 
     improvement = find_sink_improvement(m, spectral.w, verdict)
-
-    lemma_summary = None
-    if lemma_suite_seed is not None:
-        reports = run_lemma_suite(seed=lemma_suite_seed)
-        lemma_summary = {
-            "seed": lemma_suite_seed,
-            "passed": all(r.passed for r in reports),
-            "checks": [{"id": r.lemma_id, "samples": r.samples_run,
-                        "min_margin": r.min_margin, "violations": len(r.violations)}
-                       for r in reports],
-        }
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -114,9 +105,9 @@ def _analysis_report(m: Pcm, source: dict, tol_consistency: float, tie_tol: floa
             "arcs": _one_based(verdict.digraph.sorted_arcs()),
             "improvement": improvement.tolist() if improvement is not None else None,
         },
-        "lemma_suite": lemma_summary,
+        "lemma_suite": None,    # kept for schema 1; the sweep is `verify --lemmas`
         "timing_seconds": time.perf_counter() - t0,
-    }
+    }, verdict
 
 
 def _print_analysis_text(report: dict, out) -> None:
@@ -143,14 +134,6 @@ def _print_analysis_text(report: dict, out) -> None:
     if eff["sink"] is not None:
         print(f"  sink component (1-based): {eff['sink']}", file=out)
         print(f"  dominating vector: {eff['improvement']}", file=out)
-    if report["lemma_suite"] is not None:
-        suite = report["lemma_suite"]
-        status = "pass" if suite["passed"] else "FAIL"
-        print(f"lemma suite (seed {suite['seed']}): {status}", file=out)
-        for chk in suite["checks"]:
-            print(f"  {chk['id']}: {chk['samples']} samples, "
-                  f"min_margin {chk['min_margin']}, {chk['violations']} violations",
-                  file=out)
 
 
 def _cmd_analyze(args) -> int:
@@ -168,19 +151,16 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    report = _analysis_report(
+    report, verdict = _analysis_report(
         m,
         source={"path": args.path, "format": args.format},
         tol_consistency=args.tol_consistency,
         tie_tol=args.tol_tie,
         power_tol=args.tol_power,
-        lemma_suite_seed=args.seed if args.lemma_suite else None,
     )
     if args.digraph_dot:
-        g = is_efficient(m, np.asarray(report["weights"]["power_iteration"]),
-                         args.tol_tie).digraph
         with open(args.digraph_dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(g))
+            fh.write(to_dot(verdict.digraph))
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         print()
@@ -227,13 +207,16 @@ def _cmd_generate(args) -> int:
 
 
 def _suite_grid_for(samples: int) -> SuiteGrid:
-    # sized so every check collects at least `samples` grid points; the
-    # binding constraints are the 130-cell shared-row regions and the
-    # 16-cell quadrants of the 4x4 disjoint-row case
-    return SuiteGrid(
-        bases_per_cell=max(1, math.ceil(samples / 130)),
-        bases_per_cell_case2a=max(1, math.ceil(samples / 16)),
-    )
+    # sized so every check collects at least `samples` grid points: each
+    # base count covers the smallest hypothesis region among the kinds it feeds
+    grid = SuiteGrid()
+    region = {kind: min(sum(lem.hypothesis(d, g, n) for n in grid.orders(kind)
+                            for d in grid.ratio_values for g in grid.ratio_values)
+                        for lem in LEMMAS.values() if lem.kind == kind)
+              for kind in DOUBLE_KINDS}
+    case2a = region.pop(PerturbationKind.CASE2A)
+    return SuiteGrid(bases_per_cell=max(1, math.ceil(samples / min(region.values()))),
+                     bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
 def _cmd_verify(args) -> int:
@@ -308,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--format", choices=FORMATS, default="txt")
     p_an.add_argument("--json", action="store_true")
     p_an.add_argument("--digraph-dot", metavar="PATH")
-    p_an.add_argument("--lemma-suite", action="store_true",
-                      help="attach a full inequality-suite summary (slow)")
-    p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--tol-consistency", type=float, default=DEFAULT_CONSISTENCY_TOL)
     p_an.add_argument("--tol-tie", type=float, default=DEFAULT_TIE_TOL)
     p_an.add_argument("--tol-power", type=float, default=DEFAULT_POWER_TOL)

@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import IncompatibleOrderError
 from .pcm import (
+    CANONICAL_FORMS,
     PerturbationKind,
     PerturbationStructure,
     Pcm,
     apply_perturbation,
+    check_order,
     consistent_pcm,
 )
 
@@ -96,14 +98,8 @@ def sample_base(rng: np.random.Generator, n: int,
     return tuple(float(np.exp(v)) for v in rng.uniform(np.log(lo), np.log(hi), n - 1))
 
 
-_KIND_BY_FAMILY = {
-    "simple": PerturbationKind.SIMPLE,
-    "case1": PerturbationKind.CASE1,
-    "case2a": PerturbationKind.CASE2A,
-    "case2b": PerturbationKind.CASE2B,
-}
-
-_MIN_ORDER = {"consistent": 2, "simple": 3, "case1": 4, "case2a": 4, "case2b": 5, "apq": 4}
+# families named after a perturbed kind, built from its canonical form
+_PERTURBED_FAMILIES = tuple(kind.value for kind in CANONICAL_FORMS)
 
 
 def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
@@ -127,11 +123,10 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     if spec.n is None:
         raise IncompatibleOrderError(f"family {family!r} requires an order n")
     n = spec.n
-    if n < _MIN_ORDER[family]:
-        raise IncompatibleOrderError(
-            f"family {family!r} requires n >= {_MIN_ORDER[family]}, got {n}")
-    if family == "case2a" and n != 4:
-        raise IncompatibleOrderError(f"family 'case2a' requires n = 4, got {n}")
+    if family in _PERTURBED_FAMILIES:
+        check_order(PerturbationKind(family), n, IncompatibleOrderError)
+    elif n < 2:
+        raise IncompatibleOrderError(f"family {family!r} requires n >= 2, got {n}")
 
     if family == "apq":
         p = spec.p if spec.p is not None else sample_ratio(rng, *spec.base_range)
@@ -153,6 +148,6 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     if family != "simple":
         gamma = spec.gamma if spec.gamma is not None else sample_ratio(rng, lo, hi,
                                                                        exclude_one=True)
-    structure = PerturbationStructure(kind=_KIND_BY_FAMILY[family], n=n, base=tuple(base),
+    structure = PerturbationStructure(kind=PerturbationKind(family), n=n, base=tuple(base),
                                       delta=delta, gamma=gamma)
     return apply_perturbation(structure), structure

@@ -78,11 +78,6 @@ class Pcm:
         return f"Pcm(n={self.n})"
 
 
-def make_pcm(entries) -> Pcm:
-    """Validate an array of ratios into a :class:`Pcm`."""
-    return Pcm(entries)
-
-
 class PerturbationKind(str, Enum):
     """How far a PCM is from consistency, measured in entry edits.
 
@@ -100,7 +95,51 @@ class PerturbationKind(str, Enum):
     OTHER = "other"
 
 
-DOUBLE_KINDS = (PerturbationKind.CASE1, PerturbationKind.CASE2A, PerturbationKind.CASE2B)
+@dataclass(frozen=True)
+class CanonicalForm:
+    """Perturbed upper-triangle cells (0-based) of a kind and the orders it exists at."""
+
+    cells: tuple[tuple[int, int], ...]
+    min_order: int
+    max_order: int | None = None    # None: every order from min_order up
+
+    @property
+    def head(self) -> int:
+        """Number of leading alternatives the perturbed cells touch."""
+        return len({v for cell in self.cells for v in cell})
+
+    def allows(self, n: int) -> bool:
+        return self.min_order <= n and (self.max_order is None or n <= self.max_order)
+
+
+_DISJOINT_CELLS = ((0, 1), (2, 3))
+CANONICAL_FORMS = {
+    PerturbationKind.SIMPLE: CanonicalForm(((0, 1),), 3),
+    PerturbationKind.CASE1: CanonicalForm(((0, 1), (0, 2)), 4),
+    PerturbationKind.CASE2A: CanonicalForm(_DISJOINT_CELLS, 4, 4),
+    PerturbationKind.CASE2B: CanonicalForm(_DISJOINT_CELLS, 5),
+}
+DOUBLE_KINDS = tuple(k for k, form in CANONICAL_FORMS.items() if len(form.cells) == 2)
+
+
+def check_order(kind: PerturbationKind, n: int, error: type = InvalidCaseError) -> None:
+    """Raise ``error`` unless ``kind`` has a canonical form of order ``n``."""
+    form = CANONICAL_FORMS.get(kind)
+    if form is None:
+        raise error(f"kind {kind.value!r} has no canonical perturbed form")
+    if not form.allows(n):
+        wanted = (f">= {form.min_order}" if form.max_order is None else
+                  f"= {form.min_order}" if form.max_order == form.min_order else
+                  f"in {form.min_order}..{form.max_order}")
+        raise error(f"kind {kind.value!r} requires n {wanted}, got {n}")
+
+
+def disjoint_kind(n: int) -> PerturbationKind:
+    """The disjoint-row kind whose canonical form has order ``n``."""
+    for kind, form in CANONICAL_FORMS.items():
+        if form.cells == _DISJOINT_CELLS and form.allows(n):
+            return kind
+    raise InvalidCaseError(f"no disjoint-row form of order {n}")
 
 
 @dataclass(frozen=True)
@@ -137,14 +176,6 @@ def consistent_pcm(base) -> Pcm:
     return Pcm(y[None, :] / y[:, None])
 
 
-def _perturbed_cells(kind: PerturbationKind) -> tuple[tuple[int, int], ...]:
-    if kind == PerturbationKind.SIMPLE:
-        return ((0, 1),)
-    if kind == PerturbationKind.CASE1:
-        return ((0, 1), (0, 2))
-    return ((0, 1), (2, 3))
-
-
 def apply_perturbation(structure: PerturbationStructure) -> Pcm:
     """Build the canonical perturbed matrix described by ``structure``.
 
@@ -153,31 +184,16 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
     Reciprocal cells are updated accordingly.
     """
     kind = structure.kind
-    if kind not in (PerturbationKind.SIMPLE,) + DOUBLE_KINDS:
-        raise InvalidCaseError(f"cannot apply perturbation for kind {kind.value!r}")
     if structure.base is None:
         raise InvalidCaseError("structure must carry a base vector")
-    n = len(structure.base) + 1
-    if kind == PerturbationKind.SIMPLE:
-        if n < 3:
-            raise InvalidCaseError("simple perturbation needs order >= 3")
-        if structure.delta is None:
-            raise InvalidCaseError("simple perturbation needs delta")
-    else:
-        if structure.delta is None or structure.gamma is None:
-            raise InvalidCaseError("double perturbation needs delta and gamma")
-        if n < 4:
-            raise InvalidCaseError("double perturbation needs order >= 4")
-        if kind == PerturbationKind.CASE2A and n != 4:
-            raise InvalidCaseError(f"disjoint-row 4x4 form requires n = 4, got {n}")
-        if kind == PerturbationKind.CASE2B and n < 5:
-            raise InvalidCaseError(f"disjoint-row general form requires n >= 5, got {n}")
+    check_order(kind, len(structure.base) + 1)
+    cells = CANONICAL_FORMS[kind].cells
+    factors = (structure.delta, structure.gamma)[:len(cells)]
+    if None in factors:
+        raise InvalidCaseError(f"kind {kind.value!r} needs one factor per cell (delta, gamma)")
 
     a = np.array(consistent_pcm(structure.base).entries)
-    factors = [structure.delta]
-    if kind != PerturbationKind.SIMPLE:
-        factors.append(structure.gamma)
-    for (i, j), f in zip(_perturbed_cells(kind), factors):
+    for (i, j), f in zip(cells, factors):
         a[i, j] *= f
         a[j, i] = 1.0 / a[i, j]
     return Pcm(a)
@@ -303,18 +319,14 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
 
     if size == 0:
         kind = PerturbationKind.CONSISTENT
-        delta = gamma = None
     elif size == 1:
         kind = PerturbationKind.SIMPLE
-        delta, gamma = ratio(0, 1), None
+    elif set(positions[0]) & set(positions[1]):
+        kind = PerturbationKind.CASE1
     else:
-        (i1, j1), (i2, j2) = positions
-        if {i1, j1} & {i2, j2}:
-            kind = PerturbationKind.CASE1
-            delta, gamma = ratio(0, 1), ratio(0, 2)
-        else:
-            kind = PerturbationKind.CASE2A if n == 4 else PerturbationKind.CASE2B
-            delta, gamma = ratio(0, 1), ratio(2, 3)
+        kind = disjoint_kind(n)
+    factors = [ratio(i, j) for i, j in CANONICAL_FORMS[kind].cells] if size else []
+    delta, gamma = (factors + [None, None])[:2]
 
     return PerturbationStructure(
         kind=kind,

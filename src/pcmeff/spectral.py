@@ -21,7 +21,8 @@ from .errors import (
     NoConvergenceError,
     RootNotBracketedError,
 )
-from .pcm import DOUBLE_KINDS, PerturbationKind, PerturbationStructure, Pcm
+from .pcm import CANONICAL_FORMS, DOUBLE_KINDS, PerturbationKind, PerturbationStructure, Pcm, \
+    check_order
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 200_000
@@ -82,12 +83,7 @@ class CharPolyParams:
     def __post_init__(self):
         if self.kind not in DOUBLE_KINDS:
             raise InvalidCaseError(f"no closed-form polynomial for kind {self.kind.value!r}")
-        if self.kind == PerturbationKind.CASE2A and self.n != 4:
-            raise InvalidCaseError("disjoint-row 4x4 polynomial requires n = 4")
-        if self.kind == PerturbationKind.CASE2B and self.n < 5:
-            raise InvalidCaseError("disjoint-row general polynomial requires n >= 5")
-        if self.kind == PerturbationKind.CASE1 and self.n < 4:
-            raise InvalidCaseError("shared-row polynomial requires n >= 4")
+        check_order(self.kind, self.n)
         if self.delta <= 0 or self.gamma <= 0:
             raise InvalidCaseError("delta and gamma must be positive")
 
@@ -121,13 +117,9 @@ def eval_charpoly(params: CharPolyParams, lam: float) -> float:
     Matches det(A - lam I) of the corresponding canonical matrix for every
     base vector (the similarity scaling by the base drops out).
     """
-    n = params.n
-    bracket = float(np.polyval(_bracket_coeffs(params), lam))
-    if params.kind == PerturbationKind.CASE2A:
-        return bracket
-    sign = -1.0 if n % 2 else 1.0
-    k = n - 3 if params.kind == PerturbationKind.CASE1 else n - 5
-    return sign * lam**k * bracket
+    coeffs = _bracket_coeffs(params)
+    sign = -1.0 if params.n % 2 else 1.0
+    return sign * lam ** (params.n - len(coeffs) + 1) * float(np.polyval(coeffs, lam))
 
 
 def charpoly_oracle(m: Pcm, lam: float) -> float:
@@ -188,12 +180,15 @@ def lambda_max_closed_form(params: CharPolyParams) -> float:
 
 
 def variant_count(kind: PerturbationKind) -> int:
-    """Number of algebraically distinct eigenvector forms for a case."""
-    if kind == PerturbationKind.CASE2B:
-        return 5
-    if kind in DOUBLE_KINDS:
-        return 4
-    raise InvalidCaseError(f"no closed-form eigenvector for kind {kind.value!r}")
+    """Number of algebraically distinct eigenvector forms for a case.
+
+    One form per alternative the perturbed cells touch, plus one shared by
+    the untouched trailing alternatives when every order of the kind has some.
+    """
+    if kind not in DOUBLE_KINDS:
+        raise InvalidCaseError(f"no closed-form eigenvector for kind {kind.value!r}")
+    form = CANONICAL_FORMS[kind]
+    return form.head + (form.min_order > form.head)
 
 
 def _case1_vector(n, x, d, g, lam, variant):

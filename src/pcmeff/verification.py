@@ -20,11 +20,13 @@ from .efficiency import is_efficient
 from .errors import HypothesisViolatedError
 from .generators import parametric_inefficient, sample_base, sample_ratio
 from .pcm import (
+    CANONICAL_FORMS,
     DOUBLE_KINDS,
     PerturbationKind,
     PerturbationStructure,
     Pcm,
     apply_perturbation,
+    disjoint_kind,
 )
 from .spectral import lambda_max_closed_form, CharPolyParams, power_iteration, \
     raw_variant_vector, variant_count
@@ -250,8 +252,7 @@ def region_cycle(kind: PerturbationKind, delta: float, gamma: float) -> tuple:
 
 def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tuple[int, int]]:
     """0-based arc list of the cycle, with the contracted node expanded."""
-    first_tail = 3 if kind == PerturbationKind.CASE1 else 4
-    contracted = list(range(first_tail, n))
+    contracted = list(range(CANONICAL_FORMS[kind].head, n))
     arcs = []
     for u, v in zip(cycle, cycle[1:]):
         us = contracted if u == "i" else [u - 1]
@@ -346,11 +347,10 @@ class SuiteGrid:
     base_range: tuple[float, float] = (1 / 9, 9.0)
 
     def orders(self, kind: PerturbationKind) -> tuple[int, ...]:
-        if kind == PerturbationKind.CASE1:
-            return self.orders_case1
-        if kind == PerturbationKind.CASE2A:
-            return (4,)
-        return self.orders_case2b
+        form = CANONICAL_FORMS[kind]
+        if form.max_order is not None:    # a form of bounded order: sweep all of them
+            return tuple(range(form.min_order, form.max_order + 1))
+        return self.orders_case1 if kind == PerturbationKind.CASE1 else self.orders_case2b
 
     def bases(self, kind: PerturbationKind) -> int:
         if kind == PerturbationKind.CASE2A:
@@ -412,10 +412,7 @@ class TheoremReport:
 
 def _random_double_sample(rng: np.random.Generator, orders=(4, 5, 6, 7, 8, 9)) -> LemmaSample:
     n = int(rng.choice(orders))
-    if n == 4:
-        kind = PerturbationKind.CASE1 if rng.random() < 0.5 else PerturbationKind.CASE2A
-    else:
-        kind = PerturbationKind.CASE1 if rng.random() < 0.5 else PerturbationKind.CASE2B
+    kind = PerturbationKind.CASE1 if rng.random() < 0.5 else disjoint_kind(n)
     return LemmaSample(kind, n,
                        sample_ratio(rng, 1 / 9, 9, exclude_one=True),
                        sample_ratio(rng, 1 / 9, 9, exclude_one=True),

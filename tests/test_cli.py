@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLE1_W
+from pcmeff import example1_matrix, is_efficient, power_iteration, to_dot
 
 EXAMPLE1_TEXT = "4\n1 1/2 4 2\n2 1 5 7\n1/4 1/5 1 2\n1/2 1/7 1/2 1\n"
 CONSISTENT_TEXT = "3\n1 2 6\n1/2 1 3\n1/6 1/3 1\n"
@@ -121,6 +122,8 @@ def test_dot_export_is_byte_deterministic(example1_file, tmp_path):
     run_cli("analyze", str(example1_file), "--digraph-dot", str(d2))
     assert d1.read_bytes() == d2.read_bytes()
     content = d1.read_text()
+    m = example1_matrix()
+    assert content == to_dot(is_efficient(m, power_iteration(m).w).digraph)
     assert content.startswith("digraph efficiency {")
     assert "    1 -> 2;\n" in content
     assert "    2 -> 1;\n" not in content
@@ -164,6 +167,14 @@ def test_verify_lemma_subset():
     assert report["passed"] is True
     assert [c["id"] for c in report["checks"]] == ["1a", "2j", "3g", "positivity"]
     assert all(c["samples"] >= 30 for c in report["checks"])
+
+
+@pytest.mark.parametrize("samples", [81, 200])
+def test_verify_gives_every_check_the_requested_samples(samples):
+    proc = run_cli("verify", "--lemmas", "all", "--samples", str(samples), "--json")
+    report = json.loads(proc.stdout)
+    assert report["samples_requested"] == samples
+    assert all(c["samples"] >= samples for c in report["checks"]), report["checks"]
 
 
 def test_verify_unknown_lemma_id():

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmeff import (
+    CharPolyParams,
+    GeneratorSpec,
+    IncompatibleOrderError,
     InvalidCaseError,
     NonPositiveEntryError,
     NotSquareError,
@@ -14,8 +17,8 @@ from pcmeff import (
     apply_perturbation,
     classify_perturbation,
     consistent_pcm,
+    generate,
     is_consistent,
-    make_pcm,
     reconstruct,
 )
 
@@ -29,7 +32,7 @@ def log_uniform(rng, lo=1 / 9, hi=9.0, size=None):
 # ---------------------------------------------------------------- validation
 
 def test_all_ones_matrix_is_valid():
-    m = make_pcm(np.ones((3, 3)))
+    m = Pcm(np.ones((3, 3)))
     assert m.n == 3
     assert is_consistent(m)
 
@@ -41,25 +44,25 @@ def test_example1_is_valid(example1):
 
 def test_reciprocity_violation_reports_position():
     with pytest.raises(ReciprocityViolationError) as exc:
-        make_pcm([[1.0, 3.0], [0.5, 1.0]])
+        Pcm([[1.0, 3.0], [0.5, 1.0]])
     assert (exc.value.i, exc.value.j) == (0, 1)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
 def test_non_positive_entries_rejected(bad):
     with pytest.raises(NonPositiveEntryError):
-        make_pcm([[1.0, bad], [1.0, 1.0]])
+        Pcm([[1.0, bad], [1.0, 1.0]])
 
 
 def test_non_square_rejected():
     with pytest.raises(NotSquareError):
-        make_pcm([[1.0, 2.0, 0.5], [0.5, 1.0, 1.0]])
+        Pcm([[1.0, 2.0, 0.5], [0.5, 1.0, 1.0]])
     with pytest.raises(NotSquareError):
-        make_pcm([[1.0]])
+        Pcm([[1.0]])
 
 
 def test_entries_are_read_only():
-    m = make_pcm(np.ones((3, 3)))
+    m = Pcm(np.ones((3, 3)))
     with pytest.raises(ValueError):
         m.entries[0, 1] = 2.0
 
@@ -122,6 +125,38 @@ def test_incompatible_orders_rejected(kind, n):
     st_ = PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
     with pytest.raises(InvalidCaseError):
         apply_perturbation(st_)
+
+
+# the orders each canonical form exists at, as the paper states them
+PAPER_ORDERS = {
+    PerturbationKind.SIMPLE: lambda n: n >= 3,
+    PerturbationKind.CASE1: lambda n: n >= 4,
+    PerturbationKind.CASE2A: lambda n: n == 4,
+    PerturbationKind.CASE2B: lambda n: n >= 5,
+}
+
+
+def _accepts(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", list(PAPER_ORDERS))
+def test_every_layer_accepts_exactly_the_table_orders(kind, n):
+    allowed = PAPER_ORDERS[kind](n)
+    st_ = PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
+    assert _accepts(lambda: apply_perturbation(st_), InvalidCaseError) == allowed
+    spec = GeneratorSpec(family=kind.value, n=n, seed=1)
+    assert _accepts(lambda: generate(spec), IncompatibleOrderError) == allowed
+    closed_form = _accepts(lambda: CharPolyParams(kind, n, 2.0, 3.0), InvalidCaseError)
+    assert closed_form == (allowed and kind != PerturbationKind.SIMPLE)
+    if allowed:
+        # so the disjoint-row form classifies as case2a at n = 4 only
+        assert classify_perturbation(apply_perturbation(st_)).kind == kind
 
 
 # --------------------------------------------------------------- consistency
@@ -247,5 +282,5 @@ def test_classification_respects_order_bounds():
 
 
 def test_order_two_is_vacuously_consistent():
-    c = classify_perturbation(make_pcm([[1.0, 7.0], [1 / 7, 1.0]]))
+    c = classify_perturbation(Pcm([[1.0, 7.0], [1 / 7, 1.0]]))
     assert c.kind == PerturbationKind.CONSISTENT
