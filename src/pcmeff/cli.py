@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .efficiency import DEFAULT_TIE_TOL, find_sink_improvement, is_efficient, to_dot
-from .errors import ParseError, PcmError
+from .errors import NoConvergenceError, ParseError, PcmError, RootNotBracketedError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
 from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, PerturbationKind, Pcm, classify_perturbation
@@ -151,13 +151,17 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    report, verdict = _analysis_report(
-        m,
-        source={"path": args.path, "format": args.format},
-        tol_consistency=args.tol_consistency,
-        tie_tol=args.tol_tie,
-        power_tol=args.tol_power,
-    )
+    try:
+        report, verdict = _analysis_report(
+            m,
+            source={"path": args.path, "format": args.format},
+            tol_consistency=args.tol_consistency,
+            tie_tol=args.tol_tie,
+            power_tol=args.tol_power,
+        )
+    except (NoConvergenceError, RootNotBracketedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.digraph_dot:
         with open(args.digraph_dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(verdict.digraph))

@@ -48,8 +48,8 @@ def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigr
     if tie_tol < 0:
         raise ValueError("tie_tol must be non-negative")
     w = np.asarray(w, dtype=float)
-    if w.shape != (m.n,) or np.any(w <= 0):
-        raise ValueError("w must be a positive vector of length n")
+    if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise ValueError("w must be a positive finite vector of length n")
     a = m.entries
     ratio = w[:, None] / w[None, :]
     hit = ratio >= a * (1.0 - tie_tol)

@@ -12,7 +12,7 @@ or 2 upper-triangle cells plus reciprocals) that restores consistency.
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +27,7 @@ from .errors import (
 
 RECIPROCITY_TOL = 1e-12
 DEFAULT_CONSISTENCY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class Pcm:
@@ -221,6 +222,12 @@ def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], 
     connected for n >= 4; a disconnected forest would make the completion
     non-unique, which cannot occur here because smaller removals are tried
     first.)
+
+    :func:`_bad_triads` relies on two facts.  An accepted completion bounds
+    every kept cell, |log a_ij - log(t_j/t_i)| <= -log(1 - tol), so a
+    triad i < k < j whose three cells are all kept has log residual
+    |log a_ik + log a_kj - log a_ij| <= -3 log(1 - tol).  And node 0 is the
+    first root, so a kept cell (0, v) sets t_v = a_0v exactly.
     """
     n = a.shape[0]
     removed_set = set(removed)
@@ -235,9 +242,9 @@ def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], 
         if t[root] != 0.0:
             continue
         t[root] = 1.0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if t[v] == 0.0:
                     t[v] = t[u] * a[u, v]
@@ -250,6 +257,70 @@ def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], 
         if abs(a[i, j] - expected) > tol * a[i, j]:
             return None
     return t
+
+
+def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
+    """Triads no completion accepted at ``tol`` keeps whole, as cell indices.
+
+    Row r lists the indices, into ``_upper_pairs(n)``, of the cells (i, k),
+    (k, j) and (i, j) of a triad i < k < j that fails one of two tests, so
+    every removal set :func:`_consistent_completion` accepts contains a
+    cell of every row:
+
+    - its log residual log a_ik + log a_kj - log a_ij exceeds the bound of
+      an accepted completion, 3 * -log(1 - tol), by more than the rounding
+      of the logs and of the acceptance test (with tol >= 1 there is no
+      bound);
+    - i = 0 and the acceptance test of (k, j) fails against t_k = a_0k and
+      t_j = a_0j, the potentials that kept cells (0, k) and (0, j) set.
+
+    The second test is the size-0 check cell by cell, so the table is
+    empty exactly when the unedited matrix passes.
+    """
+    n = a.shape[0]
+    idx = np.arange(n)
+    i, k, j = np.nonzero((idx[:, None, None] < idx[None, :, None])
+                         & (idx[None, :, None] < idx[None, None, :]))
+    root = i == 0
+    kr, jr = k[root], j[root]
+    bad = np.zeros(len(i), dtype=bool)
+    bad[root] = np.abs(a[kr, jr] - a[0, jr] / a[0, kr]) > tol * a[kr, jr]
+    cell_tol = tol * (1.0 + 2.0 * _EPS)     # the acceptance test's own rounding
+    if cell_tol < 1.0:
+        bound = -np.log1p(-cell_tol)
+        logs = np.log(a)
+        lik, lkj, lij = logs[i, k], logs[k, j], logs[i, j]
+        slack = 8.0 * _EPS * (np.abs(lik) + np.abs(lkj) + np.abs(lij) + 3.0 * bound + 1.0)
+        bad |= np.abs(lik + lkj - lij) > 3.0 * bound + slack
+    cell = np.zeros((n, n), dtype=np.intp)
+    cell[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    return np.stack((cell[i, k], cell[k, j], cell[i, j]), axis=1)[bad]
+
+
+def _common_cells(triads: np.ndarray, cells: int) -> np.ndarray:
+    """Cells in every row of ``triads``; every cell when there is no row."""
+    if len(triads) == 0:
+        return np.arange(cells)
+    return np.flatnonzero(np.bincount(triads.ravel(), minlength=cells) == len(triads))
+
+
+def _hitting_sets(bad: np.ndarray, pairs: list[tuple[int, int]], size: int):
+    """Removal sets of ``size`` cells that contain a cell of every bad triad.
+
+    In lexicographic order.  A pair must use a cell of the first bad triad,
+    and its other cell must lie in every bad triad that cell misses.  Sizes
+    1 and 2 are searched only when some triad is bad: with none, the empty
+    set passes.
+    """
+    if size == 0:
+        sets = [] if len(bad) else [()]
+    elif size == 1:
+        sets = [(c,) for c in _common_cells(bad, len(pairs))]
+    else:
+        sets = sorted({(min(c, p), max(c, p)) for c in bad[0]
+                       for p in _common_cells(bad[np.all(bad != c, axis=1)], len(pairs))
+                       if p != c})
+    return [tuple(pairs[c] for c in s) for s in sets]
 
 
 def _canonical_permutation(n: int, positions: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -276,12 +347,19 @@ def _canonical_permutation(n: int, positions: tuple[tuple[int, int], ...]) -> tu
 def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> PerturbationStructure:
     """Find the minimal perturbation structure of an arbitrary PCM.
 
-    Searches subsets of upper-triangle cells of size 0, 1, 2 (in that
-    order, so the reported edit count is minimal) for one whose removal
-    leaves a consistently completable matrix.  Among equal-size repairs the
-    lexicographically smallest position set is the primary one; the others
-    are reported in ``alternatives``.  The recovered base is expressed in
-    canonical labeling with the first relabeled alternative as numeraire.
+    Searches sets of upper-triangle cells of size 0, 1, 2 (in that order,
+    so the reported edit count is minimal) for one whose removal leaves a
+    matrix that :func:`_consistent_completion` completes within ``tol``.
+    Only sets that contain a cell of every bad triad are tried: a triad
+    whose log residual exceeds 3 * -log(1 - tol), or whose cells through
+    node 0 already fix a failing test, cannot stay whole in an accepted
+    completion (see :func:`_bad_triads`), so every other set would be
+    rejected.  The result is therefore the one the exhaustive search over
+    all sets gives, on every input and every ``tol``.  Among
+    equal-size repairs the lexicographically smallest position set is the
+    primary one; the others are reported in ``alternatives``.  The
+    recovered base is expressed in canonical labeling with the first
+    relabeled alternative as numeraire.
     """
     a = m.entries
     n = m.n
@@ -295,19 +373,21 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
         )
 
     pairs = _upper_pairs(n)
+    bad = _bad_triads(a, tol)
     for size in (0, 1, 2):
-        hits = []
-        for removed in itertools.combinations(pairs, size):
-            t = _consistent_completion(a, removed, tol)
-            if t is not None:
-                hits.append((removed, t))
+        hits = [(removed, t) for removed in _hitting_sets(bad, pairs, size)
+                if (t := _consistent_completion(a, removed, tol)) is not None]
         if hits:
-            break
-    else:
-        return PerturbationStructure(kind=PerturbationKind.OTHER, n=n)
+            return _repair_structure(a, hits)
+    return PerturbationStructure(kind=PerturbationKind.OTHER, n=n)
 
-    hits.sort(key=lambda h: h[0])
+
+def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
+    """The structure of the smallest repairs ``hits``: (removed cells, potentials) pairs."""
+    n = a.shape[0]
+    hits = sorted(hits, key=lambda h: h[0])
     positions, t = hits[0]
+    size = len(positions)
     alternatives = tuple(h[0] for h in hits[1:])
     perm = _canonical_permutation(n, positions)
     tp = t[list(perm)]

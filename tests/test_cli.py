@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLE1_W
-from pcmeff import example1_matrix, is_efficient, power_iteration, to_dot
+from pcmeff import (
+    NoConvergenceError,
+    PerturbationKind,
+    PerturbationStructure,
+    RootNotBracketedError,
+    apply_perturbation,
+    cli,
+    example1_matrix,
+    is_efficient,
+    power_iteration,
+    to_dot,
+)
+from pcmeff.matrixio import format_matrix
 
 EXAMPLE1_TEXT = "4\n1 1/2 4 2\n2 1 5 7\n1/4 1/5 1 2\n1/2 1/7 1/2 1\n"
 CONSISTENT_TEXT = "3\n1 2 6\n1/2 1 3\n1/6 1/3 1\n"
@@ -70,6 +82,31 @@ def test_analyze_reports_both_weight_routes(tmp_path):
     w_iter = np.array(report["weights"]["power_iteration"])
     assert np.allclose(np.array(closed["w"]), w_iter, rtol=1e-8)
     assert closed["lambda_max"] == pytest.approx(report["lambda_max"], rel=1e-9)
+
+
+def test_analyze_classifies_order_32(tmp_path):
+    st_ = PerturbationStructure(kind=PerturbationKind.CASE2B, n=32, base=tuple(range(2, 33)),
+                                delta=3.0, gamma=0.5)
+    perm = np.roll(np.arange(32), 5)           # canonical cell (i, j) lands at (i + 5, j + 5)
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(apply_perturbation(st_).entries[np.ix_(perm, perm)]))
+    proc = run_cli("analyze", str(path), "--json")
+    assert proc.returncode == 0
+    cls = json.loads(proc.stdout)["classification"]
+    assert cls["kind"] == "case2b"
+    assert cls["positions"] == [[6, 7], [8, 9]]
+
+
+@pytest.mark.parametrize("error", [NoConvergenceError(200_000, 1.8e-12),
+                                   RootNotBracketedError("no sign change")])
+def test_analyze_reports_numeric_failure(example1_file, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "power_iteration", fail)
+    assert cli.main(["analyze", str(example1_file)]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_analyze_parse_error_exit_code(tmp_path):

@@ -49,6 +49,12 @@ def test_two_node_matrix_has_an_arc():
     assert len(g.arcs) >= 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_weights_must_be_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive finite"):
+        build_digraph(consistent_pcm([2.0, 3.0]), [1.0, bad, 1.0])
+
+
 @settings(max_examples=40)
 @given(st.integers(2, 7), st.integers(0, 10_000))
 def test_pair_completeness(n, seed):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from pcmeff import (
     consistent_pcm,
     generate,
     is_consistent,
+    pcm,
     reconstruct,
 )
 
@@ -181,7 +184,7 @@ def test_classify_consistent_recovers_base():
 
 
 def test_classify_example1_finds_no_small_repair(example1):
-    # brute-force over all 22 subsets of size <= 2: none admits a repair
+    # none of the 22 sets of at most 2 upper cells admits a repair
     c = classify_perturbation(example1)
     assert c.kind == PerturbationKind.OTHER
 
@@ -284,3 +287,100 @@ def test_classification_respects_order_bounds():
 def test_order_two_is_vacuously_consistent():
     c = classify_perturbation(Pcm([[1.0, 7.0], [1 / 7, 1.0]]))
     assert c.kind == PerturbationKind.CONSISTENT
+
+
+# --------------------------------------------------- exhaustive search oracle
+
+def exhaustive_classify(m: Pcm, tol: float) -> PerturbationStructure:
+    """The search without pruning: every set of 0, 1 or 2 upper cells, in order."""
+    if m.n < 3:
+        return classify_perturbation(m, tol)
+    pairs = pcm._upper_pairs(m.n)
+    for size in (0, 1, 2):
+        hits = [(removed, t) for removed in itertools.combinations(pairs, size)
+                if (t := pcm._consistent_completion(m.entries, removed, tol)) is not None]
+        if hits:
+            return pcm._repair_structure(m.entries, hits)
+    return PerturbationStructure(kind=PerturbationKind.OTHER, n=m.n)
+
+
+ORACLE_TOLS = (0.0, 1e-12, 1e-9, 1e-3, 0.5)
+# factors a hair off 1, around the default tolerance, and plain ones
+near_one = st.sampled_from([1e-12, 5e-10, 1e-9, 2e-9, 5e-9, 1e-6, 1e-3]).flatmap(
+    lambda e: st.sampled_from([1.0 + e, 1.0 - e]))
+factor = st.one_of(st.floats(min_value=-2.2, max_value=2.2).map(np.exp), near_one)
+
+
+SHAPES = [(n, kind) for kind in (PerturbationKind.CONSISTENT, *pcm.CANONICAL_FORMS)
+          for n in range(3, 10)
+          if kind not in pcm.CANONICAL_FORMS or pcm.CANONICAL_FORMS[kind].allows(n)]
+
+
+@st.composite
+def classifiable_matrices(draw, n: int, kind: PerturbationKind) -> Pcm:
+    """Relabeled, possibly transposed and noisy matrices built as ``kind``."""
+    span = draw(st.sampled_from([2.2, 92.0]))      # ratios within 1/9..9 or 1e-40..1e40
+    base = tuple(np.exp(draw(st.lists(st.floats(min_value=-span, max_value=span),
+                                      min_size=n - 1, max_size=n - 1))))
+    if kind == PerturbationKind.CONSISTENT:
+        a = consistent_pcm(base).entries
+    else:
+        delta = draw(factor)
+        gamma = draw(st.one_of(factor, st.just(delta), st.just(1.0 / delta)))
+        a = apply_perturbation(PerturbationStructure(kind=kind, n=n, base=base,
+                                                     delta=delta, gamma=gamma)).entries
+    noise = draw(st.sampled_from([0.0, 0.0, 1e-12, 5e-10, 1e-6, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    skew = np.triu(rng.normal(0.0, noise, (n, n)), 1)
+    a = a * np.exp(skew - skew.T)
+    perm = list(draw(st.permutations(range(n))))
+    a = a[np.ix_(perm, perm)]
+    return Pcm(a.T if draw(st.booleans()) else a)
+
+
+@pytest.mark.parametrize("n,kind", SHAPES)
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pruned_search_equals_exhaustive_search(n, kind, data):
+    m = data.draw(classifiable_matrices(n, kind))
+    for tol in ORACLE_TOLS:
+        assert classify_perturbation(m, tol) == exhaustive_classify(m, tol)
+
+
+def test_pruning_keeps_a_triad_at_the_largest_accepted_residual():
+    # at tol = 0.5 a kept cell may be off by a factor in [1/1.5, 2], so these
+    # edits all pass although triad (1, 2, 3) has log residual 1.79 > 3 * 0.5
+    a = np.array(consistent_pcm([2.0, 3.0, 5.0]).entries)
+    for (i, j), f in {(1, 2): 1.999, (2, 3): 1.999, (1, 3): 1 / 1.4999}.items():
+        a[i, j] *= f
+        a[j, i] = 1 / a[i, j]
+    m = Pcm(a)
+    assert classify_perturbation(m, 0.5) == exhaustive_classify(m, 0.5)
+    assert classify_perturbation(m, 0.5).kind == PerturbationKind.CONSISTENT
+
+
+@pytest.mark.parametrize("kind", [PerturbationKind.SIMPLE, PerturbationKind.CASE1,
+                                  PerturbationKind.CASE2B])
+@pytest.mark.parametrize("n", [32, 64])
+def test_large_order_round_trip(kind, n):
+    rng = np.random.default_rng(n)
+    base = tuple(log_uniform(rng, size=n - 1))
+    st_ = PerturbationStructure(kind=kind, n=n, base=base, delta=3.0,
+                                gamma=None if kind == PerturbationKind.SIMPLE else 0.4)
+    perm = rng.permutation(n)
+    b = apply_perturbation(st_).entries[np.ix_(perm, perm)]
+    c = classify_perturbation(Pcm(b))
+    assert c.kind == kind
+    where = np.argsort(perm)        # b[where[i], where[j]] is canonical cell (i, j)
+    assert c.positions == tuple(sorted(tuple(sorted((int(where[i]), int(where[j]))))
+                                       for i, j in pcm.CANONICAL_FORMS[kind].cells))
+    assert c.alternatives == ()
+    assert np.allclose(reconstruct(c).entries, b, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_large_order_noisy_matrix_is_other(n):
+    rng = np.random.default_rng(n)
+    skew = np.triu(rng.normal(0.0, 0.3, (n, n)), 1)
+    m = Pcm(consistent_pcm(log_uniform(rng, size=n - 1)).entries * np.exp(skew - skew.T))
+    assert classify_perturbation(m) == PerturbationStructure(kind=PerturbationKind.OTHER, n=n)
