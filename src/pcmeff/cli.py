@@ -10,13 +10,15 @@ numbers as the text rendering.
 
 Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error,
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
+An input or output path that cannot be opened is an error (exit 1), as is
+a matrix that fails validation.  ``verify --samples`` must be at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 import time
 
@@ -27,11 +29,10 @@ from .efficiency import DEFAULT_TIE_TOL, find_sink_improvement, is_efficient, to
 from .errors import NoConvergenceError, ParseError, PcmError, RootNotBracketedError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
-from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, PerturbationKind, Pcm, classify_perturbation
+from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, Pcm, classify_perturbation
 from .spectral import DEFAULT_POWER_TOL, closed_form_eigenvector, power_iteration
 from .verification import (
     ALL_CHECK_IDS,
-    LEMMAS,
     SuiteGrid,
     run_lemma_suite,
     verify_main_theorem,
@@ -110,81 +111,61 @@ def _analysis_report(m: Pcm, source: dict, tol_consistency: float, tie_tol: floa
     }, verdict
 
 
-def _print_analysis_text(report: dict, out) -> None:
+def _emit(payload: dict, lines, as_json: bool) -> None:
+    """Print the payload as JSON, or else its text lines (consumed only then)."""
+    if as_json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _analysis_lines(report: dict):
     cls = report["classification"]
-    print(f"order: {report['n']}", file=out)
-    print(f"classification: {cls['kind']}", file=out)
+    yield f"order: {report['n']}"
+    yield f"classification: {cls['kind']}"
     if cls["positions"]:
-        print(f"  perturbed cells (1-based): {cls['positions']}", file=out)
+        yield f"  perturbed cells (1-based): {cls['positions']}"
     if cls["delta"] is not None:
-        print(f"  delta: {cls['delta']}", file=out)
+        yield f"  delta: {cls['delta']}"
     if cls["gamma"] is not None:
-        print(f"  gamma: {cls['gamma']}", file=out)
+        yield f"  gamma: {cls['gamma']}"
     if cls["base"] is not None:
-        print(f"  base: {[v for v in cls['base']]}", file=out)
-    print(f"lambda_max: {report['lambda_max']}", file=out)
+        yield f"  base: {cls['base']}"
+    yield f"lambda_max: {report['lambda_max']}"
     weights = report["weights"]
-    print(f"w (power iteration): {weights['power_iteration']}", file=out)
+    yield f"w (power iteration): {weights['power_iteration']}"
     if weights["closed_form"] is not None:
         closed = weights["closed_form"]
-        print(f"w (closed form, variant {closed['variant']}): {closed['w']}", file=out)
-        print(f"lambda_max (closed form): {closed['lambda_max']}", file=out)
+        yield f"w (closed form, variant {closed['variant']}): {closed['w']}"
+        yield f"lambda_max (closed form): {closed['lambda_max']}"
     eff = report["efficiency"]
-    print(f"efficient: {eff['efficient']}", file=out)
+    yield f"efficient: {eff['efficient']}"
     if eff["sink"] is not None:
-        print(f"  sink component (1-based): {eff['sink']}", file=out)
-        print(f"  dominating vector: {eff['improvement']}", file=out)
+        yield f"  sink component (1-based): {eff['sink']}"
+        yield f"  dominating vector: {eff['improvement']}"
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        entries = load_matrix(args.path, args.format)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        m = Pcm(entries)
-    except PcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        report, verdict = _analysis_report(
-            m,
-            source={"path": args.path, "format": args.format},
-            tol_consistency=args.tol_consistency,
-            tie_tol=args.tol_tie,
-            power_tol=args.tol_power,
-        )
-    except (NoConvergenceError, RootNotBracketedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report, verdict = _analysis_report(
+        Pcm(load_matrix(args.path, args.format)),
+        source={"path": args.path, "format": args.format},
+        tol_consistency=args.tol_consistency,
+        tie_tol=args.tol_tie,
+        power_tol=args.tol_power,
+    )
     if args.digraph_dot:
         with open(args.digraph_dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(verdict.digraph))
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    else:
-        _print_analysis_text(report, sys.stdout)
-    return EXIT_OK if report["efficiency"]["efficient"] else EXIT_INEFFICIENT
+    _emit(report, _analysis_lines(report), args.json)
+    return EXIT_OK if verdict.efficient else EXIT_INEFFICIENT
 
 
 def _cmd_generate(args) -> int:
-    spec = GeneratorSpec(
+    m, structure = generate(GeneratorSpec(
         family=args.family, n=args.n, delta=args.delta, gamma=args.gamma,
         p=args.p, q=args.q, seed=args.seed,
-    )
-    try:
-        m, structure = generate(spec)
-    except PcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    text = format_matrix(m.entries)
+    ))
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -194,33 +175,18 @@ def _cmd_generate(args) -> int:
     }
     if args.p is not None or args.q is not None:
         sidecar["p"], sidecar["q"] = args.p, args.q
+
+    text = format_matrix(m.entries)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        sidecar_path = args.sidecar or args.out + ".json"
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
     else:
         sys.stdout.write(text)
-        if args.sidecar:
-            with open(args.sidecar, "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2)
-                fh.write("\n")
+    sidecar_path = args.sidecar or (args.out and args.out + ".json")
+    if sidecar_path:
+        with open(sidecar_path, "w", encoding="utf-8") as fh:
+            print(json.dumps(sidecar, indent=2), file=fh)
     return EXIT_OK
-
-
-def _suite_grid_for(samples: int) -> SuiteGrid:
-    # sized so every check collects at least `samples` grid points: each
-    # base count covers the smallest hypothesis region among the kinds it feeds
-    grid = SuiteGrid()
-    region = {kind: min(sum(lem.hypothesis(d, g, n) for n in grid.orders(kind)
-                            for d in grid.ratio_values for g in grid.ratio_values)
-                        for lem in LEMMAS.values() if lem.kind == kind)
-              for kind in DOUBLE_KINDS}
-    case2a = region.pop(PerturbationKind.CASE2A)
-    return SuiteGrid(bases_per_cell=max(1, math.ceil(samples / min(region.values()))),
-                     bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
 def _cmd_verify(args) -> int:
@@ -234,7 +200,7 @@ def _cmd_verify(args) -> int:
         if unknown:
             print(f"error: unknown check ids {unknown}", file=sys.stderr)
             return EXIT_ERROR
-        reports = [r for r in run_lemma_suite(_suite_grid_for(args.samples), args.seed)
+        reports = [r for r in run_lemma_suite(SuiteGrid.for_samples(args.samples), args.seed)
                    if r.lemma_id in wanted]
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -246,43 +212,41 @@ def _cmd_verify(args) -> int:
                         "min_margin": r.min_margin, "violations": len(r.violations)}
                        for r in reports],
         }
-        if args.json:
-            json.dump(payload, sys.stdout, indent=2)
-            print()
+        lines = [f"{chk['id']}: {chk['samples']} samples, min_margin {chk['min_margin']} "
+                 f"{'pass' if chk['violations'] == 0 else 'FAIL'}" for chk in payload["checks"]]
+    else:
+        if args.theorem == "main":
+            reports = verify_main_theorem(args.samples, args.seed)
+        elif args.theorem == "simple":
+            reports = [verify_simple_perturbed_efficiency(args.samples, args.seed)]
         else:
-            for chk in payload["checks"]:
-                status = "pass" if chk["violations"] == 0 else "FAIL"
-                print(f"{chk['id']}: {chk['samples']} samples, "
-                      f"min_margin {chk['min_margin']} {status}")
-            print(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
-        return EXIT_OK if payload["passed"] else EXIT_ERROR
-
-    if args.theorem == "main":
-        reports = verify_main_theorem(args.samples, args.seed)
-    elif args.theorem == "simple":
-        reports = [verify_simple_perturbed_efficiency(args.samples, args.seed)]
-    else:
-        reports = [verify_parametric_inefficiency(args.samples, args.seed)]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "theorem",
-        "theorem": args.theorem,
-        "seed": args.seed,
-        "passed": all(r.passed for r in reports),
-        "reports": [{"name": r.name, "expected": r.expected, "samples": r.samples,
-                     "conforming": r.conforming} for r in reports],
-    }
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-    else:
-        for rep in payload["reports"]:
-            print(f"{rep['name']}: {rep['conforming']}/{rep['samples']} {rep['expected']}")
-        print(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
+            reports = [verify_parametric_inefficiency(args.samples, args.seed)]
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "mode": "theorem",
+            "theorem": args.theorem,
+            "seed": args.seed,
+            "passed": all(r.passed for r in reports),
+            "reports": [{"name": r.name, "expected": r.expected, "samples": r.samples,
+                         "conforming": r.conforming} for r in reports],
+        }
+        lines = [f"{rep['name']}: {rep['conforming']}/{rep['samples']} {rep['expected']}"
+                 for rep in payload["reports"]]
+    lines.append(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
+    _emit(payload, lines, args.json)
     return EXIT_OK if payload["passed"] else EXIT_ERROR
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="pcmeff",
         description="Eigenvector weights, Pareto efficiency and perturbation "
@@ -317,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--lemmas", metavar="IDS",
                        help="'all' or a comma-separated list of check ids")
     p_ver.add_argument("--theorem", choices=("main", "simple", "apq"))
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
@@ -326,7 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, PcmError, NoConvergenceError, RootNotBracketedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

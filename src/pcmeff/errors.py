@@ -26,7 +26,8 @@ class ReciprocityViolationError(PcmError):
         self.i = i
         self.j = j
         self.product = product
-        super().__init__(f"entries ({i}, {j}) and ({j}, {i}) multiply to {product!r}, expected 1")
+        super().__init__(f"entries ({i}, {j}) and ({j}, {i}) multiply to {product!r}, expected 1;"
+                         " write exact ratios as p/q (1/7, not 0.1429)")
 
 
 class InvalidCaseError(PcmError):

@@ -48,7 +48,6 @@ class GeneratorSpec:
     p: float | None = None
     q: float | None = None
     base: tuple[float, ...] | None = None
-    base_range: tuple[float, float] = DEFAULT_BASE_RANGE
     seed: int = 0
 
 
@@ -92,9 +91,8 @@ def sample_ratio(rng: np.random.Generator, lo: float, hi: float,
             return v
 
 
-def sample_base(rng: np.random.Generator, n: int,
-                base_range: tuple[float, float] = DEFAULT_BASE_RANGE) -> tuple[float, ...]:
-    lo, hi = base_range
+def sample_base(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    lo, hi = DEFAULT_BASE_RANGE
     return tuple(float(np.exp(v)) for v in rng.uniform(np.log(lo), np.log(hi), n - 1))
 
 
@@ -128,12 +126,13 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     elif n < 2:
         raise IncompatibleOrderError(f"family {family!r} requires n >= 2, got {n}")
 
+    lo, hi = DEFAULT_BASE_RANGE
     if family == "apq":
-        p = spec.p if spec.p is not None else sample_ratio(rng, *spec.base_range)
-        q = spec.q if spec.q is not None else sample_ratio(rng, *spec.base_range, exclude_one=True)
+        p = spec.p if spec.p is not None else sample_ratio(rng, lo, hi)
+        q = spec.q if spec.q is not None else sample_ratio(rng, lo, hi, exclude_one=True)
         return parametric_inefficient(n, p, q), None
 
-    base = spec.base if spec.base is not None else sample_base(rng, n, spec.base_range)
+    base = spec.base if spec.base is not None else sample_base(rng, n)
     if len(base) != n - 1:
         raise IncompatibleOrderError(f"base must have {n - 1} ratios, got {len(base)}")
 
@@ -142,7 +141,6 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
                                           base=tuple(base))
         return consistent_pcm(base), structure
 
-    lo, hi = spec.base_range
     delta = spec.delta if spec.delta is not None else sample_ratio(rng, lo, hi, exclude_one=True)
     gamma = None
     if family != "simple":

@@ -171,8 +171,12 @@ def consistent_pcm(base) -> Pcm:
     x = np.asarray(base, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidCaseError("base must be a vector of at least one positive ratio")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+    lo, hi = min(float(x.min()), 1.0), max(float(x.max()), 1.0)    # x_0 = 1 included
+    if not 0.0 < lo <= hi < np.inf:    # NaN fails every comparison
         raise InvalidCaseError("base ratios must be positive finite reals")
+    if hi * np.finfo(float).tiny > lo:    # lo <= 1 <= hi, so this product cannot overflow
+        raise InvalidCaseError(f"base ratios {lo!r} and {hi!r} are too far apart: "
+                               f"entry {hi!r}/{lo!r} or its reciprocal is not a normal float")
     y = np.concatenate(([1.0], x))
     return Pcm(y[None, :] / y[:, None])
 

@@ -11,8 +11,9 @@ sample counts, violations and the worst margin seen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -339,23 +340,37 @@ class SuiteGrid:
     and must still accumulate a meaningful sample count.
     """
 
-    ratio_values: tuple[float, ...] = (1 / 9, 1 / 5, 1 / 2, 0.9, 1.1, 2.0, 5.0, 9.0)
-    orders_case1: tuple[int, ...] = (4, 5, 6, 7, 8)
-    orders_case2b: tuple[int, ...] = (5, 6, 7, 8)
     bases_per_cell: int = 20
     bases_per_cell_case2a: int = 64
-    base_range: tuple[float, float] = (1 / 9, 9.0)
 
-    def orders(self, kind: PerturbationKind) -> tuple[int, ...]:
+    ratio_values: ClassVar[tuple[float, ...]] = (1 / 9, 1 / 5, 1 / 2, 0.9, 1.1, 2.0, 5.0, 9.0)
+    max_order: ClassVar[int] = 8    # sweep ceiling for the forms of unbounded order
+
+    @classmethod
+    def orders(cls, kind: PerturbationKind) -> tuple[int, ...]:
         form = CANONICAL_FORMS[kind]
-        if form.max_order is not None:    # a form of bounded order: sweep all of them
-            return tuple(range(form.min_order, form.max_order + 1))
-        return self.orders_case1 if kind == PerturbationKind.CASE1 else self.orders_case2b
+        top = cls.max_order if form.max_order is None else form.max_order
+        return tuple(range(form.min_order, top + 1))
 
     def bases(self, kind: PerturbationKind) -> int:
         if kind == PerturbationKind.CASE2A:
             return self.bases_per_cell_case2a
         return self.bases_per_cell
+
+    @classmethod
+    def for_samples(cls, samples: int) -> SuiteGrid:
+        """The smallest grid that gives every check at least ``samples`` points.
+
+        Each base count covers the smallest hypothesis region among the
+        checks of the kinds it feeds.
+        """
+        region = {kind: min(sum(lem.hypothesis(d, g, n) for n in cls.orders(kind)
+                                for d in cls.ratio_values for g in cls.ratio_values)
+                            for lem in LEMMAS.values() if lem.kind == kind)
+                  for kind in DOUBLE_KINDS}
+        case2a = region.pop(PerturbationKind.CASE2A)
+        return cls(bases_per_cell=max(1, math.ceil(samples / min(region.values()))),
+                   bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaReport]:
@@ -376,7 +391,7 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaR
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
                     for _ in range(grid.bases(kind)):
-                        base = sample_base(rng, n, grid.base_range)
+                        base = sample_base(rng, n)
                         sample = LemmaSample(kind, n, delta, gamma, base)
                         w = power_iteration(sample.matrix()).w
                         for lemma_id in lemma_ids + [POSITIVITY_CHECK, CYCLE_CHECK]:

@@ -124,6 +124,15 @@ def test_analyze_validation_error_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_rounded_reciprocal_suggests_exact_ratios(tmp_path):
+    path = tmp_path / "rounded.txt"
+    path.write_text("3\n1 2 7\n1/2 1 3\n0.1429 1/3 1\n")
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: entries (0, 2) and (2, 0) multiply to 1.0003")
+    assert "p/q" in proc.stderr
+
+
 def test_analyze_missing_file_exit_code(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "nope.txt"))
     assert proc.returncode == 1
@@ -164,6 +173,28 @@ def test_dot_export_is_byte_deterministic(example1_file, tmp_path):
     assert content.startswith("digraph efficiency {")
     assert "    1 -> 2;\n" in content
     assert "    2 -> 1;\n" not in content
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "{dir}/example1.txt", "--json", "--digraph-dot", "{dir}/missing/g.dot"),
+    ("generate", "--family", "example1", "--out", "{dir}/missing/m.txt"),
+    ("generate", "--family", "example1", "--out", "{dir}/m.txt",
+     "--sidecar", "{dir}/missing/m.json"),
+])
+def test_unwritable_output_is_an_error(example1_file, args):
+    proc = run_cli(*(a.format(dir=example1_file.parent) for a in args))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 2]")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_main_builds_one_parser(example1_file, capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["analyze", str(example1_file), "--json"]) == cli.EXIT_INEFFICIENT
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------- generate
@@ -212,6 +243,17 @@ def test_verify_gives_every_check_the_requested_samples(samples):
     report = json.loads(proc.stdout)
     assert report["samples_requested"] == samples
     assert all(c["samples"] >= samples for c in report["checks"]), report["checks"]
+
+
+@pytest.mark.parametrize("mode", [("--lemmas", "all"), ("--theorem", "main")])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_sample(mode, samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *mode, "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--samples: must be at least 1" in err
 
 
 def test_verify_unknown_lemma_id():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_consistent_pcm_matches_ratio_layout():
 def test_equal_base_ratios_give_unit_entry():
     m = consistent_pcm([5.0, 5.0])
     assert m[1, 2] == 1.0
+
+
+def test_base_beyond_the_float_range_names_its_ratios():
+    assert consistent_pcm([1e150, 1e-150])[2, 1] == pytest.approx(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidCaseError, match=r"base ratios 1e-200 and 1e\+200"):
+            consistent_pcm([1e200, 1.0, 1e-200])
 
 
 @settings(max_examples=50)
