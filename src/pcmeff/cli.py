@@ -10,13 +10,14 @@ numbers as the text rendering.
 
 Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error,
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
-An input or output path that cannot be opened is an error (exit 1), as is
-a matrix that fails validation.  ``verify --samples`` must be at least 1.
+An unopenable input or output path is an error (exit 1), as is an invalid
+matrix; ``--samples`` below 1 and ``--seed`` below 0 are usage errors (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -176,16 +177,13 @@ def _cmd_generate(args) -> int:
     if args.p is not None or args.q is not None:
         sidecar["p"], sidecar["q"] = args.p, args.q
 
-    text = format_matrix(m.entries)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     sidecar_path = args.sidecar or (args.out and args.out + ".json")
-    if sidecar_path:
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            print(json.dumps(sidecar, indent=2), file=fh)
+    with contextlib.ExitStack() as files:    # every output is opened before any is written
+        out, side = (files.enter_context(open(path, "w", encoding="utf-8")) if path else None
+                     for path in (args.out, sidecar_path))
+        (out or sys.stdout).write(format_matrix(m.entries))
+        if side:
+            print(json.dumps(sidecar, indent=2), file=side)
     return EXIT_OK
 
 
@@ -237,11 +235,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_ERROR
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than ``lowest``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse reports text that is no integer as "invalid int value"
+    return parse
 
 
 @functools.cache
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--gamma", type=float)
     p_gen.add_argument("--p", type=float)
     p_gen.add_argument("--q", type=float)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int_at_least(0), default=0)
     p_gen.add_argument("--out", metavar="PATH")
     p_gen.add_argument("--sidecar", metavar="PATH",
                        help="ground-truth JSON path (default: OUT.json)")
@@ -281,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--lemmas", metavar="IDS",
                        help="'all' or a comma-separated list of check ids")
     p_ver.add_argument("--theorem", choices=("main", "simple", "apq"))
-    p_ver.add_argument("--samples", type=positive_int, default=1000)
-    p_ver.add_argument("--seed", type=int, default=42)
+    p_ver.add_argument("--samples", type=int_at_least(1), default=1000)
+    p_ver.add_argument("--seed", type=int_at_least(0), default=42)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

@@ -166,8 +166,8 @@ class PerturbationStructure:
     alternatives: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
-def consistent_pcm(base) -> Pcm:
-    """Build the consistent PCM generated by base ratios x_1..x_{n-1}."""
+def _consistent_entries(base) -> np.ndarray:
+    """Entries x_j / x_i of the consistent PCM generated by base ratios x_1..x_{n-1}."""
     x = np.asarray(base, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidCaseError("base must be a vector of at least one positive ratio")
@@ -178,7 +178,12 @@ def consistent_pcm(base) -> Pcm:
         raise InvalidCaseError(f"base ratios {lo!r} and {hi!r} are too far apart: "
                                f"entry {hi!r}/{lo!r} or its reciprocal is not a normal float")
     y = np.concatenate(([1.0], x))
-    return Pcm(y[None, :] / y[:, None])
+    return y[None, :] / y[:, None]
+
+
+def consistent_pcm(base) -> Pcm:
+    """Build the consistent PCM generated by base ratios x_1..x_{n-1}."""
+    return Pcm(_consistent_entries(base))
 
 
 def apply_perturbation(structure: PerturbationStructure) -> Pcm:
@@ -186,7 +191,8 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
 
     delta multiplies cell (0, 1); gamma multiplies (0, 2) when both
     perturbations share the first row, or (2, 3) when they are disjoint.
-    Reciprocal cells are updated accordingly.
+    Reciprocal cells are updated accordingly.  Only the perturbed matrix
+    is validated.
     """
     kind = structure.kind
     if structure.base is None:
@@ -196,8 +202,11 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
     factors = (structure.delta, structure.gamma)[:len(cells)]
     if None in factors:
         raise InvalidCaseError(f"kind {kind.value!r} needs one factor per cell (delta, gamma)")
+    for name, f in zip(("delta", "gamma"), factors):
+        if not 0.0 < f < np.inf:    # NaN fails too
+            raise InvalidCaseError(f"{name} must be a positive finite real, got {float(f)!r}")
 
-    a = np.array(consistent_pcm(structure.base).entries)
+    a = _consistent_entries(structure.base)
     for (i, j), f in zip(cells, factors):
         a[i, j] *= f
         a[j, i] = 1.0 / a[i, j]

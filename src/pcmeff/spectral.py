@@ -84,8 +84,8 @@ class CharPolyParams:
         if self.kind not in DOUBLE_KINDS:
             raise InvalidCaseError(f"no closed-form polynomial for kind {self.kind.value!r}")
         check_order(self.kind, self.n)
-        if self.delta <= 0 or self.gamma <= 0:
-            raise InvalidCaseError("delta and gamma must be positive")
+        if not (0.0 < self.delta < np.inf and 0.0 < self.gamma < np.inf):    # NaN fails too
+            raise InvalidCaseError("delta and gamma must be positive finite reals")
 
     @property
     def c(self) -> float:
@@ -93,22 +93,31 @@ class CharPolyParams:
         return (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
 
 
-def _bracket_coeffs(params: CharPolyParams) -> np.ndarray:
+def _bracket_coeffs(params: CharPolyParams) -> tuple[float, ...]:
     """Coefficients (highest degree first) of the non-trivial polynomial factor.
 
     The full characteristic polynomial is sign * lambda^k * bracket(lambda);
     the bracket carries every nonzero root, in particular the unique real
     root above n.
     """
-    n, d, g = params.n, params.delta, params.gamma
+    n, d, g = float(params.n), params.delta, params.gamma
     if params.kind == PerturbationKind.CASE1:
         b1 = (g / d + d / g) + (n - 3) * (g + d + 1.0 / g + 1.0 / d) - 4.0 * n + 10.0
-        return np.array([1.0, -n, 0.0, -b1])
+        return 1.0, -n, 0.0, -b1
     e = g + d + 1.0 / g + 1.0 / d - 4.0
     c = params.c
     if params.kind == PerturbationKind.CASE2A:
-        return np.array([1.0, -4.0, 0.0, -2.0 * e, -c])
-    return np.array([1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c])
+        return 1.0, -4.0, 0.0, -2.0 * e, -c
+    return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
+
+
+def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
+    """p(x) and p'(x) by Horner's scheme, coefficients highest degree first."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
 
 
 def eval_charpoly(params: CharPolyParams, lam: float) -> float:
@@ -119,7 +128,7 @@ def eval_charpoly(params: CharPolyParams, lam: float) -> float:
     """
     coeffs = _bracket_coeffs(params)
     sign = -1.0 if params.n % 2 else 1.0
-    return sign * lam ** (params.n - len(coeffs) + 1) * float(np.polyval(coeffs, lam))
+    return sign * lam ** (params.n - len(coeffs) + 1) * _horner(coeffs, lam)[0]
 
 
 def charpoly_oracle(m: Pcm, lam: float) -> float:
@@ -133,50 +142,34 @@ def charpoly_oracle(m: Pcm, lam: float) -> float:
 
 
 def lambda_max_closed_form(params: CharPolyParams) -> float:
-    """Unique real root above n of the polynomial bracket.
+    """Unique real root above n of the polynomial bracket, by Newton from above.
 
-    Bisection on [n, 1 + max |coefficient|] (a Cauchy root bound, so the
-    upper end is always on the positive side), then Newton polish.  The
-    bracket is negative at n and strictly increasing beyond its largest
-    root, which makes the combination robust.  With delta = gamma = 1 the
-    matrix is consistent and exactly n is returned.
+    With delta = gamma = 1 the matrix is consistent and exactly n is
+    returned.  Otherwise p(n) < 0 < p(b) must hold at the Cauchy root bound
+    b = 1 + max |coefficient|, and Newton starts at b.  The roots are
+    eigenvalues of a positive matrix, so all but the Perron root lambda_max
+    are strictly smaller in modulus, and by Gauss-Lucas p' and p'' have no
+    real root at or above lambda_max: p is increasing and convex there, and
+    the iterates descend monotonically onto it.  The loop stops at the first
+    iterate not strictly below the last or below n, which a strictly
+    decreasing sequence of floats must reach.
     """
     coeffs = _bracket_coeffs(params)
-    n = params.n
-    lo = float(n)
-    f_lo = float(np.polyval(coeffs, lo))
-    if f_lo == 0.0:
-        return lo
-    hi = 1.0 + float(np.max(np.abs(coeffs)))
-    f_hi = float(np.polyval(coeffs, hi))
-    if f_lo > 0.0 or f_hi <= 0.0:
+    n = float(params.n)
+    f_n = _horner(coeffs, n)[0]
+    if f_n == 0.0:
+        return n
+    root = 1.0 + max(abs(c) for c in coeffs)
+    f_bound = _horner(coeffs, root)[0]
+    if not f_n < 0.0 < f_bound:    # NaN fails too
         raise RootNotBracketedError(
-            f"bracket failed: p({lo}) = {f_lo:.3e}, p({hi}) = {f_hi:.3e}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if float(np.polyval(coeffs, mid)) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(4):
-        f = float(np.polyval(coeffs, root))
-        df = float(np.polyval(dcoeffs, root))
-        if df == 0.0:
-            break
-        step = f / df
-        candidate = root - step
-        if candidate < n:
-            break
-        root = candidate
-        if abs(step) <= 1e-15 * root:
-            break
-    return root
+            f"bracket failed: p({n}) = {f_n:.3e}, p({root}) = {f_bound:.3e}")
+    while True:
+        f, df = _horner(coeffs, root)
+        below = root - f / df
+        if not n <= below < root:
+            return root
+        root = below
 
 
 def variant_count(kind: PerturbationKind) -> int:
@@ -321,20 +314,17 @@ def _check_structure(structure: PerturbationStructure) -> None:
 
 
 def raw_variant_vector(structure: PerturbationStructure, variant: int,
-                       lam: float | None = None) -> np.ndarray:
-    """Evaluate one eigenvector form without normalization.
+                       lam: float) -> np.ndarray:
+    """Evaluate one eigenvector form at ``lam``, without normalization.
 
-    ``lam`` defaults to the dominant root from the closed-form polynomial;
-    at that value all components are strictly positive.
+    At the dominant root of the closed-form polynomial all components are
+    strictly positive.
     """
     _check_structure(structure)
     n = len(structure.base) + 1
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    if lam is None:
-        lam = lambda_max_closed_form(
-            CharPolyParams(structure.kind, n, structure.delta, structure.gamma))
     x = np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
     d, g = structure.delta, structure.gamma
     if structure.kind == PerturbationKind.CASE1:

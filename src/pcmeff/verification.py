@@ -134,10 +134,6 @@ def _pair_equality(w, x, first: int) -> float:
     return min(margins)
 
 
-def _nondegenerate(d: float, g: float) -> bool:
-    return d > 0 and g > 0 and d != 1.0 and g != 1.0
-
-
 def _build_registry() -> dict[str, _Lemma]:
     c1, c2a, c2b = PerturbationKind.CASE1, PerturbationKind.CASE2A, PerturbationKind.CASE2B
     lemmas = [
@@ -265,10 +261,10 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
     return arcs
 
 
-def _cycle_margin(sample: LemmaSample, w: np.ndarray) -> float:
+def _cycle_margin(sample: LemmaSample, m: Pcm, w: np.ndarray) -> float:
     cycle = region_cycle(sample.kind, sample.delta, sample.gamma)
     arcs = expand_cycle_arcs(cycle, sample.n, sample.kind)
-    a = sample.matrix().entries
+    a = m.entries
     return min((w[u] / w[v] - a[u, v]) / a[u, v] for u, v in arcs)
 
 
@@ -283,52 +279,62 @@ def _positivity_margin(sample: LemmaSample) -> float:
     return float(min(margins))
 
 
-def _validate_sample(sample: LemmaSample) -> None:
-    if sample.kind not in DOUBLE_KINDS:
-        raise HypothesisViolatedError(f"sample kind {sample.kind.value!r} is not double-perturbed")
-    if len(sample.base) != sample.n - 1:
-        raise HypothesisViolatedError("base length does not match the order")
+def _hypothesis_violation(check_id: str, kind: PerturbationKind, n: int,
+                          delta: float, gamma: float) -> str | None:
+    """Why the point (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
+
+    ``KeyError`` for an unknown check id.
+    """
+    if kind not in DOUBLE_KINDS:
+        return f"sample kind {kind.value!r} is not double-perturbed"
+    if not (delta > 0 and gamma > 0) or 1.0 in (delta, gamma):
+        return "delta and gamma must be positive and different from 1"
+    if check_id == CYCLE_CHECK and kind == PerturbationKind.CASE1 and delta == gamma:
+        return "shared-row cycle regions require delta != gamma"
+    if check_id in (POSITIVITY_CHECK, CYCLE_CHECK):
+        return None
+    lemma = LEMMAS.get(check_id)
+    if lemma is None:
+        raise KeyError(f"unknown check id {check_id!r}")
+    if kind != lemma.kind:
+        return f"check {check_id} applies to {lemma.kind.value}, sample is {kind.value}"
+    if not lemma.hypothesis(delta, gamma, n):
+        return f"sample outside the hypothesis region of {check_id}"
+    return None
 
 
-def check_lemma(lemma_id: str, sample: LemmaSample, w: np.ndarray | None = None) -> LemmaCheck:
+def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | None) -> LemmaCheck:
+    """One check on a sample inside its hypothesis, with its matrix and eigenvector."""
+    lemma = LEMMAS.get(check_id)
+    if lemma is not None:
+        margin = float(lemma.margin(sample, w, _x(sample)))
+    elif check_id == POSITIVITY_CHECK:
+        margin = _positivity_margin(sample)
+    else:
+        margin = _cycle_margin(sample, m, w)
+    floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
+    return LemmaCheck(check_id, margin > floor, margin)
+
+
+def check_lemma(lemma_id: str, sample: LemmaSample) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
-    ``w`` may carry a precomputed power-iteration eigenvector for the
-    sample's matrix so a suite can share it across checks.  Raises
-    :class:`HypothesisViolatedError` when the sample is outside the
-    check's hypothesis region (in particular whenever delta or gamma
+    Builds the sample's matrix and power-iteration eigenvector, which the
+    positivity check does without.  Raises :class:`HypothesisViolatedError`
+    when the base does not fit the order, or with the reason of
+    :func:`_hypothesis_violation` (in particular whenever delta or gamma
     equals 1, which no perturbation statement covers).
     """
-    _validate_sample(sample)
-    d, g, n = sample.delta, sample.gamma, sample.n
-    if not _nondegenerate(d, g):
-        raise HypothesisViolatedError("delta and gamma must be positive and different from 1")
-
-    if lemma_id == POSITIVITY_CHECK:
-        margin = _positivity_margin(sample)
-        return LemmaCheck(lemma_id, margin > STRICT_MARGIN_FLOOR, margin)
-
-    if lemma_id == CYCLE_CHECK:
-        if sample.kind == PerturbationKind.CASE1 and d == g:
-            raise HypothesisViolatedError("shared-row cycle regions require delta != gamma")
-        if w is None:
-            w = power_iteration(sample.matrix()).w
-        margin = _cycle_margin(sample, w)
-        return LemmaCheck(lemma_id, margin > STRICT_MARGIN_FLOOR, margin)
-
-    lemma = LEMMAS.get(lemma_id)
-    if lemma is None:
-        raise KeyError(f"unknown check id {lemma_id!r}")
-    if sample.kind != lemma.kind:
-        raise HypothesisViolatedError(
-            f"check {lemma_id} applies to {lemma.kind.value}, sample is {sample.kind.value}")
-    if not lemma.hypothesis(d, g, n):
-        raise HypothesisViolatedError(f"sample outside the hypothesis region of {lemma_id}")
-    if w is None:
-        w = power_iteration(sample.matrix()).w
-    margin = float(lemma.margin(sample, w, _x(sample)))
-    floor = 0.0 if lemma.equality else STRICT_MARGIN_FLOOR
-    return LemmaCheck(lemma_id, margin > floor, margin)
+    if len(sample.base) != sample.n - 1:
+        raise HypothesisViolatedError("base length does not match the order")
+    reason = _hypothesis_violation(lemma_id, sample.kind, sample.n, sample.delta, sample.gamma)
+    if reason is not None:
+        raise HypothesisViolatedError(reason)
+    m = w = None
+    if lemma_id != POSITIVITY_CHECK:
+        m = sample.matrix()
+        w = power_iteration(m).w
+    return _check(lemma_id, sample, m, w)
 
 
 @dataclass(frozen=True)
@@ -376,103 +382,95 @@ class SuiteGrid:
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaReport]:
     """Sweep every check over its hypothesis region of the grid.
 
-    One eigenvector is computed per sample matrix and shared by all checks
-    that accept the sample.  Reports come back in registry order followed
-    by the positivity and cycle checks; the run is a pure function of the
-    grid and seed.
+    Each sample's matrix and eigenvector are built once and shared by the
+    checks whose hypothesis holds in its grid cell.  Reports come back in
+    registry order followed by the positivity and cycle checks; the run is
+    a pure function of the grid and seed.
     """
     grid = grid or SuiteGrid()
     rng = np.random.default_rng(seed)
     reports = {check_id: LemmaReport(check_id) for check_id in ALL_CHECK_IDS}
 
     for kind in DOUBLE_KINDS:
-        lemma_ids = [lid for lid, lem in LEMMAS.items() if lem.kind == kind]
+        check_ids = [lid for lid, lem in LEMMAS.items() if lem.kind == kind]
+        check_ids += [POSITIVITY_CHECK, CYCLE_CHECK]
         for n in grid.orders(kind):
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
+                    held = [check_id for check_id in check_ids
+                            if _hypothesis_violation(check_id, kind, n, delta, gamma) is None]
                     for _ in range(grid.bases(kind)):
-                        base = sample_base(rng, n)
-                        sample = LemmaSample(kind, n, delta, gamma, base)
-                        w = power_iteration(sample.matrix()).w
-                        for lemma_id in lemma_ids + [POSITIVITY_CHECK, CYCLE_CHECK]:
-                            try:
-                                check = check_lemma(lemma_id, sample, w)
-                            except HypothesisViolatedError:
-                                continue
-                            reports[lemma_id].record(sample, check)
+                        sample = LemmaSample(kind, n, delta, gamma, sample_base(rng, n))
+                        m = sample.matrix()
+                        w = power_iteration(m).w
+                        for check_id in held:
+                            reports[check_id].record(sample, _check(check_id, sample, m, w))
     return [reports[check_id] for check_id in ALL_CHECK_IDS]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
     """Count of samples conforming to a predicted verdict."""
 
     name: str
     expected: str
-    samples: int = 0
-    conforming: int = 0
-    failures: list = field(default_factory=list)
-
-    def record(self, conforms: bool, detail) -> None:
-        self.samples += 1
-        if conforms:
-            self.conforming += 1
-        elif len(self.failures) < 20:
-            self.failures.append(detail)
+    samples: int
+    conforming: int
 
     @property
     def passed(self) -> bool:
         return self.samples > 0 and self.conforming == self.samples
 
 
-def _random_double_sample(rng: np.random.Generator, orders=(4, 5, 6, 7, 8, 9)) -> LemmaSample:
-    n = int(rng.choice(orders))
+def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generator], Pcm],
+                   samples: int, seed: int) -> TheoremReport:
+    """Judge the eigenvectors of ``samples`` matrices ``draw`` builds from one seeded RNG."""
+    rng = np.random.default_rng(seed)
+    conforming = 0
+    for _ in range(samples):
+        m = draw(rng)
+        conforming += is_efficient(m, power_iteration(m).w).efficient == efficient
+    return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
+
+
+def _random_double_matrix(rng: np.random.Generator) -> Pcm:
+    n = int(rng.choice((4, 5, 6, 7, 8, 9)))
     kind = PerturbationKind.CASE1 if rng.random() < 0.5 else disjoint_kind(n)
     return LemmaSample(kind, n,
                        sample_ratio(rng, 1 / 9, 9, exclude_one=True),
                        sample_ratio(rng, 1 / 9, 9, exclude_one=True),
-                       sample_base(rng, n))
+                       sample_base(rng, n)).matrix()
+
+
+def _random_simple_matrix(rng: np.random.Generator) -> Pcm:
+    n = int(rng.choice((3, 4, 5, 6, 7, 8, 9)))
+    return apply_perturbation(PerturbationStructure(
+        kind=PerturbationKind.SIMPLE, n=n, base=sample_base(rng, n),
+        delta=sample_ratio(rng, 1 / 9, 9, exclude_one=True)))
+
+
+def _random_apq_matrix(rng: np.random.Generator) -> Pcm:
+    n = int(rng.choice((4, 5, 6, 7, 8)))
+    p = sample_ratio(rng, 1 / 9, 9)
+    return parametric_inefficient(n, p, sample_ratio(rng, 1 / 9, 9, exclude_one=True))
 
 
 def verify_double_perturbed_efficiency(samples: int = 1000, seed: int = 0) -> TheoremReport:
     """Eigenvectors of random double-perturbed matrices must all be efficient."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("double-perturbed efficiency", expected="efficient")
-    for _ in range(samples):
-        sample = _random_double_sample(rng)
-        m = sample.matrix()
-        verdict = is_efficient(m, power_iteration(m).w)
-        report.record(verdict.efficient, sample)
-    return report
+    return _theorem_sweep("double-perturbed efficiency", True, _random_double_matrix,
+                          samples, seed)
 
 
 def verify_simple_perturbed_efficiency(samples: int = 500, seed: int = 0) -> TheoremReport:
     """Eigenvectors of random one-cell-perturbed matrices must all be efficient."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("simple-perturbed efficiency", expected="efficient")
-    for _ in range(samples):
-        n = int(rng.choice((3, 4, 5, 6, 7, 8, 9)))
-        structure = PerturbationStructure(
-            kind=PerturbationKind.SIMPLE, n=n, base=sample_base(rng, n),
-            delta=sample_ratio(rng, 1 / 9, 9, exclude_one=True))
-        m = apply_perturbation(structure)
-        verdict = is_efficient(m, power_iteration(m).w)
-        report.record(verdict.efficient, structure)
-    return report
+    return _theorem_sweep("simple-perturbed efficiency", True, _random_simple_matrix,
+                          samples, seed)
 
 
 def verify_parametric_inefficiency(samples: int = 100, seed: int = 0) -> TheoremReport:
     """Eigenvectors of the parametric family must all be inefficient."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("parametric family inefficiency", expected="inefficient")
-    for _ in range(samples):
-        n = int(rng.choice((4, 5, 6, 7, 8)))
-        p = sample_ratio(rng, 1 / 9, 9)
-        q = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
-        m = parametric_inefficient(n, p, q)
-        verdict = is_efficient(m, power_iteration(m).w)
-        report.record(not verdict.efficient, (n, p, q))
-    return report
+    return _theorem_sweep("parametric family inefficiency", False, _random_apq_matrix,
+                          samples, seed)
 
 
 def verify_main_theorem(samples: int = 1000, seed: int = 0) -> list[TheoremReport]:

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from pcmeff import (
 )
 from pcmeff.matrixio import format_matrix
 
+# `pcmeff verify --lemmas all --samples 64 --seed 42 --json`, saved while the
+# root finder still bisected before its Newton steps
+SAVED_LEMMA_REPORT = Path(__file__).parent / "data" / "verify_lemmas_64_seed42.json"
 EXAMPLE1_TEXT = "4\n1 1/2 4 2\n2 1 5 7\n1/4 1/5 1 2\n1/2 1/7 1/2 1\n"
 CONSISTENT_TEXT = "3\n1 2 6\n1/2 1 3\n1/6 1/3 1\n"
 
@@ -180,6 +184,7 @@ def test_dot_export_is_byte_deterministic(example1_file, tmp_path):
     ("generate", "--family", "example1", "--out", "{dir}/missing/m.txt"),
     ("generate", "--family", "example1", "--out", "{dir}/m.txt",
      "--sidecar", "{dir}/missing/m.json"),
+    ("generate", "--family", "example1", "--sidecar", "{dir}/missing/m.json"),
 ])
 def test_unwritable_output_is_an_error(example1_file, args):
     proc = run_cli(*(a.format(dir=example1_file.parent) for a in args))
@@ -225,6 +230,24 @@ def test_generate_incompatible_order_exit_code():
     assert "requires n = 4" in proc.stderr
 
 
+def test_generate_names_a_bad_factor():
+    proc = run_cli("generate", "--family", "case1", "--n", "5", "--delta", "0")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: delta must be a positive finite real, got 0.0\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [("verify", "--theorem", "apq", "--samples", "2"),
+                                  ("generate", "--family", "case1", "--n", "5")])
+def test_negative_seed_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --seed: must be at least 0, got -1\n")
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_lemma_subset():
@@ -254,6 +277,16 @@ def test_verify_rejects_fewer_than_one_sample(mode, samples, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--samples: must be at least 1" in err
+
+
+def test_lemma_sweep_matches_the_saved_report(capsys):
+    assert cli.main(["verify", "--lemmas", "all", "--samples", "64", "--seed", "42",
+                     "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    saved = json.loads(SAVED_LEMMA_REPORT.read_text())
+    margins = [[c.pop("min_margin") for c in r["checks"]] for r in (report, saved)]
+    assert report == saved
+    assert margins[0] == pytest.approx(margins[1], rel=1e-12, abs=0)
 
 
 def test_verify_unknown_lemma_id():

@@ -121,6 +121,16 @@ def test_disjoint_row_perturbation_layout():
     assert all(m[i, j] == 1.0 for i, j in untouched)
 
 
+@pytest.mark.parametrize("name,value", [("delta", 0.0), ("gamma", -2.0), ("delta", np.inf),
+                                        ("gamma", np.nan)])
+def test_bad_perturbation_factor_is_named(name, value):
+    factors = {"delta": 2.0, "gamma": 3.0, name: value}
+    st_ = PerturbationStructure(kind=PerturbationKind.CASE1, n=5, base=(1, 1, 1, 1), **factors)
+    with pytest.raises(InvalidCaseError, match=rf"^{name} must be a positive finite real, "
+                                               rf"got {value!r}$"):
+        apply_perturbation(st_)
+
+
 def test_identity_perturbation_is_exactly_consistent():
     st_ = PerturbationStructure(kind=PerturbationKind.CASE2B, n=5, base=(2, 3, 4, 5),
                                 delta=1.0, gamma=1.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from pcmeff import (
     InvalidCaseError,
     PerturbationKind,
     PerturbationStructure,
+    RootNotBracketedError,
+    SuiteGrid,
     apply_perturbation,
     charpoly_oracle,
     closed_form_eigenvector,
@@ -15,12 +19,16 @@ from pcmeff import (
     lambda_max_closed_form,
     power_iteration,
     raw_variant_vector,
+    spectral,
     variant_count,
 )
+from pcmeff.pcm import DOUBLE_KINDS
 
 from conftest import EXAMPLE1_W
 
 ORACLE_LAMBDAS = [-2.0, 1.0, 2.5]   # provably away from every bracket root
+# the sweep's ratio grid plus factors near 0, near 1 and very large
+ROOT_FACTORS = SuiteGrid.ratio_values + (1e-8, 1e-6, 1 - 1e-6, 1 + 1e-6, 1e6, 1e8)
 
 
 def random_structure(rng, kind, n):
@@ -125,6 +133,46 @@ def test_oracle_on_rank_one_matrix():
 def test_consistent_parameters_return_exact_order():
     assert lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 6, 1.0, 1.0)) == 6.0
     assert lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE2A, 4, 1.0, 1.0)) == 4.0
+
+
+def bisection_root(params):
+    """The bracket's sign change above n, bisected with np.polyval to adjacent floats.
+
+    This is the bisection the root finder ran before Newton alone replaced it.
+    """
+    coeffs = spectral._bracket_coeffs(params)
+    lo, hi = float(params.n), 1.0 + max(abs(c) for c in coeffs)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.polyval(coeffs, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("kind", DOUBLE_KINDS)
+def test_newton_root_matches_bisection_and_eigenvalues(kind):
+    for n in SuiteGrid.orders(kind):
+        for d, g in itertools.product(ROOT_FACTORS, repeat=2):
+            params = CharPolyParams(kind, n, d, g)
+            lam = lambda_max_closed_form(params)
+            assert lam == pytest.approx(bisection_root(params), rel=1e-13, abs=0)
+            m = apply_perturbation(PerturbationStructure(kind, n, (1.0,) * (n - 1), d, g))
+            perron = np.linalg.eigvals(m.entries).real.max()
+            assert lam == pytest.approx(perron, rel=1e-10, abs=0), (n, d, g)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0), (-1.0, 1.0)])    # p(n) > 0, p(bound) < 0
+def test_unbracketed_root_is_an_error(monkeypatch, coeffs):
+    monkeypatch.setattr(spectral, "_bracket_coeffs", lambda params: coeffs)
+    with pytest.raises(RootNotBracketedError):
+        lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 5, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
+def test_polynomial_needs_positive_finite_factors(d, g):
+    with pytest.raises(InvalidCaseError, match="positive finite"):
+        CharPolyParams(PerturbationKind.CASE1, 5, d, g)
 
 
 def test_root_is_polynomial_zero_and_matches_power_iteration():

@@ -6,6 +6,7 @@ from pcmeff import (
     HypothesisViolatedError,
     LemmaSample,
     PerturbationKind,
+    Pcm,
     SuiteGrid,
     build_digraph,
     check_lemma,
@@ -170,6 +171,20 @@ def test_suite_is_deterministic():
     r2 = run_lemma_suite(SMALL_GRID, seed=5)
     assert [(a.lemma_id, a.samples_run, a.min_margin) for a in r1] == \
            [(b.lemma_id, b.samples_run, b.min_margin) for b in r2]
+
+
+def test_suite_builds_one_matrix_per_sample(monkeypatch):
+    built = []
+    init = Pcm.__init__
+
+    def counting_init(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(Pcm, "__init__", counting_init)
+    reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
+    # every grid sample is a positivity sample: the ratio grid leaves out 1
+    assert len(built) == reports["positivity"].samples_run == 5 * 64 + 4 * 64 + 4 * 64
 
 
 def test_equality_checks_hold_tightly():
