@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import time
 
@@ -177,14 +178,37 @@ def _cmd_generate(args) -> int:
     if args.p is not None or args.q is not None:
         sidecar["p"], sidecar["q"] = args.p, args.q
 
+    matrix = format_matrix(m.entries)
     sidecar_path = args.sidecar or (args.out and args.out + ".json")
-    with contextlib.ExitStack() as files:    # every output is opened before any is written
-        out, side = (files.enter_context(open(path, "w", encoding="utf-8")) if path else None
-                     for path in (args.out, sidecar_path))
-        (out or sys.stdout).write(format_matrix(m.entries))
-        if side:
-            print(json.dumps(sidecar, indent=2), file=side)
+    outputs = {args.out: matrix, sidecar_path: json.dumps(sidecar, indent=2) + "\n"}
+    _write_files({path: text for path, text in outputs.items() if path})
+    if not args.out:
+        sys.stdout.write(matrix)
     return EXIT_OK
+
+
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each path's text; unless every write succeeds, no path changes.
+
+    Each text goes to a temporary file beside its path, and the temporary
+    files replace the paths only once all of them are written.
+    """
+    temps = {}
+    try:
+        for path, text in texts.items():
+            temps[path] = f"{path}.{os.getpid()}.tmp"
+            try:
+                fh = open(temps[path], "w", encoding="utf-8")
+            except OSError as exc:    # name the path asked for, not the temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            with fh:
+                fh.write(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _cmd_verify(args) -> int:

@@ -12,7 +12,7 @@ explicitly better vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,39 +22,54 @@ from .pcm import Pcm
 DEFAULT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EfficiencyDigraph:
-    """Arc set of the weight-ratio dominance digraph.
+    """The weight-ratio dominance digraph as a boolean adjacency matrix.
 
-    ``tie_tol`` is the relative margin under which w_i / w_j counts as
-    reaching a_ij; with exact arithmetic and tie_tol = 0 the arc rule is
-    the literal inequality.  Reciprocity guarantees at least one arc per
-    unordered pair, and exactly-tied pairs get both.
+    ``adjacency[i, j]`` is True when the digraph has the arc i -> j; the
+    diagonal is False.  The array is a read-only copy of what the caller
+    passed, and ``arcs`` is its (k, 2) index array of arcs in lexicographic
+    order, built once here.  ``tie_tol`` is the relative margin under which
+    w_i / w_j counts as reaching a_ij; with exact arithmetic and tie_tol = 0
+    the arc rule is the literal inequality.  Reciprocity guarantees at least
+    one arc per unordered pair, and exactly-tied pairs get both.
     """
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
     tie_tol: float
+    arcs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        adjacency = np.array(self.adjacency, dtype=bool)
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {adjacency.shape}")
+        np.fill_diagonal(adjacency, False)
+        adjacency.setflags(write=False)
+        arcs = np.argwhere(adjacency)
+        arcs.setflags(write=False)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "arcs", arcs)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
+        return bool(self.adjacency[i, j])
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return [(i, j) for i, j in self.arcs.tolist()]
 
 
 def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigraph:
-    """Arc i -> j iff w_i / w_j >= a_ij * (1 - tie_tol)."""
+    """Arc i -> j (i != j) iff w_i / w_j >= a_ij * (1 - tie_tol)."""
     if tie_tol < 0:
         raise ValueError("tie_tol must be non-negative")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive finite vector of length n")
-    a = m.entries
     ratio = w[:, None] / w[None, :]
-    hit = ratio >= a * (1.0 - tie_tol)
-    arcs = frozenset((i, j) for i in range(m.n) for j in range(m.n) if i != j and hit[i, j])
-    return EfficiencyDigraph(n=m.n, arcs=arcs, tie_tol=tie_tol)
+    return EfficiencyDigraph(ratio >= m.entries * (1.0 - tie_tol), tie_tol)
 
 
 def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:
@@ -66,54 +81,50 @@ def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:
     output is deterministic.
     """
     n = g.n
-    succ = [[] for _ in range(n)]
-    for i, j in g.sorted_arcs():
-        succ[i].append(j)
+    succ = [np.flatnonzero(row).tolist() for row in g.adjacency]
 
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
+    work: list = []    # (node, iterator over its successors not yet examined)
     counter = 0
+
+    def visit(v: int) -> None:
+        nonlocal counter
+        index[v] = lowlink[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        visit(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                u = succ[v][pi]
-                pi += 1
+            v, successors = work[-1]
+            for u in successors:    # resumes after the last successor descended into
                 if index[u] == -1:
-                    work[-1] = (v, pi)
-                    work.append((u, 0))
-                    advanced = True
+                    visit(u)
                     break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if on_stack[u] and index[u] < lowlink[v]:
+                    lowlink[v] = index[u]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        comp.append(u)
+                        if u == v:
+                            break
+                    components.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
     return components
 
 
@@ -131,7 +142,7 @@ def reachability_oracle(g: EfficiencyDigraph) -> bool:
     """
     n = g.n
     succ = [[] for _ in range(n)]
-    for i, j in g.arcs:
+    for i, j in g.arcs.tolist():
         succ[i].append(j)
     for start in range(n):
         seen = {start}
@@ -167,8 +178,9 @@ class EfficiencyVerdict:
 def _sink_component(g: EfficiencyDigraph, comps: list[list[int]]) -> tuple[int, ...]:
     sinks = []
     for comp in comps:
-        members = set(comp)
-        if not any(j not in members for i, j in g.arcs if i in members):
+        inside = np.zeros(g.n, dtype=bool)
+        inside[comp] = True
+        if not g.adjacency[np.ix_(inside, ~inside)].any():
             sinks.append(tuple(comp))
     return min(sinks)
 

@@ -47,16 +47,16 @@ class Pcm:
         n = a.shape[0]
         if n < 2:
             raise NotSquareError(f"matrix order must be at least 2, got {n}")
-        for i in range(n):
-            for j in range(n):
-                v = a[i, j]
-                if not np.isfinite(v) or v <= 0.0:
-                    raise NonPositiveEntryError(i, j, float(v))
-        for i in range(n):
-            for j in range(i, n):
-                prod = a[i, j] * a[j, i]
-                if abs(prod - 1.0) > RECIPROCITY_TOL * max(1.0, abs(prod)):
-                    raise ReciprocityViolationError(i, j, float(prod))
+        # each check reports its first failing cell in row-major order
+        bad = ~(np.isfinite(a) & (a > 0.0))
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            raise NonPositiveEntryError(i, j, float(a[i, j]))
+        prod = a * a.T    # prod[i, j] = a_ij * a_ji, diagonal included
+        bad = np.triu(np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod)))
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            raise ReciprocityViolationError(i, j, float(prod[i, j]))
         a.setflags(write=False)
         self._a = a
 

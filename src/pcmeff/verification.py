@@ -268,10 +268,9 @@ def _cycle_margin(sample: LemmaSample, m: Pcm, w: np.ndarray) -> float:
     return min((w[u] / w[v] - a[u, v]) / a[u, v] for u, v in arcs)
 
 
-def _positivity_margin(sample: LemmaSample) -> float:
+def _positivity_margin(sample: LemmaSample, lam: float) -> float:
+    """Worst normalized entry of the closed-form variant vectors at the root ``lam``."""
     structure = sample.structure()
-    lam = lambda_max_closed_form(
-        CharPolyParams(sample.kind, sample.n, sample.delta, sample.gamma))
     margins = []
     for variant in range(variant_count(sample.kind)):
         v = raw_variant_vector(structure, variant, lam)
@@ -303,13 +302,18 @@ def _hypothesis_violation(check_id: str, kind: PerturbationKind, n: int,
     return None
 
 
-def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | None) -> LemmaCheck:
-    """One check on a sample inside its hypothesis, with its matrix and eigenvector."""
+def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | None,
+           lam: float | None) -> LemmaCheck:
+    """One check on a sample inside its hypothesis.
+
+    Lemmas and the cycle check read the matrix ``m`` and eigenvector ``w``;
+    the positivity check reads the closed-form root ``lam`` of its grid cell.
+    """
     lemma = LEMMAS.get(check_id)
     if lemma is not None:
         margin = float(lemma.margin(sample, w, _x(sample)))
     elif check_id == POSITIVITY_CHECK:
-        margin = _positivity_margin(sample)
+        margin = _positivity_margin(sample, lam)
     else:
         margin = _cycle_margin(sample, m, w)
     floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
@@ -319,22 +323,24 @@ def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | No
 def check_lemma(lemma_id: str, sample: LemmaSample) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
-    Builds the sample's matrix and power-iteration eigenvector, which the
-    positivity check does without.  Raises :class:`HypothesisViolatedError`
-    when the base does not fit the order, or with the reason of
-    :func:`_hypothesis_violation` (in particular whenever delta or gamma
-    equals 1, which no perturbation statement covers).
+    Builds the sample's matrix and power-iteration eigenvector, or for the
+    positivity check the closed-form root.  Raises
+    :class:`HypothesisViolatedError` when the base does not fit the order,
+    or with the reason of :func:`_hypothesis_violation` (in particular
+    whenever delta or gamma equals 1, which no perturbation statement
+    covers).
     """
     if len(sample.base) != sample.n - 1:
         raise HypothesisViolatedError("base length does not match the order")
     reason = _hypothesis_violation(lemma_id, sample.kind, sample.n, sample.delta, sample.gamma)
     if reason is not None:
         raise HypothesisViolatedError(reason)
-    m = w = None
-    if lemma_id != POSITIVITY_CHECK:
-        m = sample.matrix()
-        w = power_iteration(m).w
-    return _check(lemma_id, sample, m, w)
+    if lemma_id == POSITIVITY_CHECK:
+        lam = lambda_max_closed_form(
+            CharPolyParams(sample.kind, sample.n, sample.delta, sample.gamma))
+        return _check(lemma_id, sample, None, None, lam)
+    m = sample.matrix()
+    return _check(lemma_id, sample, m, power_iteration(m).w, None)
 
 
 @dataclass(frozen=True)
@@ -383,9 +389,10 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaR
     """Sweep every check over its hypothesis region of the grid.
 
     Each sample's matrix and eigenvector are built once and shared by the
-    checks whose hypothesis holds in its grid cell.  Reports come back in
-    registry order followed by the positivity and cycle checks; the run is
-    a pure function of the grid and seed.
+    checks whose hypothesis holds in its grid cell, and the closed-form
+    root, which depends on the cell alone, is solved once per cell.
+    Reports come back in registry order followed by the positivity and
+    cycle checks; the run is a pure function of the grid and seed.
     """
     grid = grid or SuiteGrid()
     rng = np.random.default_rng(seed)
@@ -399,12 +406,14 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaR
                 for gamma in grid.ratio_values:
                     held = [check_id for check_id in check_ids
                             if _hypothesis_violation(check_id, kind, n, delta, gamma) is None]
+                    lam = (lambda_max_closed_form(CharPolyParams(kind, n, delta, gamma))
+                           if POSITIVITY_CHECK in held else None)
                     for _ in range(grid.bases(kind)):
                         sample = LemmaSample(kind, n, delta, gamma, sample_base(rng, n))
                         m = sample.matrix()
                         w = power_iteration(m).w
                         for check_id in held:
-                            reports[check_id].record(sample, _check(check_id, sample, m, w))
+                            reports[check_id].record(sample, _check(check_id, sample, m, w, lam))
     return [reports[check_id] for check_id in ALL_CHECK_IDS]
 
 

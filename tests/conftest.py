@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmeff import Pcm
+from pcmeff import EfficiencyDigraph, Pcm
 
 # 4x4 matrix whose principal eigenvector is inefficient; its reference
 # eigenvector (8 digits, truncated) and the dominating second coordinate
@@ -29,3 +29,11 @@ EXAMPLE1_ARCS_1BASED = {(1, 2), (1, 4), (4, 2), (3, 1), (3, 2), (4, 3)}
 @pytest.fixture
 def example1() -> Pcm:
     return Pcm(EXAMPLE1_ENTRIES)
+
+
+def digraph_from_arcs(n: int, arcs) -> EfficiencyDigraph:
+    """The digraph on nodes 0..n-1 with the given (i, j) arcs, tie_tol 0."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, j in arcs:
+        adjacency[i, j] = True
+    return EfficiencyDigraph(adjacency, tie_tol=0.0)

@@ -11,7 +11,6 @@ import pytest
 
 from pcmeff import (
     CharPolyParams,
-    EfficiencyDigraph,
     PerturbationKind,
     PerturbationStructure,
     apply_perturbation,
@@ -41,6 +40,7 @@ from conftest import (
     EXAMPLE1_IMPROVED_W2,
     EXAMPLE1_RATIOS,
     EXAMPLE1_W,
+    digraph_from_arcs,
 )
 
 SAMPLES_PER_CASE = 500
@@ -229,7 +229,7 @@ def test_criterion_9_scc_oracle_equivalence():
                     arcs.add((i, j))
                 if c != 0:
                     arcs.add((j, i))
-        g = EfficiencyDigraph(n=n, arcs=frozenset(arcs), tie_tol=0.0)
+        g = digraph_from_arcs(n, arcs)
         if strongly_connected(g)[0] != reachability_oracle(g):
             mismatches += 1
     report(9, mismatches == 0,

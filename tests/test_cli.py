@@ -187,11 +187,16 @@ def test_dot_export_is_byte_deterministic(example1_file, tmp_path):
     ("generate", "--family", "example1", "--sidecar", "{dir}/missing/m.json"),
 ])
 def test_unwritable_output_is_an_error(example1_file, args):
+    kept = example1_file.parent / "m.txt"
+    kept.write_text("prior content\n")
     proc = run_cli(*(a.format(dir=example1_file.parent) for a in args))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: [Errno 2]")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    # a failed run changes no file: --out m.txt keeps what it held
+    assert kept.read_text() == "prior content\n"
+    assert sorted(p.name for p in example1_file.parent.iterdir()) == ["example1.txt", "m.txt"]
 
 
 def test_main_builds_one_parser(example1_file, capsys):

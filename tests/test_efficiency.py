@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmeff import (
-    EfficiencyDigraph,
     Pcm,
     build_digraph,
     consistent_pcm,
@@ -17,8 +16,9 @@ from pcmeff import (
     strongly_connected,
     to_dot,
 )
+from pcmeff.efficiency import DEFAULT_TIE_TOL
 
-from conftest import EXAMPLE1_ARCS_1BASED, EXAMPLE1_IMPROVED_W2
+from conftest import EXAMPLE1_ARCS_1BASED, EXAMPLE1_IMPROVED_W2, digraph_from_arcs
 
 
 @pytest.fixture
@@ -85,14 +85,14 @@ def test_example1_not_strongly_connected(example1_pair):
 def test_complete_bidirected_is_strongly_connected():
     n = 5
     arcs = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    ok, comps = strongly_connected(EfficiencyDigraph(n=n, arcs=arcs, tie_tol=0.0))
+    ok, comps = strongly_connected(digraph_from_arcs(n, arcs))
     assert ok and len(comps) == 1
 
 
 def test_directed_cycle_is_strongly_connected():
     cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
     extra = [(0, 2), (1, 3)]     # one arc per leftover pair
-    g = EfficiencyDigraph(n=4, arcs=frozenset(cycle + extra), tie_tol=0.0)
+    g = digraph_from_arcs(4, cycle + extra)
     ok, _ = strongly_connected(g)
     assert ok and reachability_oracle(g)
 
@@ -106,7 +106,7 @@ def random_pair_complete_digraph(rng, n):
                 arcs.add((i, j))
             if c != 0:
                 arcs.add((j, i))
-    return EfficiencyDigraph(n=n, arcs=frozenset(arcs), tie_tol=0.0)
+    return digraph_from_arcs(n, arcs)
 
 
 def test_tarjan_agrees_with_bfs_oracle():
@@ -116,6 +116,88 @@ def test_tarjan_agrees_with_bfs_oracle():
         ok, comps = strongly_connected(g)
         assert ok == reachability_oracle(g)
         assert sorted(v for comp in comps for v in comp) == list(range(g.n))
+
+
+def frozenset_verdict(m: Pcm, w, tie_tol: float):
+    """Arcs, components, sink and DOT text of the digraph kept as a frozenset of arcs.
+
+    The construction the boolean adjacency replaced: a Python loop over all
+    n^2 cells, a recursive Tarjan over the sorted arcs, and a sink found by
+    scanning every arc.
+    """
+    n = m.n
+    hit = w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol)
+    arcs = frozenset((i, j) for i in range(n) for j in range(n) if i != j and hit[i, j])
+    succ = [[] for _ in range(n)]
+    for i, j in sorted(arcs):
+        succ[i].append(j)
+    index, low, stack, comps = {}, {}, [], []
+
+    def strongconnect(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for u in succ[v]:
+            if u not in index:
+                strongconnect(u)
+                low[v] = min(low[v], low[u])
+            elif u in stack:
+                low[v] = min(low[v], index[u])
+        if low[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+            comps.append(tuple(sorted(comp)))
+
+    for v in range(n):
+        if v not in index:
+            strongconnect(v)
+    sinks = [c for c in comps if not any(j not in c for i, j in arcs if i in c)]
+    dot = ("digraph efficiency {\n" + "".join(f"    {i + 1};\n" for i in range(n))
+           + "".join(f"    {i + 1} -> {j + 1};\n" for i, j in sorted(arcs)) + "}\n")
+    return arcs, tuple(comps), None if len(comps) == 1 else min(sinks), dot
+
+
+def random_pcm_with_ties(rng, n: int) -> Pcm:
+    """A noisy, a consistent or a small-integer-ratio matrix; the last two give exact ties."""
+    style = rng.integers(3)
+    if style == 1:
+        return consistent_pcm(rng.choice([1.0, 2.0, 3.0, 0.5], size=n - 1))
+    upper = np.triu_indices(n, 1)
+    if style == 0:
+        values = rng.choice([1.0, 1.0, 2.0, 3.0, 0.5, 1 / 3], size=len(upper[0]))
+    else:
+        x = np.exp(rng.normal(0.0, 1.0, n))
+        values = x[upper[1]] / x[upper[0]] * np.exp(rng.normal(0.0, 0.3, len(upper[0])))
+    a = np.ones((n, n))
+    a[upper] = values
+    a.T[upper] = 1.0 / values
+    return Pcm(a)
+
+
+def test_adjacency_digraph_equals_the_frozenset_digraph():
+    rng = np.random.default_rng(2024)
+    inefficient = ties = several = 0
+    for k in range(200):
+        m = random_pcm_with_ties(rng, int(rng.integers(2, 17)))
+        w = power_iteration(m).w
+        if k % 2:    # off the eigenvector, sinks and several components are common
+            w = w * np.exp(rng.normal(0.0, 0.3, m.n))
+        tie_tol = float(rng.choice([DEFAULT_TIE_TOL, 0.0]))
+        arcs, sccs, sink, dot = frozenset_verdict(m, w, tie_tol)
+        v = is_efficient(m, w, tie_tol)
+        g = v.digraph
+        assert g.sorted_arcs() == sorted(arcs)
+        assert all(type(i) is int and type(j) is int for i, j in g.sorted_arcs())
+        assert len(g.arcs) == len(arcs)
+        assert (v.sccs, v.sink) == (sccs, sink)
+        assert to_dot(g) == dot
+        for array in (g.adjacency, g.arcs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        inefficient += not v.efficient
+        ties += any((j, i) in arcs for i, j in arcs)
+        several += len(sccs) > 2
+    assert inefficient > 50 and ties > 25 and several > 25
 
 
 # ----------------------------------------------------------------- verdicts

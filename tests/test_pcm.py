@@ -16,6 +16,7 @@ from pcmeff import (
     PerturbationKind,
     PerturbationStructure,
     Pcm,
+    PcmError,
     ReciprocityViolationError,
     apply_perturbation,
     classify_perturbation,
@@ -69,6 +70,61 @@ def test_entries_are_read_only():
     m = Pcm(np.ones((3, 3)))
     with pytest.raises(ValueError):
         m.entries[0, 1] = 2.0
+
+
+def loop_validate(entries) -> None:
+    """``Pcm``'s checks cell by cell in row-major order, as it made them before masks."""
+    a = np.array(entries, dtype=float)
+    n = a.shape[0]
+    for i in range(n):
+        for j in range(n):
+            v = a[i, j]
+            if not np.isfinite(v) or v <= 0.0:
+                raise NonPositiveEntryError(i, j, float(v))
+    for i in range(n):
+        for j in range(i, n):
+            prod = a[i, j] * a[j, i]
+            if abs(prod - 1.0) > pcm.RECIPROCITY_TOL * max(1.0, abs(prod)):
+                raise ReciprocityViolationError(i, j, float(prod))
+
+
+def _outcome(validate, entries):
+    try:
+        validate(entries)
+    except PcmError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+TOL = pcm.RECIPROCITY_TOL
+# ways to damage one cell: values that are not positive finite reals, and
+# factors that break reciprocity just beyond, or stay just inside, the tolerance
+NOT_POSITIVE = [lambda v: np.nan, lambda v: np.inf, lambda v: -np.inf, lambda v: 0.0,
+                lambda v: -0.0, lambda v: -v]
+RECIPROCITY_BREAKS = [lambda v, f=f: v * f for f in (
+    1.0 + 1.01 * TOL, 1.0 + 0.99 * TOL, 1.0 - 1.01 * TOL, 1.0 - 0.99 * TOL, 1.0 + 0.4 * TOL, 3.0)]
+
+
+@st.composite
+def damaged_matrices(draw):
+    """Consistent matrices of order 2-9 with one to four cells damaged, diagonal included."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    x = np.asarray(draw(st.lists(ratio, min_size=n, max_size=n)))
+    a = x[None, :] / x[:, None]
+    damage = st.sampled_from(RECIPROCITY_BREAKS + draw(st.sampled_from([[], NOT_POSITIVE])))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cell, min_size=1, max_size=4)):
+        if draw(st.booleans()):
+            i = j
+        a[i, j] = draw(damage)(a[i, j])
+    return a
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(damaged_matrices())
+def test_validation_errors_match_the_cell_by_cell_checks(entries):
+    expected = _outcome(loop_validate, entries)
+    assert _outcome(Pcm, entries) == expected
 
 
 # ------------------------------------------------------------ canonical forms

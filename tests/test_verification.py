@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pcmeff import (
-    EfficiencyDigraph,
     HypothesisViolatedError,
     LemmaSample,
     PerturbationKind,
@@ -18,6 +17,8 @@ from pcmeff import (
     verify_parametric_inefficiency,
     verify_simple_perturbed_efficiency,
 )
+from pcmeff import verification
+from pcmeff.pcm import DOUBLE_KINDS
 from pcmeff.verification import (
     ALL_CHECK_IDS,
     CASE1_CYCLES,
@@ -27,6 +28,8 @@ from pcmeff.verification import (
     expand_cycle_arcs,
     region_cycle,
 )
+
+from conftest import digraph_from_arcs
 
 UNIT4 = (1.0, 1.0, 1.0)
 SMALL_GRID = SuiteGrid(bases_per_cell=1, bases_per_cell_case2a=4)
@@ -150,8 +153,7 @@ def test_cycle_alone_certifies_strong_connectivity():
                         if (i, j) in arcs or (j, i) in arcs:
                             continue
                         arcs.add((i, j) if rng.random() < 0.5 else (j, i))
-                ok, _ = strongly_connected(
-                    EfficiencyDigraph(n=n, arcs=frozenset(arcs), tie_tol=0.0))
+                ok, _ = strongly_connected(digraph_from_arcs(n, arcs))
                 assert ok
 
 
@@ -185,6 +187,21 @@ def test_suite_builds_one_matrix_per_sample(monkeypatch):
     reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
     # every grid sample is a positivity sample: the ratio grid leaves out 1
     assert len(built) == reports["positivity"].samples_run == 5 * 64 + 4 * 64 + 4 * 64
+
+
+def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
+    solved = []
+    solve = verification.lambda_max_closed_form
+
+    def counting_solve(params):
+        solved.append((params.kind, params.n, params.delta, params.gamma))
+        return solve(params)
+
+    monkeypatch.setattr(verification, "lambda_max_closed_form", counting_solve)
+    run_lemma_suite(SMALL_GRID, seed=1)
+    cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
+        * len(SMALL_GRID.ratio_values) ** 2
+    assert len(solved) == len(set(solved)) == cells == 640
 
 
 def test_equality_checks_hold_tightly():
