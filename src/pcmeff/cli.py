@@ -10,8 +10,10 @@ numbers as the text rendering.
 
 Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error,
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
-An unopenable input or output path is an error (exit 1), as is an invalid
-matrix; ``--samples`` below 1 and ``--seed`` below 0 are usage errors (exit 2).
+An unopenable input or output path is an error (exit 1), as are an invalid
+matrix and a sink too tight to improve in floats; ``--samples`` below 1,
+``--seed`` below 0 and a tolerance that is not finite and at least 0
+(``--tol-power``: above 0) are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .efficiency import DEFAULT_TIE_TOL, find_sink_improvement, is_efficient, to_dot
-from .errors import NoConvergenceError, ParseError, PcmError, RootNotBracketedError
+from .errors import (ImprovementFailedError, NoConvergenceError, ParseError, PcmError,
+                     RootNotBracketedError)
 from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
 from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, Pcm, classify_perturbation
@@ -270,6 +273,18 @@ def int_at_least(lowest: int):
     return parse
 
 
+def tolerance(zero_allowed: bool):
+    """An argparse type: a finite float above 0, or at least 0 when ``zero_allowed``."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ((value >= 0.0 if zero_allowed else value > 0.0) and value < np.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'at least' if zero_allowed else 'above'} 0, got {text}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared after that."""
@@ -285,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--format", choices=FORMATS, default="txt")
     p_an.add_argument("--json", action="store_true")
     p_an.add_argument("--digraph-dot", metavar="PATH")
-    p_an.add_argument("--tol-consistency", type=float, default=DEFAULT_CONSISTENCY_TOL)
-    p_an.add_argument("--tol-tie", type=float, default=DEFAULT_TIE_TOL)
-    p_an.add_argument("--tol-power", type=float, default=DEFAULT_POWER_TOL)
+    p_an.add_argument("--tol-consistency", type=tolerance(True), default=DEFAULT_CONSISTENCY_TOL)
+    p_an.add_argument("--tol-tie", type=tolerance(True), default=DEFAULT_TIE_TOL)
+    p_an.add_argument("--tol-power", type=tolerance(False), default=DEFAULT_POWER_TOL)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="write a matrix from a built-in family")
@@ -321,7 +336,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, PcmError, NoConvergenceError, RootNotBracketedError) as exc:
+    except (OSError, PcmError, NoConvergenceError, RootNotBracketedError,
+            ImprovementFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,10 +4,10 @@ A positive weight vector w is efficient for A when no other positive
 vector approximates every entry a_ij at least as well by its ratios and
 some entry strictly better.  Efficiency is equivalent to strong
 connectivity of the digraph with an arc i -> j whenever w_i / w_j >= a_ij;
-ties produce arcs in both directions.  A strongly connected digraph
-certifies efficiency through its single component; otherwise some
-component has no outgoing arcs, and scaling that component up yields an
-explicitly better vector.
+ties produce arcs in both directions, and every pair has an arc, so the
+components form a chain.  A strongly connected digraph certifies
+efficiency through its single component; otherwise the bottom component
+has no outgoing arcs, and scaling it up yields an explicitly better vector.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class EfficiencyDigraph:
     diagonal is False.  The array is a read-only copy of what the caller
     passed, and ``arcs`` is its (k, 2) index array of arcs in lexicographic
     order, built once here.  ``tie_tol`` is the relative margin under which
-    w_i / w_j counts as reaching a_ij; with exact arithmetic and tie_tol = 0
-    the arc rule is the literal inequality.  Reciprocity guarantees at least
-    one arc per unordered pair, and exactly-tied pairs get both.
+    w_i / w_j counts as reaching a_ij (see :func:`build_digraph`).  Every
+    pair of distinct nodes must have an arc in at least one direction;
+    :func:`strongly_connected_components` relies on it.
     """
 
     adjacency: np.ndarray
@@ -44,6 +44,10 @@ class EfficiencyDigraph:
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, got shape {adjacency.shape}")
         np.fill_diagonal(adjacency, False)
+        missing = ~(adjacency | adjacency.T | np.eye(len(adjacency), dtype=bool))
+        if missing.any():
+            i, j = divmod(int(np.argmax(missing)), len(adjacency))
+            raise ValueError(f"nodes {i} and {j} have no arc between them")
         adjacency.setflags(write=False)
         arcs = np.argwhere(adjacency)
         arcs.setflags(write=False)
@@ -62,70 +66,38 @@ class EfficiencyDigraph:
 
 
 def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigraph:
-    """Arc i -> j (i != j) iff w_i / w_j >= a_ij * (1 - tie_tol)."""
-    if tie_tol < 0:
+    """Arc i -> j (i != j) iff w_i / w_j >= a_ij (1 - tie_tol) or w_j / w_i < a_ji (1 - tie_tol).
+
+    The second test gives an arc on every pair: where entries are reciprocal
+    only within ``RECIPROCITY_TOL``, a pair that neither direction improves
+    in both cells counts as a tie.
+    """
+    if not tie_tol >= 0:    # NaN fails too
         raise ValueError("tie_tol must be non-negative")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive finite vector of length n")
-    ratio = w[:, None] / w[None, :]
-    return EfficiencyDigraph(ratio >= m.entries * (1.0 - tie_tol), tie_tol)
+    hit = w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol)
+    return EfficiencyDigraph(hit | ~hit.T, tie_tol)
 
 
 def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.
+    """Components by one scan of the nodes in order of out-degree.
 
-    Components are emitted sinks-first in the condensation order: every arc
-    between components points from a later component to an earlier one.
-    Node order inside a component and the DFS root order are fixed, so the
-    output is deterministic.
+    With an arc on every pair the components form a chain, and a node's
+    out-degree counts every node below its component plus fewer than its
+    component's size, so a stable sort by out-degree lists the components
+    bottom up; each ends where no arc leaves the prefix.  They come sinks
+    first, nodes in increasing order: the one order in which every arc
+    between components points to an earlier one.
     """
-    n = g.n
-    succ = [np.flatnonzero(row).tolist() for row in g.adjacency]
-
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    work: list = []    # (node, iterator over its successors not yet examined)
-    counter = 0
-
-    def visit(v: int) -> None:
-        nonlocal counter
-        index[v] = lowlink[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(succ[v])))
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        visit(root)
-        while work:
-            v, successors = work[-1]
-            for u in successors:    # resumes after the last successor descended into
-                if index[u] == -1:
-                    visit(u)
-                    break
-                if on_stack[u] and index[u] < lowlink[v]:
-                    lowlink[v] = index[u]
-            else:
-                work.pop()
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp.append(u)
-                        if u == v:
-                            break
-                    components.append(sorted(comp))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
+    out_degree = g.adjacency.sum(axis=1)
+    order = np.argsort(out_degree, kind="stable")
+    ranked = g.adjacency[np.ix_(order, order)]
+    # no arc leaves a prefix whose out-degrees add up to the arcs inside it
+    inside = ranked.cumsum(axis=0).cumsum(axis=1).diagonal()
+    ends = np.flatnonzero(np.cumsum(out_degree[order]) == inside) + 1
+    return [np.sort(piece).tolist() for piece in np.split(order, ends[:-1])]
 
 
 def strongly_connected(g: EfficiencyDigraph) -> tuple[bool, list[list[int]]]:
@@ -137,8 +109,8 @@ def strongly_connected(g: EfficiencyDigraph) -> tuple[bool, list[list[int]]]:
 def reachability_oracle(g: EfficiencyDigraph) -> bool:
     """Strong connectivity by brute force: BFS from every node.
 
-    Independent of the Tarjan route; kept deliberately simple so the two
-    can check each other.
+    Independent of the out-degree scan and of its chain premise; kept
+    deliberately simple so the two can check each other.
     """
     n = g.n
     succ = [[] for _ in range(n)]
@@ -165,8 +137,8 @@ class EfficiencyVerdict:
     """Efficiency decision plus its graph certificate.
 
     Efficient: ``sccs`` has a single component.  Inefficient: ``sink`` is a
-    nonempty node set with no outgoing arcs, the seed of an explicit
-    improvement.
+    nonempty node set with no outgoing arcs, the first of ``sccs`` and the
+    seed of an explicit improvement.
     """
 
     efficient: bool
@@ -175,26 +147,15 @@ class EfficiencyVerdict:
     sink: tuple[int, ...] | None
 
 
-def _sink_component(g: EfficiencyDigraph, comps: list[list[int]]) -> tuple[int, ...]:
-    sinks = []
-    for comp in comps:
-        inside = np.zeros(g.n, dtype=bool)
-        inside[comp] = True
-        if not g.adjacency[np.ix_(inside, ~inside)].any():
-            sinks.append(tuple(comp))
-    return min(sinks)
-
-
 def is_efficient(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyVerdict:
     """Decide efficiency of w for m and attach the certificate."""
     g = build_digraph(m, w, tie_tol)
     ok, comps = strongly_connected(g)
-    sink = None if ok else _sink_component(g, comps)
     return EfficiencyVerdict(
         efficient=ok,
         digraph=g,
         sccs=tuple(tuple(c) for c in comps),
-        sink=sink,
+        sink=None if ok else tuple(comps[0]),
     )
 
 
@@ -238,7 +199,8 @@ def find_sink_improvement(m: Pcm, w, verdict: EfficiencyVerdict):
     w_prime[inside] *= t
     if not dominates(m, w, w_prime):
         raise ImprovementFailedError(
-            f"scaling sink {verdict.sink} by {t} did not dominate; this is a bug")
+            f"sink {verdict.sink} has slack {t_max - 1.0:.3g}, too little for scaling it "
+            f"by {t} to dominate w in float arithmetic")
     return w_prime
 
 

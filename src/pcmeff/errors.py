@@ -56,7 +56,7 @@ class RootNotBracketedError(RuntimeError):
 
 
 class ImprovementFailedError(RuntimeError):
-    """An inefficiency certificate did not yield a dominating vector (bug)."""
+    """Scaling the sink of an inefficiency certificate did not dominate in floats."""
 
 
 class HypothesisViolatedError(ValueError):

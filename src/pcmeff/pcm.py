@@ -52,8 +52,10 @@ class Pcm:
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
             raise NonPositiveEntryError(i, j, float(a[i, j]))
-        prod = a * a.T    # prod[i, j] = a_ij * a_ji, diagonal included
-        bad = np.triu(np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod)))
+        with np.errstate(over="ignore"):    # an overflowed product is inf, which fails
+            prod = a * a.T    # prod[i, j] = a_ij * a_ji, diagonal included
+        bad = np.triu(~np.isfinite(prod)
+                      | (np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod))))
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
             raise ReciprocityViolationError(i, j, float(prod[i, j]))
@@ -197,7 +199,10 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
     kind = structure.kind
     if structure.base is None:
         raise InvalidCaseError("structure must carry a base vector")
-    check_order(kind, len(structure.base) + 1)
+    if len(structure.base) != structure.n - 1:
+        raise InvalidCaseError(f"order n = {structure.n} needs {structure.n - 1} base ratios, "
+                               f"got {len(structure.base)}")
+    check_order(kind, structure.n)
     cells = CANONICAL_FORMS[kind].cells
     factors = (structure.delta, structure.gamma)[:len(cells)]
     if None in factors:
@@ -374,6 +379,8 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
     recovered base is expressed in canonical labeling with the first
     relabeled alternative as numeraire.
     """
+    if not tol >= 0:    # NaN fails too
+        raise ValueError("tol must be non-negative")
     a = m.entries
     n = m.n
     if n < 3:

@@ -55,7 +55,7 @@ def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
     Convergence is declared when |A w - lambda w|_inf / |w|_inf <= tol.
     The deterministic start vector keeps runs bit-reproducible.
     """
-    if tol <= 0:
+    if not tol > 0:    # NaN fails too
         raise ValueError("tol must be positive")
     a = m.entries
     n = m.n

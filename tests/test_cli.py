@@ -113,6 +113,44 @@ def test_analyze_reports_numeric_failure(example1_file, monkeypatch, capsys, err
     assert err == f"error: {error}\n"
 
 
+def test_pair_without_a_hit_is_a_tie(tmp_path, capsys):
+    # a_12 a_21 = 1 + 5e-13: at --tol-tie 0, w_1/w_2 < a_12 and w_2/w_1 < a_21
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 2\n0.50000000000025 1\n")
+    assert cli.main(["analyze", str(path), "--tol-tie", "0", "--json"]) == cli.EXIT_OK
+    eff = json.loads(capsys.readouterr().out)["efficiency"]
+    assert eff["efficient"] is True
+    assert eff["arcs"] == [[1, 2], [2, 1]]
+
+
+def test_sink_too_tight_to_improve_is_an_error(tmp_path, capsys):
+    # rounding in w leaves this consistent matrix a sink at --tol-tie 0
+    path = tmp_path / "m.txt"
+    assert cli.main(["generate", "--family", "consistent", "--n", "5", "--seed", "0",
+                     "--out", str(path)]) == cli.EXIT_OK
+    assert cli.main(["analyze", str(path), "--tol-tie", "0"]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: sink (3,) has slack ")
+    assert err.endswith(" to dominate w in float arithmetic\n")
+
+
+@pytest.mark.parametrize("option,value,bound", [
+    ("--tol-tie", "-1", "at least"), ("--tol-tie", "nan", "at least"),
+    ("--tol-tie", "inf", "at least"), ("--tol-consistency", "-1", "at least"),
+    ("--tol-consistency", "nan", "at least"), ("--tol-consistency", "inf", "at least"),
+    ("--tol-power", "0", "above"), ("--tol-power", "-1", "above"),
+    ("--tol-power", "nan", "above"), ("--tol-power", "inf", "above"),
+])
+def test_bad_tolerance_is_a_usage_error(example1_file, capsys, option, value, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", str(example1_file), option, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {option}: must be finite and {bound} 0, got {value}\n")
+
+
 def test_analyze_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a matrix\n")

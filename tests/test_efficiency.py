@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmeff import (
+    EfficiencyDigraph,
     Pcm,
     build_digraph,
     consistent_pcm,
@@ -14,9 +15,11 @@ from pcmeff import (
     power_iteration,
     reachability_oracle,
     strongly_connected,
+    strongly_connected_components,
     to_dot,
 )
 from pcmeff.efficiency import DEFAULT_TIE_TOL
+from pcmeff.pcm import RECIPROCITY_TOL
 
 from conftest import EXAMPLE1_ARCS_1BASED, EXAMPLE1_IMPROVED_W2, digraph_from_arcs
 
@@ -55,22 +58,41 @@ def test_weights_must_be_positive_and_finite(bad):
         build_digraph(consistent_pcm([2.0, 3.0]), [1.0, bad, 1.0])
 
 
-@settings(max_examples=40)
-@given(st.integers(2, 7), st.integers(0, 10_000))
-def test_pair_completeness(n, seed):
-    # reciprocity forces w_i/w_j >= a_ij or w_j/w_i >= a_ji for every pair
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10_000), st.sampled_from([DEFAULT_TIE_TOL, 0.0]),
+       st.sampled_from([1.0, 1.0 - 0.9 * RECIPROCITY_TOL, 1.0 + 0.9 * RECIPROCITY_TOL]),
+       st.booleans())
+def test_pair_completeness(n, seed, tie_tol, lower_scale, tied):
+    # every pair gets an arc, also where the lower entries are reciprocal only
+    # within tolerance and w is nearer a tie than that: then neither
+    # w_i/w_j >= a_ij nor w_j/w_i >= a_ji need hold
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), n - 1))
     a = np.array(consistent_pcm(xs).entries)
     i, j = sorted(rng.choice(n, size=2, replace=False))
     a[i, j] *= 3.0
     a[j, i] = 1.0 / a[i, j]
+    a[np.tril_indices(n, -1)] *= lower_scale
     m = Pcm(a)
-    w = rng.dirichlet(np.ones(n))
-    g = build_digraph(m, w)
+    if tied:
+        w = (1.0 + 0.3 * RECIPROCITY_TOL * np.arange(n)) / np.concatenate(([1.0], xs))
+    else:
+        w = rng.dirichlet(np.ones(n))
+    g = build_digraph(m, w, tie_tol)
     for i in range(n):
         for j in range(i + 1, n):
             assert g.has_arc(i, j) or g.has_arc(j, i)
+
+
+def test_digraph_needs_an_arc_on_every_pair():
+    with pytest.raises(ValueError, match="^nodes 0 and 2 have no arc between them$"):
+        digraph_from_arcs(3, [(0, 1), (2, 1)])
+
+
+@pytest.mark.parametrize("tie_tol", [-1e-9, np.nan])
+def test_tie_tolerance_must_be_non_negative(tie_tol):
+    with pytest.raises(ValueError, match="tie_tol must be non-negative"):
+        build_digraph(consistent_pcm([2.0]), [2.0, 1.0], tie_tol)
 
 
 # ------------------------------------------------------------ strong connectivity
@@ -109,6 +131,59 @@ def random_pair_complete_digraph(rng, n):
     return digraph_from_arcs(n, arcs)
 
 
+def tarjan_components(n: int, arcs) -> list[list[int]]:
+    """Components by recursive Tarjan over the sorted arcs, sinks first: the reference."""
+    succ = [[] for _ in range(n)]
+    for i, j in sorted(arcs):
+        succ[i].append(j)
+    index, low, stack, comps = {}, {}, [], []
+
+    def strongconnect(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for u in succ[v]:
+            if u not in index:
+                strongconnect(u)
+                low[v] = min(low[v], low[u])
+            elif u in stack:
+                low[v] = min(low[v], index[u])
+        if low[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+            comps.append(sorted(comp))
+
+    for v in range(n):
+        if v not in index:
+            strongconnect(v)
+    return comps
+
+
+def random_ranked_digraph(rng, n: int) -> EfficiencyDigraph:
+    """A pair-complete digraph whose arcs mostly point down a hidden ranking.
+
+    Each pair points down only, up only, or both ways; rare upward arcs
+    leave many components.
+    """
+    rank = rng.permutation(n)
+    down = rank[:, None] > rank[None, :]
+    up_only, both = rng.uniform(0.0, 1.0, 2) ** 3 / 2
+    r = np.triu(rng.random((n, n)), 1)
+    r = r + r.T    # one draw per pair
+    return EfficiencyDigraph((down & (r >= up_only)) | (~down & (r < up_only + both)), 0.0)
+
+
+def test_out_degree_scan_equals_tarjan():
+    rng = np.random.default_rng(1968)
+    several = 0
+    for _ in range(2000):
+        g = random_ranked_digraph(rng, int(rng.integers(2, 41)))
+        comps = strongly_connected_components(g)
+        assert comps == tarjan_components(g.n, g.sorted_arcs())
+        several += len(comps) >= 3
+    assert several >= 400    # 444 with this seed
+
+
 def test_tarjan_agrees_with_bfs_oracle():
     rng = np.random.default_rng(77)
     for _ in range(300):
@@ -128,29 +203,7 @@ def frozenset_verdict(m: Pcm, w, tie_tol: float):
     n = m.n
     hit = w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol)
     arcs = frozenset((i, j) for i in range(n) for j in range(n) if i != j and hit[i, j])
-    succ = [[] for _ in range(n)]
-    for i, j in sorted(arcs):
-        succ[i].append(j)
-    index, low, stack, comps = {}, {}, [], []
-
-    def strongconnect(v):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        for u in succ[v]:
-            if u not in index:
-                strongconnect(u)
-                low[v] = min(low[v], low[u])
-            elif u in stack:
-                low[v] = min(low[v], index[u])
-        if low[v] == index[v]:
-            comp = []
-            while not comp or comp[-1] != v:
-                comp.append(stack.pop())
-            comps.append(tuple(sorted(comp)))
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
+    comps = [tuple(comp) for comp in tarjan_components(n, arcs)]
     sinks = [c for c in comps if not any(j not in c for i, j in arcs if i in c)]
     dot = ("digraph efficiency {\n" + "".join(f"    {i + 1};\n" for i in range(n))
            + "".join(f"    {i + 1} -> {j + 1};\n" for i, j in sorted(arcs)) + "}\n")

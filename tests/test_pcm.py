@@ -53,6 +53,14 @@ def test_reciprocity_violation_reports_position():
     assert (exc.value.i, exc.value.j) == (0, 1)
 
 
+def test_overflowing_reciprocal_product_is_a_violation():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReciprocityViolationError) as exc:
+            Pcm([[1.0, 1e200], [1e200, 1.0]])
+    assert (exc.value.i, exc.value.j, exc.value.product) == (0, 1, np.inf)
+
+
 @pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
 def test_non_positive_entries_rejected(bad):
     with pytest.raises(NonPositiveEntryError):
@@ -152,7 +160,7 @@ def test_base_beyond_the_float_range_names_its_ratios():
             consistent_pcm([1e200, 1.0, 1e-200])
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.lists(ratio, min_size=1, max_size=8))
 def test_consistent_construction_always_consistent(xs):
     assert is_consistent(consistent_pcm(xs))
@@ -203,6 +211,14 @@ def test_incompatible_orders_rejected(kind, n):
     st_ = PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
     with pytest.raises(InvalidCaseError):
         apply_perturbation(st_)
+
+
+def test_structure_order_must_match_its_base():
+    st_ = PerturbationStructure(PerturbationKind.CASE1, n=7, base=(2, 3, 4), delta=2, gamma=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidCaseError, match=r"^order n = 7 needs 6 base ratios, got 3$"):
+            apply_perturbation(st_)
 
 
 # the orders each canonical form exists at, as the paper states them
@@ -420,6 +436,12 @@ def test_pruned_search_equals_exhaustive_search(n, kind, data):
     m = data.draw(classifiable_matrices(n, kind))
     for tol in ORACLE_TOLS:
         assert classify_perturbation(m, tol) == exhaustive_classify(m, tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, np.nan])
+def test_consistency_tolerance_must_be_non_negative(tol):
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        classify_perturbation(consistent_pcm([2.0, 3.0]), tol)
 
 
 def test_pruning_keeps_a_triad_at_the_largest_accepted_residual():

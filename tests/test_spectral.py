@@ -70,6 +70,12 @@ def test_power_iteration_weights_are_normalized(example1):
     assert np.all(r.w > 0)
 
 
+@pytest.mark.parametrize("tol", [0.0, np.nan])
+def test_power_tolerance_must_be_positive(example1, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        power_iteration(example1, tol=tol)
+
+
 def test_power_iteration_is_deterministic(example1):
     r1, r2 = power_iteration(example1), power_iteration(example1)
     assert np.array_equal(r1.w, r2.w) and r1.iterations == r2.iterations
