@@ -40,6 +40,7 @@ from .pcm import (
     reconstruct,
 )
 from .spectral import (
+    BatchSpectralResult,
     CharPolyParams,
     ClosedFormResult,
     SpectralResult,
@@ -49,6 +50,7 @@ from .spectral import (
     lambda_max_closed_form,
     normalize_weights,
     power_iteration,
+    power_iteration_batch,
     raw_variant_vector,
     variant_count,
 )

@@ -225,8 +225,7 @@ def _cmd_verify(args) -> int:
         if unknown:
             print(f"error: unknown check ids {unknown}", file=sys.stderr)
             return EXIT_ERROR
-        reports = [r for r in run_lemma_suite(SuiteGrid.for_samples(args.samples), args.seed)
-                   if r.lemma_id in wanted]
+        reports = run_lemma_suite(SuiteGrid.for_samples(args.samples), args.seed, wanted)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "mode": "lemmas",

@@ -11,6 +11,7 @@ together in tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +47,76 @@ def normalize_weights(w) -> np.ndarray:
     return w / w.sum()
 
 
-def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
-    """Dominant eigenpair by repeated multiplication, all-ones start.
+@dataclass(frozen=True)
+class BatchSpectralResult:
+    """Per-member principal eigenpairs of a stack of matrices of one order.
+
+    Row ``k`` of ``w`` and entry ``k`` of the other arrays belong to the
+    ``k``-th input matrix.
+    """
+
+    lambda_max: np.ndarray
+    w: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+
+
+def power_iteration_batch(ms: Sequence[Pcm], tol: float = DEFAULT_POWER_TOL,
+                          max_iter: int = DEFAULT_MAX_ITER) -> BatchSpectralResult:
+    """Dominant eigenpairs of a stack of PCMs of one order, all-ones start.
 
     The eigenvalue estimate is the 1-norm growth ratio ||A w||_1 / ||w||_1,
     which for a positive matrix converges to the dominant eigenvalue.
-    Convergence is declared when |A w - lambda w|_inf / |w|_inf <= tol.
-    The deterministic start vector keeps runs bit-reproducible.
+    A member has converged when |A w - lambda w|_inf / |w|_inf <= tol; it
+    keeps the iterate of that step and leaves the live stack.  Each step
+    multiplies every live member by its own matrix-vector product, so a
+    member's bits do not depend on the others in the stack, and the
+    deterministic start vector keeps runs bit-reproducible.  When some
+    member has not converged after ``max_iter`` steps,
+    :class:`NoConvergenceError` names the residual of the first such member.
     """
     if not tol > 0:    # NaN fails too
         raise ValueError("tol must be positive")
-    a = m.entries
-    n = m.n
-    w = np.full(n, 1.0 / n)
-    residual = np.inf
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not ms:
+        raise ValueError("power iteration needs at least one matrix")
+    n = ms[0].n
+    for m in ms:
+        if m.n != n:
+            raise ValueError(f"matrices of one stack must share order {n}, got order {m.n}")
+    a = np.array([m.entries for m in ms])
+    count = len(ms)
+    lambda_max, w_out = np.empty(count), np.empty((count, n))
+    residual_out, iterations = np.empty(count), np.zeros(count, dtype=int)
+    live = np.arange(count)    # input index of each member still iterating
+    w = np.full((count, n, 1), 1.0 / n)
     for it in range(1, max_iter + 1):
         y = a @ w
-        lam = y.sum()          # w sums to 1
-        residual = np.max(np.abs(y - lam * w)) / np.max(w)
-        if residual <= tol:
-            return SpectralResult(float(lam), w, float(residual), it)
+        # the reductions of y.sum() and np.max, called without their wrappers
+        lam = np.add.reduce(y, axis=1, keepdims=True)    # w sums to 1
+        residual = np.maximum.reduce(np.abs(y - lam * w), axis=1) / np.maximum.reduce(w, axis=1)
+        done = (residual <= tol)[:, 0]
+        if np.count_nonzero(done):
+            idx = live[done]
+            lambda_max[idx] = lam[done, 0, 0]
+            w_out[idx] = w[done, :, 0]
+            residual_out[idx] = residual[done, 0]
+            iterations[idx] = it
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return BatchSpectralResult(lambda_max, w_out, residual_out, iterations)
+            live, a, y, lam, residual = live[keep], a[keep], y[keep], lam[keep], residual[keep]
         w = y / lam
-    raise NoConvergenceError(max_iter, float(residual))
+    raise NoConvergenceError(max_iter, float(residual[0, 0]))
+
+
+def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
+    """Dominant eigenpair of one PCM: :func:`power_iteration_batch` on a stack of one."""
+    r = power_iteration_batch([m], tol, max_iter)
+    return SpectralResult(float(r.lambda_max[0]), r.w[0], float(r.residual[0]),
+                          int(r.iterations[0]))
 
 
 @dataclass(frozen=True)

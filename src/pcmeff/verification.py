@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -30,10 +30,16 @@ from .pcm import (
     disjoint_kind,
 )
 from .spectral import lambda_max_closed_form, CharPolyParams, power_iteration, \
-    raw_variant_vector, variant_count
+    power_iteration_batch, raw_variant_vector, variant_count
 
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
+
+# Most matrices a sweep solves as one stack.  A sweep holds every pending
+# sample and matrix of a stack at once, so the cap bounds its extra memory
+# (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
+# time per member.
+_STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
 CYCLE_CHECK = "cycle"
@@ -385,36 +391,75 @@ class SuiteGrid:
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
-def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0) -> list[LemmaReport]:
-    """Sweep every check over its hypothesis region of the grid.
+def _eigenvectors(ms: list[Pcm]) -> list[np.ndarray]:
+    """Power-iteration eigenvectors of ``ms`` in input order, one stack per order."""
+    ws = [None] * len(ms)
+    by_order = {}
+    for i, m in enumerate(ms):
+        by_order.setdefault(m.n, []).append(i)
+    for idx in by_order.values():
+        for i, w in zip(idx, power_iteration_batch([ms[i] for i in idx]).w):
+            ws[i] = w
+    return ws
 
-    Each sample's matrix and eigenvector are built once and shared by the
-    checks whose hypothesis holds in its grid cell, and the closed-form
-    root, which depends on the cell alone, is solved once per cell.
-    Reports come back in registry order followed by the positivity and
-    cycle checks; the run is a pure function of the grid and seed.
+
+def _record(pending: list, reports: dict[str, LemmaReport]) -> None:
+    """Solve the pending samples' matrices as one stack, then record their checks in draw order.
+
+    Each entry is (sample, held check ids, closed-form root or None, matrix
+    or None); a sample whose held checks read no matrix carries none.
     """
+    ws = iter(_eigenvectors([m for *_, m in pending if m is not None]))
+    for sample, held, lam, m in pending:
+        w = None if m is None else next(ws)
+        for check_id in held:
+            reports[check_id].record(sample, _check(check_id, sample, m, w, lam))
+
+
+def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
+                    check_ids: Sequence[str] = ALL_CHECK_IDS) -> list[LemmaReport]:
+    """Sweep the requested checks over their hypothesis regions of the grid.
+
+    Each sample's matrix is built once, when a requested check reads it,
+    and shared by the checks whose hypothesis holds in its grid cell; the
+    eigenvectors of one order are solved as one stack.  The closed-form root, which depends on the
+    cell alone, is solved once per cell.  Every base is drawn whichever
+    checks are requested, so a subset reports exactly what the full sweep
+    reports for it.  Reports come back in registry order followed by the
+    positivity and cycle checks; the run is a pure function of the grid,
+    seed and check ids.  ``ValueError`` for an unknown check id.
+    """
+    unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]
+    if unknown:
+        raise ValueError(f"unknown check ids {unknown}")
     grid = grid or SuiteGrid()
     rng = np.random.default_rng(seed)
-    reports = {check_id: LemmaReport(check_id) for check_id in ALL_CHECK_IDS}
+    reports = {check_id: LemmaReport(check_id) for check_id in ALL_CHECK_IDS
+               if check_id in check_ids}
 
     for kind in DOUBLE_KINDS:
-        check_ids = [lid for lid, lem in LEMMAS.items() if lem.kind == kind]
-        check_ids += [POSITIVITY_CHECK, CYCLE_CHECK]
+        kind_ids = [check_id for check_id in reports
+                    if check_id not in LEMMAS or LEMMAS[check_id].kind == kind]
         for n in grid.orders(kind):
+            pending = []
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
-                    held = [check_id for check_id in check_ids
+                    held = [check_id for check_id in kind_ids
                             if _hypothesis_violation(check_id, kind, n, delta, gamma) is None]
                     lam = (lambda_max_closed_form(CharPolyParams(kind, n, delta, gamma))
                            if POSITIVITY_CHECK in held else None)
+                    reads_matrix = any(check_id != POSITIVITY_CHECK for check_id in held)
                     for _ in range(grid.bases(kind)):
                         sample = LemmaSample(kind, n, delta, gamma, sample_base(rng, n))
-                        m = sample.matrix()
-                        w = power_iteration(m).w
-                        for check_id in held:
-                            reports[check_id].record(sample, _check(check_id, sample, m, w, lam))
-    return [reports[check_id] for check_id in ALL_CHECK_IDS]
+                        if not held:
+                            continue
+                        pending.append((sample, held, lam,
+                                        sample.matrix() if reads_matrix else None))
+                        if len(pending) == _STACK_CAP:
+                            _record(pending, reports)
+                            pending = []
+            _record(pending, reports)
+    return list(reports.values())
 
 
 @dataclass(frozen=True)
@@ -433,12 +478,18 @@ class TheoremReport:
 
 def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generator], Pcm],
                    samples: int, seed: int) -> TheoremReport:
-    """Judge the eigenvectors of ``samples`` matrices ``draw`` builds from one seeded RNG."""
+    """Judge the eigenvectors of ``samples`` matrices ``draw`` builds from one seeded RNG.
+
+    Matrices are drawn in stacks of at most ``_STACK_CAP``, and each stack's
+    eigenvectors are solved by order; power iteration draws nothing, so the
+    matrices are those of a one-at-a-time sweep.
+    """
     rng = np.random.default_rng(seed)
     conforming = 0
-    for _ in range(samples):
-        m = draw(rng)
-        conforming += is_efficient(m, power_iteration(m).w).efficient == efficient
+    for start in range(0, samples, _STACK_CAP):
+        ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
+        conforming += sum(is_efficient(m, w).efficient == efficient
+                          for m, w in zip(ms, _eigenvectors(ms)))
     return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
 
 

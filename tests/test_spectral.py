@@ -7,8 +7,10 @@ from pcmeff import (
     CharPolyParams,
     DegenerateParametersError,
     InvalidCaseError,
+    NoConvergenceError,
     PerturbationKind,
     PerturbationStructure,
+    Pcm,
     RootNotBracketedError,
     SuiteGrid,
     apply_perturbation,
@@ -18,6 +20,7 @@ from pcmeff import (
     eval_charpoly,
     lambda_max_closed_form,
     power_iteration,
+    power_iteration_batch,
     raw_variant_vector,
     spectral,
     variant_count,
@@ -79,6 +82,96 @@ def test_power_tolerance_must_be_positive(example1, tol):
 def test_power_iteration_is_deterministic(example1):
     r1, r2 = power_iteration(example1), power_iteration(example1)
     assert np.array_equal(r1.w, r2.w) and r1.iterations == r2.iterations
+
+
+def reference_power_iteration(m, tol=1e-12, max_iter=200_000):
+    """One matrix at a time, as the loop ran before it was stacked."""
+    a, n = m.entries, m.n
+    w = np.full(n, 1.0 / n)
+    for it in range(1, max_iter + 1):
+        y = a @ w
+        lam = y.sum()
+        residual = np.max(np.abs(y - lam * w)) / np.max(w)
+        if residual <= tol:
+            return float(lam), w, float(residual), it
+        w = y / lam
+    raise NoConvergenceError(max_iter, float(residual))
+
+
+def stack_of_seven(rng):
+    """Consistent, noisy and slowly converging matrices of order 7, interleaved.
+
+    The slow members are case2b with delta = gamma = 1e-4, 3e-4 and 1e-3,
+    which take hundreds of steps.
+    """
+    ms = []
+    for factor in (1e-4, 3e-4, 1e-3):
+        x = np.exp(rng.uniform(np.log(1 / 9), np.log(9), 7))
+        noise = np.exp(np.triu(rng.normal(0.0, 0.3, (7, 7)), 1))
+        slow = apply_perturbation(PerturbationStructure(
+            kind=PerturbationKind.CASE2B, n=7, base=tuple(x[1:] / x[0]),
+            delta=factor, gamma=factor))
+        ms += [consistent_pcm(x[1:] / x[0]), Pcm(np.outer(x, 1 / x) * noise / noise.T), slow]
+    return ms
+
+
+def test_stack_members_match_their_batches_of_one_and_the_reference_loop():
+    ms = stack_of_seven(np.random.default_rng(8))
+    before = [m.entries.copy() for m in ms]
+    stacked = power_iteration_batch(ms)
+    assert len(set(stacked.iterations.tolist())) > 1    # members freeze at different steps
+    for k, m in enumerate(ms):
+        one = power_iteration(m)
+        assert (stacked.lambda_max[k], stacked.residual[k], stacked.iterations[k]) == \
+            (one.lambda_max, one.residual, one.iterations)
+        assert np.array_equal(stacked.w[k], one.w)
+        lam, w, residual, iterations = reference_power_iteration(m)
+        assert (one.lambda_max, one.residual, one.iterations) == (lam, residual, iterations)
+        assert np.array_equal(one.w, w)
+        assert np.array_equal(m.entries, before[k])
+
+
+def test_sweep_matrices_match_the_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for kind, orders in ALL_CASES:
+        for n in orders:
+            ms = [apply_perturbation(random_structure(rng, kind, n)) for _ in range(25)]
+            r = power_iteration_batch(ms)
+            for k, m in enumerate(ms):
+                lam, w, residual, iterations = reference_power_iteration(m)
+                assert (r.lambda_max[k], r.residual[k], r.iterations[k]) == \
+                    (lam, residual, iterations)
+                assert np.array_equal(r.w[k], w)
+
+
+def test_stack_reports_the_first_member_that_does_not_converge():
+    ms = stack_of_seven(np.random.default_rng(8))
+    errors = []
+    for slow in (ms[2], ms[5]):
+        with pytest.raises(NoConvergenceError) as scalar:
+            power_iteration(slow, max_iter=40)
+        errors.append(scalar.value)
+    assert errors[0].residual != errors[1].residual
+    for stack, first in [(ms, errors[0]), (ms[3:], errors[1])]:
+        with pytest.raises(NoConvergenceError) as stacked:
+            power_iteration_batch(stack, max_iter=40)
+        assert str(stacked.value) == str(first)
+        assert (stacked.value.max_iter, stacked.value.residual) == (40, first.residual)
+
+
+def test_power_iteration_needs_at_least_one_step(example1):
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        power_iteration(example1, max_iter=0)
+
+
+def test_stack_must_be_nonempty():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        power_iteration_batch([])
+
+
+def test_stack_must_share_one_order(example1):
+    with pytest.raises(ValueError, match="share order 4, got order 3"):
+        power_iteration_batch([example1, consistent_pcm([2.0, 3.0])])
 
 
 # ----------------------------------------------------- characteristic polynomial

@@ -9,6 +9,7 @@ from pcmeff import (
     SuiteGrid,
     build_digraph,
     check_lemma,
+    is_efficient,
     power_iteration,
     run_lemma_suite,
     strongly_connected,
@@ -222,3 +223,89 @@ def test_individual_sweeps():
     assert verify_simple_perturbed_efficiency(40, seed=12).passed
     report = verify_parametric_inefficiency(40, seed=13)
     assert report.passed and report.expected == "inefficient"
+
+
+# ------------------------------------------------------------ stacked solves
+
+def report_bits(reports):
+    return [(r.lemma_id, r.samples_run, float(r.min_margin).hex(),
+             [(s, float(margin).hex()) for s, margin in r.violations]) for r in reports]
+
+
+def count_solves(monkeypatch):
+    """Record the size of every stacked solve; fail on any one-matrix solve."""
+    sizes = []
+    batch = verification.power_iteration_batch
+
+    def counting_batch(ms, *args, **kwargs):
+        sizes.append(len(ms))
+        return batch(ms, *args, **kwargs)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("the sweep solved one matrix on its own")
+
+    monkeypatch.setattr(verification, "power_iteration_batch", counting_batch)
+    monkeypatch.setattr(verification, "power_iteration", scalar)
+    return sizes
+
+
+def test_suite_solves_one_stack_per_kind_and_order(monkeypatch):
+    sizes = count_solves(monkeypatch)
+    run_lemma_suite(SMALL_GRID, seed=1)
+    orders = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS)
+    assert len(sizes) == orders == 10
+    assert sum(sizes) == 832
+
+
+def test_stack_cap_changes_no_report(monkeypatch):
+    whole = report_bits(run_lemma_suite(SMALL_GRID, seed=4))
+    sizes = count_solves(monkeypatch)
+    monkeypatch.setattr(verification, "_STACK_CAP", 7)
+    assert report_bits(run_lemma_suite(SMALL_GRID, seed=4)) == whole
+    assert max(sizes) == 7 and sum(sizes) == 832
+
+
+@pytest.mark.parametrize("check_ids", [("2a",), ("1a", "3h"), ("positivity",), ("cycle", "2j")])
+def test_subset_reports_equal_the_full_sweep(check_ids):
+    full = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=6)}
+    subset = run_lemma_suite(SMALL_GRID, seed=6, check_ids=check_ids)
+    assert report_bits(subset) == report_bits(
+        [full[check_id] for check_id in ALL_CHECK_IDS if check_id in check_ids])
+
+
+@pytest.mark.parametrize("check_ids, builds", [(("2a",), 4 * 64), (("positivity",), 0)])
+def test_subset_builds_only_the_matrices_its_checks_read(monkeypatch, check_ids, builds):
+    built = []
+    init = Pcm.__init__
+
+    def counting_init(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(Pcm, "__init__", counting_init)
+    sizes = count_solves(monkeypatch)
+    run_lemma_suite(SMALL_GRID, seed=1, check_ids=check_ids)
+    assert len(built) == sum(sizes) == builds
+
+
+def test_suite_rejects_unknown_check_ids():
+    with pytest.raises(ValueError, match="unknown check ids"):
+        run_lemma_suite(SMALL_GRID, check_ids=("1a", "9z"))
+
+
+def test_theorem_sweeps_solve_one_stack_per_order(monkeypatch):
+    # verify_main_theorem(60, 2) runs the double sweep, then 30 simple samples at seed 3
+    sweeps = [(verification._random_double_matrix, 60, 2, True),
+              (verification._random_simple_matrix, 30, 3, True),
+              (verification._random_apq_matrix, 20, 1, False)]
+    expected, orders = [], 0
+    for draw, samples, seed, efficient in sweeps:
+        rng = np.random.default_rng(seed)
+        ms = [draw(rng) for _ in range(samples)]
+        orders += len({m.n for m in ms})
+        expected.append(sum(is_efficient(m, power_iteration(m).w).efficient == efficient
+                            for m in ms))
+    sizes = count_solves(monkeypatch)
+    reports = verify_main_theorem(samples=60, seed=2) + [verify_parametric_inefficiency(20, 1)]
+    assert [r.conforming for r in reports] == expected
+    assert len(sizes) == orders and sum(sizes) == 110
