@@ -10,7 +10,6 @@ from .efficiency import (
     find_sink_improvement,
     is_efficient,
     reachability_oracle,
-    strongly_connected,
     strongly_connected_components,
     to_dot,
 )
@@ -41,7 +40,6 @@ from .pcm import (
 )
 from .spectral import (
     BatchSpectralResult,
-    CharPolyParams,
     ClosedFormResult,
     SpectralResult,
     charpoly_oracle,
@@ -57,7 +55,6 @@ from .spectral import (
 from .verification import (
     LemmaCheck,
     LemmaReport,
-    LemmaSample,
     SuiteGrid,
     TheoremReport,
     check_lemma,

@@ -12,8 +12,9 @@ Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error,
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
 An unopenable input or output path is an error (exit 1), as are an invalid
 matrix and a sink too tight to improve in floats; ``--samples`` below 1,
-``--seed`` below 0 and a tolerance that is not finite and at least 0
-(``--tol-power``: above 0) are usage errors (exit 2).
+``--seed`` below 0, a tolerance that is not finite and at least 0
+(``--tol-power``: above 0) and ``--out`` and ``--sidecar`` naming one file
+are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.out and args.sidecar and os.path.realpath(args.out) == os.path.realpath(args.sidecar):
+        build_parser().error(f"--out and --sidecar name the same file {args.out!r}")
     m, structure = generate(GeneratorSpec(
         family=args.family, n=args.n, delta=args.delta, gamma=args.gamma,
         p=args.p, q=args.q, seed=args.seed,

@@ -58,9 +58,6 @@ class EfficiencyDigraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def has_arc(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
-
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in self.arcs.tolist()]
 
@@ -98,12 +95,6 @@ def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:
     inside = ranked.cumsum(axis=0).cumsum(axis=1).diagonal()
     ends = np.flatnonzero(np.cumsum(out_degree[order]) == inside) + 1
     return [np.sort(piece).tolist() for piece in np.split(order, ends[:-1])]
-
-
-def strongly_connected(g: EfficiencyDigraph) -> tuple[bool, list[list[int]]]:
-    """Whether the digraph is one strongly connected component."""
-    comps = strongly_connected_components(g)
-    return len(comps) == 1, comps
 
 
 def reachability_oracle(g: EfficiencyDigraph) -> bool:
@@ -150,7 +141,8 @@ class EfficiencyVerdict:
 def is_efficient(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyVerdict:
     """Decide efficiency of w for m and attach the certificate."""
     g = build_digraph(m, w, tie_tol)
-    ok, comps = strongly_connected(g)
+    comps = strongly_connected_components(g)
+    ok = len(comps) == 1
     return EfficiencyVerdict(
         efficient=ok,
         digraph=g,

@@ -126,10 +126,8 @@ DOUBLE_KINDS = tuple(k for k, form in CANONICAL_FORMS.items() if len(form.cells)
 
 
 def check_order(kind: PerturbationKind, n: int, error: type = InvalidCaseError) -> None:
-    """Raise ``error`` unless ``kind`` has a canonical form of order ``n``."""
-    form = CANONICAL_FORMS.get(kind)
-    if form is None:
-        raise error(f"kind {kind.value!r} has no canonical perturbed form")
+    """Raise ``error`` unless the canonical form of ``kind`` exists at order ``n``."""
+    form = CANONICAL_FORMS[kind]
     if not form.allows(n):
         wanted = (f">= {form.min_order}" if form.max_order is None else
                   f"= {form.min_order}" if form.max_order == form.min_order else
@@ -156,6 +154,12 @@ class PerturbationStructure:
     relabeling by it puts the perturbations into the canonical cells.
     ``alternatives`` lists any other minimal position sets a classified
     matrix admits (the primary one is the lexicographically smallest).
+
+    Building one validates it, and nothing else checks these fields again:
+    a base holds n - 1 ratios, a kind with a canonical form exists at order
+    n and has a factor for each of its cells, and every factor given is a
+    positive finite real.  The base may be None where a consumer needs
+    only (kind, n, delta, gamma), as the closed-form root does.
     """
 
     kind: PerturbationKind
@@ -166,6 +170,20 @@ class PerturbationStructure:
     positions: tuple[tuple[int, int], ...] = ()
     permutation: tuple[int, ...] | None = None
     alternatives: tuple[tuple[tuple[int, int], ...], ...] = ()
+
+    def __post_init__(self):
+        if self.base is not None and len(self.base) != self.n - 1:
+            raise InvalidCaseError(f"order n = {self.n} needs {self.n - 1} base ratios, "
+                                   f"got {len(self.base)}")
+        form = CANONICAL_FORMS.get(self.kind)
+        if form is not None:
+            check_order(self.kind, self.n)
+            if None in (self.delta, self.gamma)[:len(form.cells)]:
+                raise InvalidCaseError(
+                    f"kind {self.kind.value!r} needs one factor per cell (delta, gamma)")
+        for name, f in (("delta", self.delta), ("gamma", self.gamma)):
+            if f is not None and not 0.0 < f < np.inf:    # NaN fails too
+                raise InvalidCaseError(f"{name} must be a positive finite real, got {float(f)!r}")
 
 
 def _consistent_entries(base) -> np.ndarray:
@@ -194,25 +212,16 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
     delta multiplies cell (0, 1); gamma multiplies (0, 2) when both
     perturbations share the first row, or (2, 3) when they are disjoint.
     Reciprocal cells are updated accordingly.  Only the perturbed matrix
-    is validated.
+    is validated; the structure was when it was built.
     """
-    kind = structure.kind
     if structure.base is None:
         raise InvalidCaseError("structure must carry a base vector")
-    if len(structure.base) != structure.n - 1:
-        raise InvalidCaseError(f"order n = {structure.n} needs {structure.n - 1} base ratios, "
-                               f"got {len(structure.base)}")
-    check_order(kind, structure.n)
-    cells = CANONICAL_FORMS[kind].cells
-    factors = (structure.delta, structure.gamma)[:len(cells)]
-    if None in factors:
-        raise InvalidCaseError(f"kind {kind.value!r} needs one factor per cell (delta, gamma)")
-    for name, f in zip(("delta", "gamma"), factors):
-        if not 0.0 < f < np.inf:    # NaN fails too
-            raise InvalidCaseError(f"{name} must be a positive finite real, got {float(f)!r}")
+    form = CANONICAL_FORMS.get(structure.kind)
+    if form is None:
+        raise InvalidCaseError(f"kind {structure.kind.value!r} has no canonical perturbed form")
 
     a = _consistent_entries(structure.base)
-    for (i, j), f in zip(cells, factors):
+    for (i, j), f in zip(form.cells, (structure.delta, structure.gamma)):
         a[i, j] *= f
         a[j, i] = 1.0 / a[i, j]
     return Pcm(a)

@@ -22,8 +22,7 @@ from .errors import (
     NoConvergenceError,
     RootNotBracketedError,
 )
-from .pcm import CANONICAL_FORMS, DOUBLE_KINDS, PerturbationKind, PerturbationStructure, Pcm, \
-    check_order
+from .pcm import CANONICAL_FORMS, DOUBLE_KINDS, PerturbationKind, PerturbationStructure, Pcm
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 200_000
@@ -119,42 +118,23 @@ def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
                           int(r.iterations[0]))
 
 
-@dataclass(frozen=True)
-class CharPolyParams:
-    """Parameters of the closed-form characteristic polynomial."""
-
-    kind: PerturbationKind
-    n: int
-    delta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.kind not in DOUBLE_KINDS:
-            raise InvalidCaseError(f"no closed-form polynomial for kind {self.kind.value!r}")
-        check_order(self.kind, self.n)
-        if not (0.0 < self.delta < np.inf and 0.0 < self.gamma < np.inf):    # NaN fails too
-            raise InvalidCaseError("delta and gamma must be positive finite reals")
-
-    @property
-    def c(self) -> float:
-        d, g = self.delta, self.gamma
-        return (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
-
-
-def _bracket_coeffs(params: CharPolyParams) -> tuple[float, ...]:
+def _bracket_coeffs(structure: PerturbationStructure) -> tuple[float, ...]:
     """Coefficients (highest degree first) of the non-trivial polynomial factor.
 
     The full characteristic polynomial is sign * lambda^k * bracket(lambda);
     the bracket carries every nonzero root, in particular the unique real
-    root above n.
+    root above n.  It depends on kind, n, delta and gamma alone.
     """
-    n, d, g = float(params.n), params.delta, params.gamma
-    if params.kind == PerturbationKind.CASE1:
+    kind = structure.kind
+    if kind not in DOUBLE_KINDS:
+        raise InvalidCaseError(f"no closed-form polynomial for kind {kind.value!r}")
+    n, d, g = float(structure.n), structure.delta, structure.gamma
+    if kind == PerturbationKind.CASE1:
         b1 = (g / d + d / g) + (n - 3) * (g + d + 1.0 / g + 1.0 / d) - 4.0 * n + 10.0
         return 1.0, -n, 0.0, -b1
     e = g + d + 1.0 / g + 1.0 / d - 4.0
-    c = params.c
-    if params.kind == PerturbationKind.CASE2A:
+    c = (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
+    if kind == PerturbationKind.CASE2A:
         return 1.0, -4.0, 0.0, -2.0 * e, -c
     return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
 
@@ -168,15 +148,16 @@ def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
     return p, dp
 
 
-def eval_charpoly(params: CharPolyParams, lam: float) -> float:
+def eval_charpoly(structure: PerturbationStructure, lam: float) -> float:
     """Evaluate the closed-form characteristic polynomial at ``lam``.
 
     Matches det(A - lam I) of the corresponding canonical matrix for every
-    base vector (the similarity scaling by the base drops out).
+    base vector (the similarity scaling by the base drops out), so the
+    structure's base is not read.
     """
-    coeffs = _bracket_coeffs(params)
-    sign = -1.0 if params.n % 2 else 1.0
-    return sign * lam ** (params.n - len(coeffs) + 1) * _horner(coeffs, lam)[0]
+    coeffs = _bracket_coeffs(structure)
+    sign = -1.0 if structure.n % 2 else 1.0
+    return sign * lam ** (structure.n - len(coeffs) + 1) * _horner(coeffs, lam)[0]
 
 
 def charpoly_oracle(m: Pcm, lam: float) -> float:
@@ -189,7 +170,7 @@ def charpoly_oracle(m: Pcm, lam: float) -> float:
     return float(np.linalg.det(a - lam * np.eye(m.n)))
 
 
-def lambda_max_closed_form(params: CharPolyParams) -> float:
+def lambda_max_closed_form(structure: PerturbationStructure) -> float:
     """Unique real root above n of the polynomial bracket, by Newton from above.
 
     With delta = gamma = 1 the matrix is consistent and exactly n is
@@ -200,10 +181,11 @@ def lambda_max_closed_form(params: CharPolyParams) -> float:
     real root at or above lambda_max: p is increasing and convex there, and
     the iterates descend monotonically onto it.  The loop stops at the first
     iterate not strictly below the last or below n, which a strictly
-    decreasing sequence of floats must reach.
+    decreasing sequence of floats must reach.  The root depends on kind, n,
+    delta and gamma alone; the structure's base is not read and may be None.
     """
-    coeffs = _bracket_coeffs(params)
-    n = float(params.n)
+    coeffs = _bracket_coeffs(structure)
+    n = float(structure.n)
     f_n = _horner(coeffs, n)[0]
     if f_n == 0.0:
         return n
@@ -353,8 +335,8 @@ def _check_structure(structure: PerturbationStructure) -> None:
     if structure.kind not in DOUBLE_KINDS:
         raise InvalidCaseError(
             f"closed forms exist only for double-perturbed matrices, got {structure.kind.value!r}")
-    if structure.base is None or structure.delta is None or structure.gamma is None:
-        raise InvalidCaseError("structure must carry base, delta and gamma")
+    if structure.base is None:
+        raise InvalidCaseError("structure must carry a base vector")
     if structure.delta == 1.0 or structure.gamma == 1.0:
         raise DegenerateParametersError(
             "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
@@ -369,7 +351,7 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     strictly positive.
     """
     _check_structure(structure)
-    n = len(structure.base) + 1
+    n = structure.n
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
@@ -400,9 +382,7 @@ def closed_form_eigenvector(structure: PerturbationStructure,
     before normalization) and recorded in the result.
     """
     _check_structure(structure)
-    n = len(structure.base) + 1
-    lam = lambda_max_closed_form(
-        CharPolyParams(structure.kind, n, structure.delta, structure.gamma))
+    lam = lambda_max_closed_form(structure)
     if variant is None:
         candidates = [raw_variant_vector(structure, v, lam)
                       for v in range(variant_count(structure.kind))]

@@ -29,8 +29,8 @@ from .pcm import (
     apply_perturbation,
     disjoint_kind,
 )
-from .spectral import lambda_max_closed_form, CharPolyParams, power_iteration, \
-    power_iteration_batch, raw_variant_vector, variant_count
+from .spectral import lambda_max_closed_form, power_iteration, power_iteration_batch, \
+    raw_variant_vector, variant_count
 
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
@@ -43,24 +43,6 @@ _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
 CYCLE_CHECK = "cycle"
-
-
-@dataclass(frozen=True)
-class LemmaSample:
-    """One parameter point inside a lemma's hypothesis region."""
-
-    kind: PerturbationKind
-    n: int
-    delta: float
-    gamma: float
-    base: tuple[float, ...]
-
-    def structure(self) -> PerturbationStructure:
-        return PerturbationStructure(kind=self.kind, n=self.n, base=self.base,
-                                     delta=self.delta, gamma=self.gamma)
-
-    def matrix(self) -> Pcm:
-        return apply_perturbation(self.structure())
 
 
 @dataclass(frozen=True)
@@ -79,7 +61,7 @@ class LemmaReport:
     violations: list = field(default_factory=list)
     min_margin: float = np.inf
 
-    def record(self, sample: LemmaSample, check: LemmaCheck) -> None:
+    def record(self, sample: PerturbationStructure, check: LemmaCheck) -> None:
         self.samples_run += 1
         self.min_margin = min(self.min_margin, check.margin)
         if not check.passed:
@@ -113,11 +95,11 @@ class _Lemma:
     lemma_id: str
     kind: PerturbationKind
     hypothesis: Callable[[float, float, int], bool]
-    margin: Callable[[LemmaSample, np.ndarray, np.ndarray], float]
+    margin: Callable[[PerturbationStructure, np.ndarray, np.ndarray], float]
     equality: bool = False
 
 
-def _x(sample: LemmaSample) -> np.ndarray:
+def _x(sample: PerturbationStructure) -> np.ndarray:
     """Base ratios with the numeraire prepended: x[k] is the k-th ratio."""
     return np.concatenate(([1.0], np.asarray(sample.base)))
 
@@ -267,33 +249,32 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
     return arcs
 
 
-def _cycle_margin(sample: LemmaSample, m: Pcm, w: np.ndarray) -> float:
+def _cycle_margin(sample: PerturbationStructure, m: Pcm, w: np.ndarray) -> float:
     cycle = region_cycle(sample.kind, sample.delta, sample.gamma)
     arcs = expand_cycle_arcs(cycle, sample.n, sample.kind)
     a = m.entries
     return min((w[u] / w[v] - a[u, v]) / a[u, v] for u, v in arcs)
 
 
-def _positivity_margin(sample: LemmaSample, lam: float) -> float:
+def _positivity_margin(sample: PerturbationStructure, lam: float) -> float:
     """Worst normalized entry of the closed-form variant vectors at the root ``lam``."""
-    structure = sample.structure()
     margins = []
     for variant in range(variant_count(sample.kind)):
-        v = raw_variant_vector(structure, variant, lam)
+        v = raw_variant_vector(sample, variant, lam)
         margins.append(np.min(v) / np.max(np.abs(v)))
     return float(min(margins))
 
 
-def _hypothesis_violation(check_id: str, kind: PerturbationKind, n: int,
-                          delta: float, gamma: float) -> str | None:
-    """Why the point (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
+def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | None:
+    """Why the point's (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
 
-    ``KeyError`` for an unknown check id.
+    The base is not read.  ``KeyError`` for an unknown check id.
     """
+    kind, n, delta, gamma = point.kind, point.n, point.delta, point.gamma
     if kind not in DOUBLE_KINDS:
         return f"sample kind {kind.value!r} is not double-perturbed"
-    if not (delta > 0 and gamma > 0) or 1.0 in (delta, gamma):
-        return "delta and gamma must be positive and different from 1"
+    if 1.0 in (delta, gamma):
+        return "delta and gamma must be different from 1"
     if check_id == CYCLE_CHECK and kind == PerturbationKind.CASE1 and delta == gamma:
         return "shared-row cycle regions require delta != gamma"
     if check_id in (POSITIVITY_CHECK, CYCLE_CHECK):
@@ -308,7 +289,7 @@ def _hypothesis_violation(check_id: str, kind: PerturbationKind, n: int,
     return None
 
 
-def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | None,
+def _check(check_id: str, sample: PerturbationStructure, m: Pcm | None, w: np.ndarray | None,
            lam: float | None) -> LemmaCheck:
     """One check on a sample inside its hypothesis.
 
@@ -326,26 +307,21 @@ def _check(check_id: str, sample: LemmaSample, m: Pcm | None, w: np.ndarray | No
     return LemmaCheck(check_id, margin > floor, margin)
 
 
-def check_lemma(lemma_id: str, sample: LemmaSample) -> LemmaCheck:
+def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
     Builds the sample's matrix and power-iteration eigenvector, or for the
     positivity check the closed-form root.  Raises
-    :class:`HypothesisViolatedError` when the base does not fit the order,
-    or with the reason of :func:`_hypothesis_violation` (in particular
-    whenever delta or gamma equals 1, which no perturbation statement
-    covers).
+    :class:`HypothesisViolatedError` with the reason of
+    :func:`_hypothesis_violation` (in particular whenever delta or gamma
+    equals 1, which no perturbation statement covers).
     """
-    if len(sample.base) != sample.n - 1:
-        raise HypothesisViolatedError("base length does not match the order")
-    reason = _hypothesis_violation(lemma_id, sample.kind, sample.n, sample.delta, sample.gamma)
+    reason = _hypothesis_violation(lemma_id, sample)
     if reason is not None:
         raise HypothesisViolatedError(reason)
     if lemma_id == POSITIVITY_CHECK:
-        lam = lambda_max_closed_form(
-            CharPolyParams(sample.kind, sample.n, sample.delta, sample.gamma))
-        return _check(lemma_id, sample, None, None, lam)
-    m = sample.matrix()
+        return _check(lemma_id, sample, None, None, lambda_max_closed_form(sample))
+    m = apply_perturbation(sample)
     return _check(lemma_id, sample, m, power_iteration(m).w, None)
 
 
@@ -444,17 +420,18 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
             pending = []
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
+                    cell = PerturbationStructure(kind, n, delta=delta, gamma=gamma)
                     held = [check_id for check_id in kind_ids
-                            if _hypothesis_violation(check_id, kind, n, delta, gamma) is None]
-                    lam = (lambda_max_closed_form(CharPolyParams(kind, n, delta, gamma))
-                           if POSITIVITY_CHECK in held else None)
+                            if _hypothesis_violation(check_id, cell) is None]
+                    lam = lambda_max_closed_form(cell) if POSITIVITY_CHECK in held else None
                     reads_matrix = any(check_id != POSITIVITY_CHECK for check_id in held)
                     for _ in range(grid.bases(kind)):
-                        sample = LemmaSample(kind, n, delta, gamma, sample_base(rng, n))
+                        base = sample_base(rng, n)
                         if not held:
                             continue
+                        sample = PerturbationStructure(kind, n, base, delta, gamma)
                         pending.append((sample, held, lam,
-                                        sample.matrix() if reads_matrix else None))
+                                        apply_perturbation(sample) if reads_matrix else None))
                         if len(pending) == _STACK_CAP:
                             _record(pending, reports)
                             pending = []
@@ -496,10 +473,9 @@ def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generat
 def _random_double_matrix(rng: np.random.Generator) -> Pcm:
     n = int(rng.choice((4, 5, 6, 7, 8, 9)))
     kind = PerturbationKind.CASE1 if rng.random() < 0.5 else disjoint_kind(n)
-    return LemmaSample(kind, n,
-                       sample_ratio(rng, 1 / 9, 9, exclude_one=True),
-                       sample_ratio(rng, 1 / 9, 9, exclude_one=True),
-                       sample_base(rng, n)).matrix()
+    delta = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
+    gamma = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
+    return apply_perturbation(PerturbationStructure(kind, n, sample_base(rng, n), delta, gamma))
 
 
 def _random_simple_matrix(rng: np.random.Generator) -> Pcm:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from pcmeff import (
-    CharPolyParams,
     PerturbationKind,
     PerturbationStructure,
     apply_perturbation,
@@ -28,7 +27,7 @@ from pcmeff import (
     raw_variant_vector,
     reachability_oracle,
     run_lemma_suite,
-    strongly_connected,
+    strongly_connected_components,
     variant_count,
     verify_double_perturbed_efficiency,
     verify_simple_perturbed_efficiency,
@@ -146,9 +145,8 @@ def test_criterion_5_charpoly_oracle_agreement(case_samples):
         for st in case_samples[kind]:
             n = len(st.base) + 1
             m = apply_perturbation(st)
-            params = CharPolyParams(kind, n, st.delta, st.gamma)
             for lam in (-2.0, 1.0, 2.5, n - 1.0, n - 0.25):
-                closed = eval_charpoly(params, lam)
+                closed = eval_charpoly(st, lam)
                 det = charpoly_oracle(m, lam)
                 worst = max(worst, abs(closed - det) / max(abs(closed), abs(det)))
     report(5, worst <= 1e-8,
@@ -162,7 +160,7 @@ def test_criterion_6_closed_form_eigenvectors(case_samples):
         for st in case_samples[kind]:
             n = len(st.base) + 1
             a = apply_perturbation(st).entries
-            lam = lambda_max_closed_form(CharPolyParams(kind, n, st.delta, st.gamma))
+            lam = lambda_max_closed_form(st)
             vecs = []
             for variant in range(variant_count(kind)):
                 raw = raw_variant_vector(st, variant, lam)
@@ -187,14 +185,14 @@ def test_criterion_7_lambda_cross_method(case_samples):
     for kind, _ in CASES:
         for st in case_samples[kind]:
             n = len(st.base) + 1
-            lam_closed = lambda_max_closed_form(CharPolyParams(kind, n, st.delta, st.gamma))
+            lam_closed = lambda_max_closed_form(st)
             lam_iter = power_iteration(apply_perturbation(st)).lambda_max
             worst_rel = max(worst_rel, abs(lam_closed - lam_iter) / lam_closed)
             strict_ok &= lam_closed > n
     consistent_ok = True
     for kind, orders in CASES:
         for n in orders:
-            lam = lambda_max_closed_form(CharPolyParams(kind, n, 1.0, 1.0))
+            lam = lambda_max_closed_form(PerturbationStructure(kind, n, delta=1.0, gamma=1.0))
             consistent_ok &= abs(lam - n) <= 1e-10
     report(7, worst_rel <= 1e-9 and strict_ok and consistent_ok,
            f"dominant root: worst cross-method rel err {worst_rel:.2e}, "
@@ -230,7 +228,7 @@ def test_criterion_9_scc_oracle_equivalence():
                 if c != 0:
                     arcs.add((j, i))
         g = digraph_from_arcs(n, arcs)
-        if strongly_connected(g)[0] != reachability_oracle(g):
+        if (len(strongly_connected_components(g)) == 1) != reachability_oracle(g):
             mismatches += 1
     report(9, mismatches == 0,
            f"strong-connectivity verdicts: 1000 random pair-complete digraphs, "

@@ -237,6 +237,20 @@ def test_unwritable_output_is_an_error(example1_file, args):
     assert sorted(p.name for p in example1_file.parent.iterdir()) == ["example1.txt", "m.txt"]
 
 
+def test_out_and_sidecar_on_one_file_is_a_usage_error(example1_file, capsys):
+    kept = example1_file.parent / "m.txt"
+    kept.write_text("prior content\n")
+    same = example1_file.parent / "." / "m.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--family", "example1", "--out", str(kept), "--sidecar", str(same)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--out and --sidecar name the same file" in err
+    assert kept.read_text() == "prior content\n"
+    assert sorted(p.name for p in example1_file.parent.iterdir()) == ["example1.txt", "m.txt"]
+
+
 def test_main_builds_one_parser(example1_file, capsys):
     cli.build_parser.cache_clear()
     for _ in range(2):

@@ -14,7 +14,6 @@ from pcmeff import (
     parametric_inefficient,
     power_iteration,
     reachability_oracle,
-    strongly_connected,
     strongly_connected_components,
     to_dot,
 )
@@ -81,7 +80,7 @@ def test_pair_completeness(n, seed, tie_tol, lower_scale, tied):
     g = build_digraph(m, w, tie_tol)
     for i in range(n):
         for j in range(i + 1, n):
-            assert g.has_arc(i, j) or g.has_arc(j, i)
+            assert g.adjacency[i, j] or g.adjacency[j, i]
 
 
 def test_digraph_needs_an_arc_on_every_pair():
@@ -99,24 +98,23 @@ def test_tie_tolerance_must_be_non_negative(tie_tol):
 
 def test_example1_not_strongly_connected(example1_pair):
     m, w = example1_pair
-    ok, comps = strongly_connected(build_digraph(m, w))
-    assert not ok
+    comps = strongly_connected_components(build_digraph(m, w))
+    assert len(comps) > 1
     assert [1] in [list(c) for c in comps]      # node 2 (0-based 1) is its own component
 
 
 def test_complete_bidirected_is_strongly_connected():
     n = 5
     arcs = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    ok, comps = strongly_connected(digraph_from_arcs(n, arcs))
-    assert ok and len(comps) == 1
+    comps = strongly_connected_components(digraph_from_arcs(n, arcs))
+    assert len(comps) == 1
 
 
 def test_directed_cycle_is_strongly_connected():
     cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
     extra = [(0, 2), (1, 3)]     # one arc per leftover pair
     g = digraph_from_arcs(4, cycle + extra)
-    ok, _ = strongly_connected(g)
-    assert ok and reachability_oracle(g)
+    assert len(strongly_connected_components(g)) == 1 and reachability_oracle(g)
 
 
 def random_pair_complete_digraph(rng, n):
@@ -188,8 +186,8 @@ def test_tarjan_agrees_with_bfs_oracle():
     rng = np.random.default_rng(77)
     for _ in range(300):
         g = random_pair_complete_digraph(rng, int(rng.integers(2, 13)))
-        ok, comps = strongly_connected(g)
-        assert ok == reachability_oracle(g)
+        comps = strongly_connected_components(g)
+        assert (len(comps) == 1) == reachability_oracle(g)
         assert sorted(v for comp in comps for v in comp) == list(range(g.n))
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmeff import (
-    CharPolyParams,
     GeneratorSpec,
     IncompatibleOrderError,
     InvalidCaseError,
@@ -23,6 +22,7 @@ from pcmeff import (
     consistent_pcm,
     generate,
     is_consistent,
+    lambda_max_closed_form,
     pcm,
     reconstruct,
 )
@@ -189,10 +189,9 @@ def test_disjoint_row_perturbation_layout():
                                         ("gamma", np.nan)])
 def test_bad_perturbation_factor_is_named(name, value):
     factors = {"delta": 2.0, "gamma": 3.0, name: value}
-    st_ = PerturbationStructure(kind=PerturbationKind.CASE1, n=5, base=(1, 1, 1, 1), **factors)
     with pytest.raises(InvalidCaseError, match=rf"^{name} must be a positive finite real, "
                                                rf"got {value!r}$"):
-        apply_perturbation(st_)
+        PerturbationStructure(kind=PerturbationKind.CASE1, n=5, base=(1, 1, 1, 1), **factors)
 
 
 def test_identity_perturbation_is_exactly_consistent():
@@ -208,17 +207,15 @@ def test_identity_perturbation_is_exactly_consistent():
     (PerturbationKind.CASE1, 3),
 ])
 def test_incompatible_orders_rejected(kind, n):
-    st_ = PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
     with pytest.raises(InvalidCaseError):
-        apply_perturbation(st_)
+        PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
 
 
 def test_structure_order_must_match_its_base():
-    st_ = PerturbationStructure(PerturbationKind.CASE1, n=7, base=(2, 3, 4), delta=2, gamma=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidCaseError, match=r"^order n = 7 needs 6 base ratios, got 3$"):
-            apply_perturbation(st_)
+            PerturbationStructure(PerturbationKind.CASE1, n=7, base=(2, 3, 4), delta=2, gamma=3)
 
 
 # the orders each canonical form exists at, as the paper states them
@@ -242,15 +239,18 @@ def _accepts(build, error) -> bool:
 @pytest.mark.parametrize("kind", list(PAPER_ORDERS))
 def test_every_layer_accepts_exactly_the_table_orders(kind, n):
     allowed = PAPER_ORDERS[kind](n)
-    st_ = PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
-    assert _accepts(lambda: apply_perturbation(st_), InvalidCaseError) == allowed
+
+    def structure(base=(2.0,) * (n - 1)):
+        return PerturbationStructure(kind=kind, n=n, base=base, delta=2.0, gamma=3.0)
+
+    assert _accepts(lambda: apply_perturbation(structure()), InvalidCaseError) == allowed
     spec = GeneratorSpec(family=kind.value, n=n, seed=1)
     assert _accepts(lambda: generate(spec), IncompatibleOrderError) == allowed
-    closed_form = _accepts(lambda: CharPolyParams(kind, n, 2.0, 3.0), InvalidCaseError)
+    closed_form = _accepts(lambda: lambda_max_closed_form(structure(None)), InvalidCaseError)
     assert closed_form == (allowed and kind != PerturbationKind.SIMPLE)
     if allowed:
         # so the disjoint-row form classifies as case2a at n = 4 only
-        assert classify_perturbation(apply_perturbation(st_)).kind == kind
+        assert classify_perturbation(apply_perturbation(structure())).kind == kind
 
 
 # --------------------------------------------------------------- consistency

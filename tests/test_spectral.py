@@ -1,10 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from pcmeff import (
-    CharPolyParams,
     DegenerateParametersError,
     InvalidCaseError,
     NoConvergenceError,
@@ -179,13 +179,13 @@ def test_stack_must_share_one_order(example1):
 def test_consistent_parameters_make_order_a_root():
     for kind, n in [(PerturbationKind.CASE1, 4), (PerturbationKind.CASE1, 7),
                     (PerturbationKind.CASE2B, 5), (PerturbationKind.CASE2B, 8)]:
-        params = CharPolyParams(kind, n, 1.0, 1.0)
+        params = PerturbationStructure(kind, n, delta=1.0, gamma=1.0)
         assert eval_charpoly(params, float(n)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_disjoint_4x4_consistent_parameters_polynomial():
     # with delta = gamma = 1 the quartic collapses to l^4 - 4 l^3
-    params = CharPolyParams(PerturbationKind.CASE2A, 4, 1.0, 1.0)
+    params = PerturbationStructure(PerturbationKind.CASE2A, 4, delta=1.0, gamma=1.0)
     for lam in (0.0, 4.0):
         assert eval_charpoly(params, lam) == 0.0
     assert eval_charpoly(params, 2.0) == pytest.approx(2.0**4 - 4 * 2.0**3)
@@ -195,8 +195,7 @@ def test_closed_polynomial_matches_determinant():
     st = PerturbationStructure(kind=PerturbationKind.CASE1, n=5, base=(1, 1, 1, 1),
                                delta=2.0, gamma=3.0)
     m = apply_perturbation(st)
-    params = CharPolyParams(PerturbationKind.CASE1, 5, 2.0, 3.0)
-    v1, v2 = eval_charpoly(params, 6.0), charpoly_oracle(m, 6.0)
+    v1, v2 = eval_charpoly(st, 6.0), charpoly_oracle(m, 6.0)
     assert v1 == pytest.approx(v2, rel=1e-9)
 
 
@@ -207,9 +206,8 @@ def test_polynomial_oracle_agreement_randomized():
             n = int(rng.choice(orders))
             st = random_structure(rng, kind, n)
             m = apply_perturbation(st)
-            params = CharPolyParams(kind, n, st.delta, st.gamma)
             for lam in ORACLE_LAMBDAS + [n - 1.0, n - 0.25]:
-                p_closed = eval_charpoly(params, lam)
+                p_closed = eval_charpoly(st, lam)
                 p_det = charpoly_oracle(m, lam)
                 assert abs(p_closed - p_det) <= 1e-8 * max(abs(p_closed), abs(p_det))
 
@@ -230,8 +228,10 @@ def test_oracle_on_rank_one_matrix():
 # ----------------------------------------------------------- dominant root
 
 def test_consistent_parameters_return_exact_order():
-    assert lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 6, 1.0, 1.0)) == 6.0
-    assert lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE2A, 4, 1.0, 1.0)) == 4.0
+    assert lambda_max_closed_form(
+        PerturbationStructure(PerturbationKind.CASE1, 6, delta=1.0, gamma=1.0)) == 6.0
+    assert lambda_max_closed_form(
+        PerturbationStructure(PerturbationKind.CASE2A, 4, delta=1.0, gamma=1.0)) == 4.0
 
 
 def bisection_root(params):
@@ -253,10 +253,10 @@ def bisection_root(params):
 def test_newton_root_matches_bisection_and_eigenvalues(kind):
     for n in SuiteGrid.orders(kind):
         for d, g in itertools.product(ROOT_FACTORS, repeat=2):
-            params = CharPolyParams(kind, n, d, g)
+            params = PerturbationStructure(kind, n, (1.0,) * (n - 1), d, g)
             lam = lambda_max_closed_form(params)
             assert lam == pytest.approx(bisection_root(params), rel=1e-13, abs=0)
-            m = apply_perturbation(PerturbationStructure(kind, n, (1.0,) * (n - 1), d, g))
+            m = apply_perturbation(params)
             perron = np.linalg.eigvals(m.entries).real.max()
             assert lam == pytest.approx(perron, rel=1e-10, abs=0), (n, d, g)
 
@@ -265,13 +265,14 @@ def test_newton_root_matches_bisection_and_eigenvalues(kind):
 def test_unbracketed_root_is_an_error(monkeypatch, coeffs):
     monkeypatch.setattr(spectral, "_bracket_coeffs", lambda params: coeffs)
     with pytest.raises(RootNotBracketedError):
-        lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 5, 2.0, 3.0))
+        lambda_max_closed_form(PerturbationStructure(PerturbationKind.CASE1, 5, delta=2.0,
+                                                     gamma=3.0))
 
 
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
 def test_polynomial_needs_positive_finite_factors(d, g):
     with pytest.raises(InvalidCaseError, match="positive finite"):
-        CharPolyParams(PerturbationKind.CASE1, 5, d, g)
+        PerturbationStructure(PerturbationKind.CASE1, 5, delta=d, gamma=g)
 
 
 def test_root_is_polynomial_zero_and_matches_power_iteration():
@@ -280,10 +281,11 @@ def test_root_is_polynomial_zero_and_matches_power_iteration():
         for _ in range(20):
             n = int(rng.choice(orders))
             st = random_structure(rng, kind, n)
-            params = CharPolyParams(kind, n, st.delta, st.gamma)
-            lam = lambda_max_closed_form(params)
+            lam = lambda_max_closed_form(st)
+            # the root reads kind, n, delta and gamma only
+            assert lambda_max_closed_form(dataclasses.replace(st, base=None)) == lam
             assert lam > n
-            assert abs(eval_charpoly(params, lam)) <= 1e-9 * max(1.0, lam**n)
+            assert abs(eval_charpoly(st, lam)) <= 1e-9 * max(1.0, lam**n)
             pr = power_iteration(apply_perturbation(st))
             assert lam == pytest.approx(pr.lambda_max, rel=1e-9)
 
@@ -305,7 +307,7 @@ def test_leading_component_formula():
     # first form of the shared-row case: unnormalized w1 = d*g*l*(l - n + 1)
     st = PerturbationStructure(kind=PerturbationKind.CASE1, n=4, base=(1, 1, 1),
                                delta=2.0, gamma=3.0)
-    lam = lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 4, 2.0, 3.0))
+    lam = lambda_max_closed_form(st)
     raw = raw_variant_vector(st, 0, lam)
     assert raw[0] == pytest.approx(6.0 * lam * (lam - 3.0))
 
@@ -332,7 +334,7 @@ def test_variants_parallel_positive_and_eigen():
             n = int(rng.choice(orders))
             st = random_structure(rng, kind, n)
             a = apply_perturbation(st).entries
-            lam = lambda_max_closed_form(CharPolyParams(kind, n, st.delta, st.gamma))
+            lam = lambda_max_closed_form(st)
             vecs = []
             for variant in range(variant_count(kind)):
                 raw = raw_variant_vector(st, variant, lam)
@@ -360,6 +362,6 @@ def test_closed_form_matches_power_iteration():
 def test_default_variant_has_largest_leading_component():
     st = PerturbationStructure(kind=PerturbationKind.CASE1, n=5, base=(2, 3, 4, 5),
                                delta=4.0, gamma=0.3)
-    lam = lambda_max_closed_form(CharPolyParams(PerturbationKind.CASE1, 5, 4.0, 0.3))
+    lam = lambda_max_closed_form(st)
     leading = [abs(raw_variant_vector(st, v, lam)[0]) for v in range(4)]
     assert closed_form_eigenvector(st).variant == int(np.argmax(leading))

@@ -3,16 +3,17 @@ import pytest
 
 from pcmeff import (
     HypothesisViolatedError,
-    LemmaSample,
     PerturbationKind,
+    PerturbationStructure,
     Pcm,
     SuiteGrid,
+    apply_perturbation,
     build_digraph,
     check_lemma,
     is_efficient,
     power_iteration,
     run_lemma_suite,
-    strongly_connected,
+    strongly_connected_components,
     verify_double_perturbed_efficiency,
     verify_main_theorem,
     verify_parametric_inefficiency,
@@ -44,63 +45,64 @@ def test_registry_has_every_statement():
 # ------------------------------------------------------------- single checks
 
 def test_shared_row_upper_bound_on_first_ratio():
-    sample = LemmaSample(PerturbationKind.CASE1, 5, 3.0, 2.0, (1.0,) * 4)
+    sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 3.0, 2.0)
     check = check_lemma("1a", sample)
     assert check.passed and check.margin > 0
     # conclusion is w1/w2 < delta * x1
-    w = power_iteration(sample.matrix()).w
+    w = power_iteration(apply_perturbation(sample)).w
     assert w[0] / w[1] < 3.0
 
 
 def test_trailing_ratios_equal_base_ratios():
-    sample = LemmaSample(PerturbationKind.CASE1, 6, 2.0, 0.5, (2.0, 3.0, 4.0, 5.0, 0.7))
-    w = power_iteration(sample.matrix()).w
+    sample = PerturbationStructure(PerturbationKind.CASE1, 6, (2.0, 3.0, 4.0, 5.0, 0.7), 2.0, 0.5)
+    w = power_iteration(apply_perturbation(sample)).w
     assert w[3] / w[4] == pytest.approx(sample.base[3] / sample.base[2], rel=1e-9)
     assert check_lemma("1j", sample).passed
 
 
 def test_three_way_checks_cover_the_equality_branch():
-    equal_factors = LemmaSample(PerturbationKind.CASE2B, 5, 2.0, 2.0, (1.5, 2.5, 0.3, 4.0))
+    equal_factors = PerturbationStructure(PerturbationKind.CASE2B, 5, (1.5, 2.5, 0.3, 4.0),
+                                          2.0, 2.0)
     check = check_lemma("3f", equal_factors)       # gamma == delta branch
     assert check.passed
-    w = power_iteration(equal_factors.matrix()).w
+    w = power_iteration(apply_perturbation(equal_factors)).w
     assert w[1] / w[3] == pytest.approx(equal_factors.base[2] / equal_factors.base[0],
                                         rel=1e-9)
 
-    reciprocal_pair = LemmaSample(PerturbationKind.CASE2B, 6, 2.0, 0.5,
-                                  (1.5, 2.5, 0.3, 4.0, 1.1))
+    reciprocal_pair = PerturbationStructure(PerturbationKind.CASE2B, 6,
+                                            (1.5, 2.5, 0.3, 4.0, 1.1), 2.0, 0.5)
     assert check_lemma("3g", reciprocal_pair).passed   # gamma * delta == 1 branch
-    w = power_iteration(reciprocal_pair.matrix()).w
+    w = power_iteration(apply_perturbation(reciprocal_pair)).w
     assert w[0] / w[3] == pytest.approx(reciprocal_pair.base[2], rel=1e-9)
 
 
 def test_positivity_of_every_closed_form():
     for kind, n in [(PerturbationKind.CASE1, 5), (PerturbationKind.CASE2A, 4),
                     (PerturbationKind.CASE2B, 6)]:
-        sample = LemmaSample(kind, n, 0.2, 7.0, (0.4,) * (n - 1))
+        sample = PerturbationStructure(kind, n, (0.4,) * (n - 1), 0.2, 7.0)
         assert check_lemma("positivity", sample).passed
 
 
 def test_degenerate_parameters_violate_every_hypothesis():
     for delta, gamma in [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)]:
-        sample = LemmaSample(PerturbationKind.CASE1, 5, delta, gamma, (1.0,) * 4)
+        sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, delta, gamma)
         for lemma_id in ("1a", "1g", "1j", "positivity", "cycle"):
             with pytest.raises(HypothesisViolatedError):
                 check_lemma(lemma_id, sample)
 
 
 def test_sample_outside_region_is_rejected():
-    sample = LemmaSample(PerturbationKind.CASE1, 5, 3.0, 2.0, (1.0,) * 4)
+    sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 3.0, 2.0)
     with pytest.raises(HypothesisViolatedError):
         check_lemma("1b", sample)          # needs delta < 1
     with pytest.raises(HypothesisViolatedError):
         check_lemma("2a", sample)          # wrong case
     with pytest.raises(HypothesisViolatedError):
-        check_lemma("3h", LemmaSample(PerturbationKind.CASE2B, 5, 2.0, 3.0, (1.0,) * 4))
+        check_lemma("3h", PerturbationStructure(PerturbationKind.CASE2B, 5, (1.0,) * 4, 2.0, 3.0))
 
 
 def test_wrong_kind_for_positivity():
-    sample = LemmaSample(PerturbationKind.SIMPLE, 5, 2.0, 2.0, (1.0,) * 4)
+    sample = PerturbationStructure(PerturbationKind.SIMPLE, 5, (1.0,) * 4, 2.0, 2.0)
     with pytest.raises(HypothesisViolatedError):
         check_lemma("positivity", sample)
 
@@ -123,13 +125,13 @@ def test_named_cycle_is_present_in_the_digraph():
                     (PerturbationKind.CASE2B, 7)]:
         for d, g in [(3.0, 5.0), (3.0, 2.0), (3.0, 0.5), (0.5, 0.2), (0.2, 0.5), (0.5, 3.0)]:
             base = tuple(np.exp(rng.uniform(-1, 1, n - 1)))
-            sample = LemmaSample(kind, n, d, g, base)
+            sample = PerturbationStructure(kind, n, base, d, g)
             assert check_lemma("cycle", sample).passed
-            m = sample.matrix()
+            m = apply_perturbation(sample)
             digraph = build_digraph(m, power_iteration(m).w)
             cycle = region_cycle(kind, d, g)
             for u, v in expand_cycle_arcs(cycle, n, kind):
-                assert digraph.has_arc(u, v)
+                assert digraph.adjacency[u, v]
 
 
 def test_cycle_alone_certifies_strong_connectivity():
@@ -154,8 +156,7 @@ def test_cycle_alone_certifies_strong_connectivity():
                         if (i, j) in arcs or (j, i) in arcs:
                             continue
                         arcs.add((i, j) if rng.random() < 0.5 else (j, i))
-                ok, _ = strongly_connected(digraph_from_arcs(n, arcs))
-                assert ok
+                assert len(strongly_connected_components(digraph_from_arcs(n, arcs))) == 1
 
 
 # ------------------------------------------------------------------- suites
