@@ -8,7 +8,8 @@ matrices from the built-in families together with a ground-truth sidecar.
 command takes ``--json`` for machine-readable output carrying the same
 numbers as the text rendering.
 
-Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error,
+Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error
+(input that is not UTF-8 included; a leading byte-order mark is skipped),
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
 An unopenable input or output path is an error (exit 1), as are an invalid
 matrix and a sink too tight to improve in floats; ``--samples`` below 1,

@@ -5,7 +5,8 @@ first content line is the order n, then n rows of n whitespace-separated
 values.  Values are decimal literals or exact rationals written p/q (so a
 matrix quoted with entries like 1/7 survives a round trip without
 transcription rounding).  CSV: one row per line, comma-separated, order
-inferred from the first row; the same value syntax applies.
+inferred from the first row; the same value syntax applies.  Files are
+UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ def _parse_value(token: str, line_no: int, column: int) -> float:
         raise ParseError(f"bad numeric literal {token!r}", line_no, column) from None
 
 
-def _content_lines(text: str):
-    """Yield (line_no, stripped content) skipping blanks and comments."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        if content.strip():
-            yield line_no, content
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line_no, content) of the lines that are not blank or a comment."""
+    lines = [(line_no, raw.split("#", 1)[0]) for line_no, raw in enumerate(text.splitlines(), 1)]
+    if not (lines := [line for line in lines if line[1].strip()]):
+        raise ParseError("empty input", 1)
+    return lines
 
 
 def _tokens_with_columns(content: str):
@@ -58,11 +59,36 @@ def _parse_row(content: str, line_no: int, n: int) -> list[float]:
     return [v for v, _ in values]
 
 
+def _parse_csv_row(content: str, line_no: int, n: int) -> list[float]:
+    cells = content.split(",")
+    if len(cells) != n:
+        raise ParseError(f"expected {n} cells, found {len(cells)}", line_no)
+    row, column = [], 0
+    for cell in cells:
+        stripped = cell.strip()
+        if not stripped:
+            raise ParseError("empty cell", line_no, column + 1)
+        row.append(_parse_value(stripped, line_no, content.index(stripped, column) + 1))
+        column += len(cell) + 1
+    return row
+
+
+def _row_values(lines, n: int, sep: str | None, parse_row) -> list[float]:
+    """Flat row values: one ``map(float, ...)`` per row, ``parse_row`` for the rest (p/q,
+    errors).  ``float`` strips no whitespace ``str.strip`` keeps, so CSV padding reads alike."""
+    values = []
+    for line_no, content in lines:
+        try:
+            row = list(map(float, content.split(sep)))
+        except ValueError:
+            row = []
+        values += row if len(row) == n else parse_row(content, line_no, n)
+    return values
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the plain-text format into a float array (unvalidated)."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input", 1)
+    lines = _content_lines(text)
     line_no, head = lines[0]
     tokens = head.split()
     if len(tokens) != 1:
@@ -75,43 +101,32 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ParseError(f"matrix order must be positive, got {n}", line_no, 1)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}", line_no)
-    rows = [_parse_row(content, row_line, n) for row_line, content in lines[1:]]
-    return np.array(rows, dtype=float)
+    return np.array(_row_values(lines[1:], n, None, _parse_row), dtype=float).reshape(n, n)
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
     """Parse the CSV format into a float array (unvalidated)."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input", 1)
-    rows = []
-    n = None
-    for line_no, content in lines:
-        cells = content.split(",")
-        if n is None:
-            n = len(cells)
-        elif len(cells) != n:
-            raise ParseError(f"expected {n} cells, found {len(cells)}", line_no)
-        row = []
-        column = 0
-        for cell in cells:
-            stripped = cell.strip()
-            if not stripped:
-                raise ParseError("empty cell", line_no, column + 1)
-            row.append(_parse_value(stripped, line_no, content.index(stripped, column) + 1))
-            column += len(cell) + 1
-        rows.append(row)
-    if len(rows) != n:
-        raise ParseError(f"expected {n} rows for a square matrix, found {len(rows)}",
+    lines = _content_lines(text)
+    n = lines[0][1].count(",") + 1
+    values = _row_values(lines, n, ",", _parse_csv_row)
+    if len(lines) != n:
+        raise ParseError(f"expected {n} rows for a square matrix, found {len(lines)}",
                          lines[-1][0])
-    return np.array(rows, dtype=float)
+    return np.array(values, dtype=float).reshape(n, n)
 
 
 def load_matrix(path: str, fmt: str = "txt") -> np.ndarray:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object lacks a dropped BOM; "?" is the bad byte
+        at = exc.start + len(data) - len(exc.object)
+        lines = (data[:at].decode("utf-8-sig") + "?").splitlines()
+        raise ParseError(f"undecodable byte {data[at]:#04x} at offset {at}; expected UTF-8",
+                         len(lines), len(lines[-1])) from None
     return parse_matrix(text) if fmt == "txt" else parse_matrix_csv(text)
 
 

@@ -331,7 +331,8 @@ def _case2b_vector(n, x, d, g, lam, variant):
     return w
 
 
-def _check_structure(structure: PerturbationStructure) -> None:
+def _checked_base(structure: PerturbationStructure) -> np.ndarray:
+    """x = (1, base) of a structure the closed forms apply to."""
     if structure.kind not in DOUBLE_KINDS:
         raise InvalidCaseError(
             f"closed forms exist only for double-perturbed matrices, got {structure.kind.value!r}")
@@ -341,6 +342,17 @@ def _check_structure(structure: PerturbationStructure) -> None:
         raise DegenerateParametersError(
             "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
             "or consistent case and the closed forms do not apply")
+    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
+
+
+def _variant_vector(structure: PerturbationStructure, x: np.ndarray, variant: int,
+                    lam: float) -> np.ndarray:
+    n, d, g = structure.n, structure.delta, structure.gamma
+    if structure.kind == PerturbationKind.CASE1:
+        return _case1_vector(n, x, d, g, lam, variant)
+    if structure.kind == PerturbationKind.CASE2A:
+        return _case2a_vector(x, d, g, lam, variant)
+    return _case2b_vector(n, x, d, g, lam, variant)
 
 
 def raw_variant_vector(structure: PerturbationStructure, variant: int,
@@ -350,18 +362,17 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     At the dominant root of the closed-form polynomial all components are
     strictly positive.
     """
-    _check_structure(structure)
-    n = structure.n
+    x = _checked_base(structure)
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    x = np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
-    d, g = structure.delta, structure.gamma
-    if structure.kind == PerturbationKind.CASE1:
-        return _case1_vector(n, x, d, g, lam, variant)
-    if structure.kind == PerturbationKind.CASE2A:
-        return _case2a_vector(x, d, g, lam, variant)
-    return _case2b_vector(n, x, d, g, lam, variant)
+    return _variant_vector(structure, x, variant, lam)
+
+
+def variant_vectors(structure: PerturbationStructure, lam: float) -> list[np.ndarray]:
+    """Every :func:`raw_variant_vector` form at ``lam``, the structure checked once."""
+    x = _checked_base(structure)
+    return [_variant_vector(structure, x, v, lam) for v in range(variant_count(structure.kind))]
 
 
 @dataclass(frozen=True)
@@ -381,11 +392,10 @@ def closed_form_eigenvector(structure: PerturbationStructure,
     None the best-conditioned one is picked (largest leading component
     before normalization) and recorded in the result.
     """
-    _check_structure(structure)
+    _checked_base(structure)
     lam = lambda_max_closed_form(structure)
     if variant is None:
-        candidates = [raw_variant_vector(structure, v, lam)
-                      for v in range(variant_count(structure.kind))]
+        candidates = variant_vectors(structure, lam)
         variant = int(np.argmax([abs(v[0]) for v in candidates]))
         raw = candidates[variant]
     else:

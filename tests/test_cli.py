@@ -159,6 +159,16 @@ def test_analyze_parse_error_exit_code(tmp_path):
     assert "parse error" in proc.stderr
 
 
+def test_analyze_exits_2_on_an_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("2\n1 2\n1/2 1\n".encode("utf-16"))
+    assert cli.main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("parse error: line 1, column 1: undecodable byte 0xff at offset 0;"
+                   " expected UTF-8\n")
+
+
 def test_analyze_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 3\n0.5 1\n")      # reciprocity violation

@@ -19,7 +19,7 @@ from pcmeff import (
     verify_parametric_inefficiency,
     verify_simple_perturbed_efficiency,
 )
-from pcmeff import verification
+from pcmeff import spectral, verification
 from pcmeff.pcm import DOUBLE_KINDS
 from pcmeff.verification import (
     ALL_CHECK_IDS,
@@ -27,6 +27,7 @@ from pcmeff.verification import (
     CASE2A_CYCLES,
     CASE2B_CYCLES,
     LEMMA_IDS,
+    POSITIVITY_CHECK,
     expand_cycle_arcs,
     region_cycle,
 )
@@ -204,6 +205,19 @@ def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
     cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
         * len(SMALL_GRID.ratio_values) ** 2
     assert len(solved) == len(set(solved)) == cells == 640
+
+
+def test_positivity_check_reads_each_structure_once(monkeypatch):
+    counted = []
+    count = spectral.variant_count
+
+    def counting_count(kind):
+        counted.append(kind)
+        return count(kind)
+
+    monkeypatch.setattr(spectral, "variant_count", counting_count)
+    reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
+    assert len(counted) == reports[POSITIVITY_CHECK].samples_run > 0
 
 
 def test_equality_checks_hold_tightly():
