@@ -214,8 +214,10 @@ def variant_count(kind: PerturbationKind) -> int:
     return form.head + (form.min_order > form.head)
 
 
+# Each form reads x = (1, base) with one column per base of a stack.  lam, d
+# and g stay Python floats: numpy's array ** k may round unlike float ** k.
 def _case1_vector(n, x, d, g, lam, variant):
-    w = np.empty(n)
+    w = np.empty((n,) + x.shape[1:])
     if variant == 0:
         w[0] = d * g * lam * (lam - n + 1)
         w[1] = (g * lam - (n - 2) * g + d + (n - 3) * d * g) / x[1]
@@ -248,7 +250,7 @@ def _case1_vector(n, x, d, g, lam, variant):
 
 
 def _case2a_vector(x, d, g, lam, variant):
-    w = np.empty(4)
+    w = np.empty((4,) + x.shape[1:])
     if variant == 0:
         w[0] = d * (lam**3 * g - 3 * lam**2 * g - 1 + 2 * g - g**2)
         w[1] = (lam**2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g**2) / x[1]
@@ -273,7 +275,7 @@ def _case2a_vector(x, d, g, lam, variant):
 
 
 def _case2b_vector(n, x, d, g, lam, variant):
-    w = np.empty(n)
+    w = np.empty((n,) + x.shape[1:])
     if variant == 0:
         w[0] = d * lam * (lam**3 * g - (n - 1) * lam**2 * g - (n - 3) * (g**2 - 2 * g + 1))
         w[1] = (lam**3 * g - (n - 2) * lam**2 * g + (n - 2) * d * g * lam**2
@@ -332,7 +334,7 @@ def _case2b_vector(n, x, d, g, lam, variant):
 
 
 def _checked_base(structure: PerturbationStructure) -> np.ndarray:
-    """x = (1, base) of a structure the closed forms apply to."""
+    """x = (1, base) of a structure the closed forms apply to, as a stack of one column."""
     if structure.kind not in DOUBLE_KINDS:
         raise InvalidCaseError(
             f"closed forms exist only for double-perturbed matrices, got {structure.kind.value!r}")
@@ -342,7 +344,7 @@ def _checked_base(structure: PerturbationStructure) -> np.ndarray:
         raise DegenerateParametersError(
             "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
             "or consistent case and the closed forms do not apply")
-    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
+    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))[:, None]
 
 
 def _variant_vector(structure: PerturbationStructure, x: np.ndarray, variant: int,
@@ -366,13 +368,16 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    return _variant_vector(structure, x, variant, lam)
+    return _variant_vector(structure, x, variant, lam)[:, 0]
 
 
-def variant_vectors(structure: PerturbationStructure, lam: float) -> list[np.ndarray]:
-    """Every :func:`raw_variant_vector` form at ``lam``, the structure checked once."""
-    x = _checked_base(structure)
-    return [_variant_vector(structure, x, v, lam) for v in range(variant_count(structure.kind))]
+def variant_vectors(cell: PerturbationStructure, x: np.ndarray, lam: float) -> np.ndarray:
+    """Every :func:`raw_variant_vector` form at ``lam``, shape (variants, n, B).
+
+    Column ``k`` of ``x`` is (1, base) of the ``k``-th of B bases.  The cell's
+    base is not read, and the caller has checked that the closed forms apply.
+    """
+    return np.array([_variant_vector(cell, x, v, lam) for v in range(variant_count(cell.kind))])
 
 
 @dataclass(frozen=True)
@@ -392,11 +397,11 @@ def closed_form_eigenvector(structure: PerturbationStructure,
     None the best-conditioned one is picked (largest leading component
     before normalization) and recorded in the result.
     """
-    _checked_base(structure)
+    x = _checked_base(structure)
     lam = lambda_max_closed_form(structure)
     if variant is None:
-        candidates = variant_vectors(structure, lam)
-        variant = int(np.argmax([abs(v[0]) for v in candidates]))
+        candidates = variant_vectors(structure, x, lam)[:, :, 0]
+        variant = int(np.argmax(np.abs(candidates[:, 0])))
         raw = candidates[variant]
     else:
         raw = raw_variant_vector(structure, variant, lam)

@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .efficiency import is_efficient
-from .errors import HypothesisViolatedError
+from .errors import HypothesisViolatedError, InvalidCaseError
 from .generators import parametric_inefficient, sample_base, sample_ratio
 from .pcm import (
     CANONICAL_FORMS,
@@ -29,7 +29,7 @@ from .pcm import (
     apply_perturbation,
     disjoint_kind,
 )
-# The sweep never calls raw_variant_vector; bench/spans.py wraps it at this module path.
+# Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
 from .spectral import lambda_max_closed_form, power_iteration, power_iteration_batch, \
     raw_variant_vector, variant_vectors  # noqa: F401
 
@@ -62,65 +62,54 @@ class LemmaReport:
     violations: list = field(default_factory=list)
     min_margin: float = np.inf
 
-    def record(self, sample: PerturbationStructure, check: LemmaCheck) -> None:
-        self.samples_run += 1
-        self.min_margin = min(self.min_margin, check.margin)
-        if not check.passed:
-            self.violations.append((sample, check.margin))
+    def record(self, samples: Sequence[PerturbationStructure], margins: np.ndarray) -> None:
+        """Count a stack of samples and their margins; violations keep the stack's order."""
+        lemma = LEMMAS.get(self.lemma_id)
+        floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
+        self.samples_run += len(margins)
+        self.min_margin = min(self.min_margin, float(margins.min()))
+        self.violations += [(samples[k], float(margins[k]))
+                            for k in np.flatnonzero(~(margins > floor))]
 
     @property
     def passed(self) -> bool:
         return self.samples_run > 0 and not self.violations
 
 
-def _ordered(ratio: float, target: float, direction: float) -> float:
-    """Normalized margin of 'ratio vs target' in the expected direction.
+def _ordered(ratio, target, direction):
+    """Normalized margins of 'ratio vs target' in the expected directions, elementwise.
 
     direction > 0: ratio must exceed target; direction < 0: stay below;
     direction == 0: agree within the equality tolerance (margin is the
-    unused part of that tolerance).
+    unused part of that tolerance).  A tied ratio has margin +0.0 either way.
     """
-    if direction > 0:
-        return (ratio - target) / target
-    if direction < 0:
-        return (target - ratio) / target
-    return EQUALITY_REL_TOL - abs(ratio - target) / target
-
-
-def _sign(v: float) -> float:
-    return (v > 0) - (v < 0)
+    return np.where(direction > 0, (ratio - target) / target,
+                    np.where(direction < 0, (target - ratio) / target,
+                             EQUALITY_REL_TOL - np.abs(ratio - target) / target))
 
 
 @dataclass(frozen=True)
 class _Lemma:
+    """A statement; ``margin(w, x, delta, gamma)`` maps a stack of samples to their margins."""
+
     lemma_id: str
     kind: PerturbationKind
     hypothesis: Callable[[float, float, int], bool]
-    margin: Callable[[PerturbationStructure, np.ndarray, np.ndarray], float]
+    margin: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     equality: bool = False
 
 
-def _x(sample: PerturbationStructure) -> np.ndarray:
-    """Base ratios with the numeraire prepended: x[k] is the k-th ratio."""
-    return np.concatenate(([1.0], np.asarray(sample.base)))
-
-
-def _tail_margin(w, x, row: int, first: int, direction: float) -> float:
+def _tail_margin(w, x, row: int, first: int, direction):
     """Worst margin of w_row / w_i vs x_{i-1} / x_{row-1}, i = first+1 .. n (1-based)."""
-    margins = []
-    for i in range(first, len(w)):
-        margins.append(_ordered(w[row - 1] / w[i], x[i] / x[row - 1], direction))
-    return min(margins)
+    return _ordered(w[:, row - 1, None] / w[:, first:], x[:, first:] / x[:, row - 1, None],
+                    np.expand_dims(direction, -1)).min(axis=1)
 
 
-def _pair_equality(w, x, first: int) -> float:
-    """Worst equality margin of w_i / w_j vs x_{j-1} / x_{i-1} over i < j >= first (1-based)."""
-    n = len(w)
-    margins = []
-    for i in range(first, n + 1):
-        for j in range(i + 1, n + 1):
-            margins.append(_ordered(w[i - 1] / w[j - 1], x[j - 1] / x[i - 1], 0.0))
-    return min(margins)
+def _pair_equality(w, x, first: int):
+    """Worst equality margin of w_i / w_j vs x_{j-1} / x_{i-1} over first <= i < j (1-based)."""
+    i, j = np.triu_indices(w.shape[1] - first + 1, 1)
+    i, j = i + first - 1, j + first - 1
+    return _ordered(w[:, i] / w[:, j], x[:, j] / x[:, i], 0).min(axis=1)
 
 
 def _build_registry() -> dict[str, _Lemma]:
@@ -128,68 +117,64 @@ def _build_registry() -> dict[str, _Lemma]:
     lemmas = [
         # shared-row case: perturbations at cells (1,2) and (1,3), 1-based
         _Lemma("1a", c1, lambda d, g, n: d > 1 and d >= g,
-               lambda s, w, x: _ordered(w[0] / w[1], s.delta * x[1], -1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], -1)),
         _Lemma("1b", c1, lambda d, g, n: d < 1 and d <= g,
-               lambda s, w, x: _ordered(w[0] / w[1], s.delta * x[1], +1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], +1)),
         _Lemma("1c", c1, lambda d, g, n: g > 1 and g >= d,
-               lambda s, w, x: _ordered(w[0] / w[2], s.gamma * x[2], -1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], g * x[:, 2], -1)),
         _Lemma("1d", c1, lambda d, g, n: g < 1 and g <= d,
-               lambda s, w, x: _ordered(w[0] / w[2], s.gamma * x[2], +1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], g * x[:, 2], +1)),
         _Lemma("1e", c1, lambda d, g, n: d > 1 and g > 1,
-               lambda s, w, x: _tail_margin(w, x, 1, 3, +1)),
+               lambda w, x, d, g: _tail_margin(w, x, 1, 3, +1)),
         _Lemma("1f", c1, lambda d, g, n: d < 1 and g < 1,
-               lambda s, w, x: _tail_margin(w, x, 1, 3, -1)),
+               lambda w, x, d, g: _tail_margin(w, x, 1, 3, -1)),
         _Lemma("1g", c1, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[1] / w[2], x[2] / x[1], _sign(s.gamma - s.delta))),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], g - d)),
         _Lemma("1h", c1, lambda d, g, n: True,
-               lambda s, w, x: _tail_margin(w, x, 2, 3, _sign(1.0 - s.delta))),
+               lambda w, x, d, g: _tail_margin(w, x, 2, 3, 1.0 - d)),
         _Lemma("1i", c1, lambda d, g, n: True,
-               lambda s, w, x: _tail_margin(w, x, 3, 3, _sign(1.0 - s.gamma))),
+               lambda w, x, d, g: _tail_margin(w, x, 3, 3, 1.0 - g)),
         _Lemma("1j", c1, lambda d, g, n: n >= 5,
-               lambda s, w, x: _pair_equality(w, x, 4), equality=True),
+               lambda w, x, d, g: _pair_equality(w, x, 4), equality=True),
         # disjoint-row 4x4 case: perturbations at (1,2) and (3,4)
         _Lemma("2a", c2a, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[0] / w[1], s.delta * x[1], _sign(1.0 - s.delta))),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], 1.0 - d)),
         _Lemma("2b", c2a, lambda d, g, n: d > 1 and g < 1,
-               lambda s, w, x: _ordered(w[0] / w[2], x[2], +1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], x[:, 2], +1)),
         _Lemma("2c", c2a, lambda d, g, n: d < 1 and g > 1,
-               lambda s, w, x: _ordered(w[0] / w[2], x[2], -1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], x[:, 2], -1)),
         _Lemma("2d", c2a, lambda d, g, n: d < 1 and g < 1,
-               lambda s, w, x: _ordered(w[0] / w[3], x[3], -1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 3], x[:, 3], -1)),
         _Lemma("2e", c2a, lambda d, g, n: d > 1 and g > 1,
-               lambda s, w, x: _ordered(w[0] / w[3], x[3], +1)),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 3], x[:, 3], +1)),
         _Lemma("2f", c2a, lambda d, g, n: d < 1 and g < 1,
-               lambda s, w, x: _ordered(w[1] / w[2], x[2] / x[1], +1)),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], +1)),
         _Lemma("2g", c2a, lambda d, g, n: d > 1 and g > 1,
-               lambda s, w, x: _ordered(w[1] / w[2], x[2] / x[1], -1)),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], -1)),
         _Lemma("2h", c2a, lambda d, g, n: d < 1 and g > 1,
-               lambda s, w, x: _ordered(w[1] / w[3], x[3] / x[1], +1)),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 3], x[:, 3] / x[:, 1], +1)),
         _Lemma("2i", c2a, lambda d, g, n: d > 1 and g < 1,
-               lambda s, w, x: _ordered(w[1] / w[3], x[3] / x[1], -1)),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 3], x[:, 3] / x[:, 1], -1)),
         _Lemma("2j", c2a, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[2] / w[3], s.gamma * x[3] / x[2],
-                                        _sign(1.0 - s.gamma))),
+               lambda w, x, d, g: _ordered(w[:, 2] / w[:, 3], g * x[:, 3] / x[:, 2], 1.0 - g)),
         # disjoint-row case of order >= 5
         _Lemma("3a", c2b, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[2] / w[3], s.gamma * x[3] / x[2],
-                                        _sign(1.0 - s.gamma))),
+               lambda w, x, d, g: _ordered(w[:, 2] / w[:, 3], g * x[:, 3] / x[:, 2], 1.0 - g)),
         _Lemma("3b", c2b, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[0] / w[1], s.delta * x[1], _sign(1.0 - s.delta))),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], 1.0 - d)),
         _Lemma("3c", c2b, lambda d, g, n: True,
-               lambda s, w, x: _tail_margin(w, x, 1, 4, _sign(s.delta - 1.0))),
+               lambda w, x, d, g: _tail_margin(w, x, 1, 4, d - 1.0)),
         _Lemma("3d", c2b, lambda d, g, n: True,
-               lambda s, w, x: _tail_margin(w, x, 2, 4, _sign(1.0 - s.delta))),
+               lambda w, x, d, g: _tail_margin(w, x, 2, 4, 1.0 - d)),
         _Lemma("3e", c2b, lambda d, g, n: True,
-               lambda s, w, x: _tail_margin(w, x, 3, 4, _sign(s.gamma - 1.0))),
+               lambda w, x, d, g: _tail_margin(w, x, 3, 4, g - 1.0)),
         # certified in the stronger three-way forms the proofs establish
         _Lemma("3f", c2b, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[1] / w[3], x[3] / x[1],
-                                        _sign(s.gamma - s.delta))),
+               lambda w, x, d, g: _ordered(w[:, 1] / w[:, 3], x[:, 3] / x[:, 1], g - d)),
         _Lemma("3g", c2b, lambda d, g, n: True,
-               lambda s, w, x: _ordered(w[0] / w[3], x[3],
-                                        _sign(s.gamma * s.delta - 1.0))),
+               lambda w, x, d, g: _ordered(w[:, 0] / w[:, 3], x[:, 3], g * d - 1.0)),
         _Lemma("3h", c2b, lambda d, g, n: n >= 6,
-               lambda s, w, x: _pair_equality(w, x, 5), equality=True),
+               lambda w, x, d, g: _pair_equality(w, x, 5), equality=True),
     ]
     return {l.lemma_id: l for l in lemmas}
 
@@ -250,22 +235,36 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
     return arcs
 
 
-def _cycle_margin(sample: PerturbationStructure, m: Pcm, w: np.ndarray) -> float:
-    cycle = region_cycle(sample.kind, sample.delta, sample.gamma)
-    arcs = expand_cycle_arcs(cycle, sample.n, sample.kind)
-    a = m.entries
-    return min((w[u] / w[v] - a[u, v]) / a[u, v] for u, v in arcs)
+def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
+    """Worst normalized slack of w_u / w_v over a_uv along each sample's region cycle."""
+    cycles = [region_cycle(kind, d, g) for d, g in zip(delta.tolist(), gamma.tolist())]
+    margins = np.empty(len(cycles))
+    for cycle in set(cycles):
+        rows = [k for k, c in enumerate(cycles) if c == cycle]
+        u, v = np.array(expand_cycle_arcs(cycle, w.shape[1], kind)).T
+        entries = a[rows][:, u, v]
+        margins[rows] = ((w[rows][:, u] / w[rows][:, v] - entries) / entries).min(axis=1)
+    return margins
 
 
-def _positivity_margin(sample: PerturbationStructure, lam: float) -> float:
-    """Worst normalized entry of the closed-form variant vectors at the root ``lam``."""
-    return float(min(np.min(v) / np.max(np.abs(v)) for v in variant_vectors(sample, lam)))
+def _positivity_margins(cell: PerturbationStructure, samples: list, lam: float) -> np.ndarray:
+    """Worst normalized entry of the closed-form variant vectors at the cell's root ``lam``."""
+    v = variant_vectors(cell, _stacked(samples)[0].T, lam)
+    return (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
+
+
+def _stacked(samples: Sequence[PerturbationStructure]):
+    """x = (1, base), delta and gamma of samples of one order, one row or entry per sample."""
+    x = np.ones((len(samples), samples[0].n))
+    x[:, 1:] = [s.base for s in samples]
+    return (x, np.array([s.delta for s in samples], dtype=float),
+            np.array([s.gamma for s in samples], dtype=float))
 
 
 def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | None:
     """Why the point's (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
 
-    The base is not read.  ``KeyError`` for an unknown check id.
+    The base is not read, and ``check_id`` must be a known check id.
     """
     kind, n, delta, gamma = point.kind, point.n, point.delta, point.gamma
     if kind not in DOUBLE_KINDS:
@@ -276,9 +275,7 @@ def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | 
         return "shared-row cycle regions require delta != gamma"
     if check_id in (POSITIVITY_CHECK, CYCLE_CHECK):
         return None
-    lemma = LEMMAS.get(check_id)
-    if lemma is None:
-        raise KeyError(f"unknown check id {check_id!r}")
+    lemma = LEMMAS[check_id]
     if kind != lemma.kind:
         return f"check {check_id} applies to {lemma.kind.value}, sample is {kind.value}"
     if not lemma.hypothesis(delta, gamma, n):
@@ -286,40 +283,28 @@ def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | 
     return None
 
 
-def _check(check_id: str, sample: PerturbationStructure, m: Pcm | None, w: np.ndarray | None,
-           lam: float | None) -> LemmaCheck:
-    """One check on a sample inside its hypothesis.
-
-    Lemmas and the cycle check read the matrix ``m`` and eigenvector ``w``;
-    the positivity check reads the closed-form root ``lam`` of its grid cell.
-    """
-    lemma = LEMMAS.get(check_id)
-    if lemma is not None:
-        margin = float(lemma.margin(sample, w, _x(sample)))
-    elif check_id == POSITIVITY_CHECK:
-        margin = _positivity_margin(sample, lam)
-    else:
-        margin = _cycle_margin(sample, m, w)
-    floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
-    return LemmaCheck(check_id, margin > floor, margin)
-
-
 def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
-    Builds the sample's matrix and power-iteration eigenvector, or for the
-    positivity check the closed-form root.  Raises
-    :class:`HypothesisViolatedError` with the reason of
+    The sweep's checks on a stack of one.  ``ValueError`` for an unknown
+    check id, then :class:`HypothesisViolatedError` with the reason of
     :func:`_hypothesis_violation` (in particular whenever delta or gamma
     equals 1, which no perturbation statement covers).
     """
+    if lemma_id not in ALL_CHECK_IDS:
+        raise ValueError(f"unknown check ids {[lemma_id]}")
     reason = _hypothesis_violation(lemma_id, sample)
     if reason is not None:
         raise HypothesisViolatedError(reason)
+    if sample.base is None:
+        raise InvalidCaseError("structure must carry a base vector")
+    report = LemmaReport(lemma_id)
     if lemma_id == POSITIVITY_CHECK:
-        return _check(lemma_id, sample, None, None, lambda_max_closed_form(sample))
-    m = apply_perturbation(sample)
-    return _check(lemma_id, sample, m, power_iteration(m).w, None)
+        report.record([sample], _positivity_margins(sample, [sample],
+                                                    lambda_max_closed_form(sample)))
+    else:
+        _record({lemma_id: report}, [lemma_id], [sample], [[True]])
+    return LemmaCheck(lemma_id, report.passed, report.min_margin)
 
 
 @dataclass(frozen=True)
@@ -336,6 +321,12 @@ class SuiteGrid:
 
     ratio_values: ClassVar[tuple[float, ...]] = (1 / 9, 1 / 5, 1 / 2, 0.9, 1.1, 2.0, 5.0, 9.0)
     max_order: ClassVar[int] = 8    # sweep ceiling for the forms of unbounded order
+
+    def __post_init__(self):
+        for name in ("bases_per_cell", "bases_per_cell_case2a"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {count!r}")
 
     @classmethod
     def orders(cls, kind: PerturbationKind) -> tuple[int, ...]:
@@ -364,43 +355,43 @@ class SuiteGrid:
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
-def _eigenvectors(ms: list[Pcm]) -> list[np.ndarray]:
-    """Power-iteration eigenvectors of ``ms`` in input order, one stack per order."""
-    ws = [None] * len(ms)
-    by_order = {}
-    for i, m in enumerate(ms):
-        by_order.setdefault(m.n, []).append(i)
-    for idx in by_order.values():
-        for i, w in zip(idx, power_iteration_batch([ms[i] for i in idx]).w):
-            ws[i] = w
-    return ws
+def _record(reports: dict[str, LemmaReport], check_ids: list[str], samples: list,
+            held: list) -> None:
+    """Build and solve the samples' matrices as one stack, then record each check on its samples.
 
-
-def _record(pending: list, reports: dict[str, LemmaReport]) -> None:
-    """Solve the pending samples' matrices as one stack, then record their checks in draw order.
-
-    Each entry is (sample, held check ids, closed-form root or None, matrix
-    or None); a sample whose held checks read no matrix carries none.
+    The samples share kind and order; ``held[k][c]`` says whether
+    ``check_ids[c]``, a lemma or the cycle check, holds in sample ``k``'s cell.
     """
-    ws = iter(_eigenvectors([m for *_, m in pending if m is not None]))
-    for sample, held, lam, m in pending:
-        w = None if m is None else next(ws)
-        for check_id in held:
-            reports[check_id].record(sample, _check(check_id, sample, m, w, lam))
+    if not samples:
+        return
+    ms = [apply_perturbation(sample) for sample in samples]
+    w, a = power_iteration_batch(ms).w, np.array([m.entries for m in ms])
+    x, delta, gamma = _stacked(samples)
+    for check_id, rows in zip(check_ids, np.array(held).T):
+        k = np.flatnonzero(rows)
+        if not k.size:
+            continue
+        lemma = LEMMAS.get(check_id)
+        reports[check_id].record([samples[i] for i in k], (
+            lemma.margin(w[k], x[k], delta[k], gamma[k]) if lemma is not None
+            else _cycle_margins(samples[0].kind, w[k], a[k], delta[k], gamma[k])))
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                     check_ids: Sequence[str] = ALL_CHECK_IDS) -> list[LemmaReport]:
     """Sweep the requested checks over their hypothesis regions of the grid.
 
-    Each sample's matrix is built once, when a requested check reads it,
-    and shared by the checks whose hypothesis holds in its grid cell; the
-    eigenvectors of one order are solved as one stack.  The closed-form root, which depends on the
-    cell alone, is solved once per cell.  Every base is drawn whichever
-    checks are requested, so a subset reports exactly what the full sweep
-    reports for it.  Reports come back in registry order followed by the
-    positivity and cycle checks; the run is a pure function of the grid,
-    seed and check ids.  ``ValueError`` for an unknown check id.
+    Each check is one array expression over a stack of samples.  The
+    hypotheses and the closed-form root depend on the grid cell alone and
+    are evaluated once per cell, and the positivity check runs on each
+    cell's stack of bases.  A sample's matrix is built when a requested
+    check reads it; the matrices of one kind and order are solved and
+    checked in stacks of at most ``_STACK_CAP``.  Every base is drawn
+    whichever checks are requested, so a subset reports exactly what the
+    full sweep reports for it.  Reports come back in registry order followed
+    by the positivity and cycle checks, violations in draw order; the run is
+    a pure function of the grid, seed and check ids.  ``ValueError`` for an
+    unknown check id.
     """
     unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]
     if unknown:
@@ -411,28 +402,28 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                if check_id in check_ids}
 
     for kind in DOUBLE_KINDS:
-        kind_ids = [check_id for check_id in reports
-                    if check_id not in LEMMAS or LEMMAS[check_id].kind == kind]
+        matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
+                      and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
         for n in grid.orders(kind):
-            pending = []
+            samples, held = [], []
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
                     cell = PerturbationStructure(kind, n, delta=delta, gamma=gamma)
-                    held = [check_id for check_id in kind_ids
-                            if _hypothesis_violation(check_id, cell) is None]
-                    lam = lambda_max_closed_form(cell) if POSITIVITY_CHECK in held else None
-                    reads_matrix = any(check_id != POSITIVITY_CHECK for check_id in held)
-                    for _ in range(grid.bases(kind)):
-                        base = sample_base(rng, n)
-                        if not held:
-                            continue
-                        sample = PerturbationStructure(kind, n, base, delta, gamma)
-                        pending.append((sample, held, lam,
-                                        apply_perturbation(sample) if reads_matrix else None))
-                        if len(pending) == _STACK_CAP:
-                            _record(pending, reports)
-                            pending = []
-            _record(pending, reports)
+                    bases = [sample_base(rng, n) for _ in range(grid.bases(kind))]
+                    cell_samples = [PerturbationStructure(kind, n, b, delta, gamma) for b in bases]
+                    if (POSITIVITY_CHECK in reports
+                            and _hypothesis_violation(POSITIVITY_CHECK, cell) is None):
+                        reports[POSITIVITY_CHECK].record(cell_samples, _positivity_margins(
+                            cell, cell_samples, lambda_max_closed_form(cell)))
+                    mask = [_hypothesis_violation(check_id, cell) is None
+                            for check_id in matrix_ids]
+                    for sample in cell_samples if any(mask) else ():
+                        samples.append(sample)
+                        held.append(mask)
+                        if len(samples) == _STACK_CAP:
+                            _record(reports, matrix_ids, samples, held)
+                            samples, held = [], []
+            _record(reports, matrix_ids, samples, held)
     return list(reports.values())
 
 
@@ -462,8 +453,10 @@ def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generat
     conforming = 0
     for start in range(0, samples, _STACK_CAP):
         ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
-        conforming += sum(is_efficient(m, w).efficient == efficient
-                          for m, w in zip(ms, _eigenvectors(ms)))
+        for n in {m.n for m in ms}:
+            stack = [m for m in ms if m.n == n]
+            conforming += sum(is_efficient(m, w).efficient == efficient
+                              for m, w in zip(stack, power_iteration_batch(stack).w))
     return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
 
 

@@ -365,3 +365,23 @@ def test_default_variant_has_largest_leading_component():
     lam = lambda_max_closed_form(st)
     leading = [abs(raw_variant_vector(st, v, lam)[0]) for v in range(4)]
     assert closed_form_eigenvector(st).variant == int(np.argmax(leading))
+
+
+def test_stacked_variant_vectors_keep_the_one_base_bits():
+    # a stack of bases, a stack of one and a one-dimensional x give each form the same bits
+    rng = np.random.default_rng(23)
+    for kind, orders in ALL_CASES:
+        for n in orders:
+            for d, g in [(0.2, 7.0), (3.0, 3.0), (1.1, 0.9), (9.0, 0.5)]:
+                cell = PerturbationStructure(kind, n, delta=d, gamma=g)
+                lam = lambda_max_closed_form(cell)
+                xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), (n, 6)))
+                xs[0] = 1.0
+                stacked = spectral.variant_vectors(cell, xs, lam)
+                assert stacked.shape == (variant_count(kind), n, 6)
+                for k in range(6):
+                    one = PerturbationStructure(kind, n, tuple(xs[1:, k]), d, g)
+                    for v in range(variant_count(kind)):
+                        scalar = spectral._variant_vector(one, xs[:, k].copy(), v, lam)
+                        assert stacked[v, :, k].tobytes() == scalar.tobytes()
+                        assert raw_variant_vector(one, v, lam).tobytes() == scalar.tobytes()

@@ -108,6 +108,16 @@ def test_wrong_kind_for_positivity():
         check_lemma("positivity", sample)
 
 
+@pytest.mark.parametrize("sample", [
+    PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 1.0, 2.0),
+    PerturbationStructure(PerturbationKind.SIMPLE, 5, (1.0,) * 4, 2.0, 2.0),
+])
+def test_check_lemma_rejects_an_unknown_check_id_first(sample):
+    with pytest.raises(ValueError, match=r"unknown check ids \['9z'\]") as raised:
+        check_lemma("9z", sample)
+    assert not isinstance(raised.value, HypothesisViolatedError)
+
+
 # ----------------------------------------------------------------- cycles
 
 def test_region_tables_partition_the_parameter_space():
@@ -217,7 +227,11 @@ def test_positivity_check_reads_each_structure_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "variant_count", counting_count)
     reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
-    assert len(counted) == reports[POSITIVITY_CHECK].samples_run > 0
+    # one stacked evaluation per grid cell, and positivity holds in every cell
+    cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
+        * len(SMALL_GRID.ratio_values) ** 2
+    assert len(counted) == cells == 640
+    assert reports[POSITIVITY_CHECK].samples_run == 832
 
 
 def test_equality_checks_hold_tightly():
@@ -301,6 +315,15 @@ def test_subset_builds_only_the_matrices_its_checks_read(monkeypatch, check_ids,
     sizes = count_solves(monkeypatch)
     run_lemma_suite(SMALL_GRID, seed=1, check_ids=check_ids)
     assert len(built) == sum(sizes) == builds
+
+
+@pytest.mark.parametrize("counts", [dict(bases_per_cell=0, bases_per_cell_case2a=-3),
+                                    dict(bases_per_cell_case2a=0), dict(bases_per_cell=2.5),
+                                    dict(bases_per_cell_case2a="4"), dict(bases_per_cell=True)])
+def test_suite_grid_rejects_unusable_base_counts(counts):
+    name = next(iter(counts))
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        SuiteGrid(**counts)
 
 
 def test_suite_rejects_unknown_check_ids():
