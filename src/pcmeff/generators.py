@@ -20,7 +20,6 @@ from .pcm import (
     Pcm,
     apply_perturbation,
     check_order,
-    consistent_pcm,
 )
 
 FAMILIES = ("consistent", "simple", "case1", "case2a", "case2b", "example1", "apq")
@@ -96,10 +95,6 @@ def sample_base(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     return tuple(float(np.exp(v)) for v in rng.uniform(np.log(lo), np.log(hi), n - 1))
 
 
-# families named after a perturbed kind, built from its canonical form
-_PERTURBED_FAMILIES = tuple(kind.value for kind in CANONICAL_FORMS)
-
-
 def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     """Build the matrix a spec describes, with ground truth when one exists.
 
@@ -121,31 +116,19 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     if spec.n is None:
         raise IncompatibleOrderError(f"family {family!r} requires an order n")
     n = spec.n
-    if family in _PERTURBED_FAMILIES:
-        check_order(PerturbationKind(family), n, IncompatibleOrderError)
-    elif n < 2:
-        raise IncompatibleOrderError(f"family {family!r} requires n >= 2, got {n}")
-
     lo, hi = DEFAULT_BASE_RANGE
     if family == "apq":
         p = spec.p if spec.p is not None else sample_ratio(rng, lo, hi)
         q = spec.q if spec.q is not None else sample_ratio(rng, lo, hi, exclude_one=True)
         return parametric_inefficient(n, p, q), None
 
+    # every other family is a kind of the table, built from its canonical form
+    kind = PerturbationKind(family)
+    check_order(kind, n, IncompatibleOrderError)
     base = spec.base if spec.base is not None else sample_base(rng, n)
     if len(base) != n - 1:
         raise IncompatibleOrderError(f"base must have {n - 1} ratios, got {len(base)}")
-
-    if family == "consistent":
-        structure = PerturbationStructure(kind=PerturbationKind.CONSISTENT, n=n,
-                                          base=tuple(base))
-        return consistent_pcm(base), structure
-
-    delta = spec.delta if spec.delta is not None else sample_ratio(rng, lo, hi, exclude_one=True)
-    gamma = None
-    if family != "simple":
-        gamma = spec.gamma if spec.gamma is not None else sample_ratio(rng, lo, hi,
-                                                                       exclude_one=True)
-    structure = PerturbationStructure(kind=PerturbationKind(family), n=n, base=tuple(base),
-                                      delta=delta, gamma=gamma)
+    factors = [f if f is not None else sample_ratio(rng, lo, hi, exclude_one=True)
+               for f in (spec.delta, spec.gamma)[:len(CANONICAL_FORMS[kind].cells)]]
+    structure = PerturbationStructure(kind, n, tuple(base), *factors)
     return apply_perturbation(structure), structure

@@ -30,6 +30,28 @@ DEFAULT_CONSISTENCY_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
+def validate_entries(a: np.ndarray) -> None:
+    """Check a square matrix, or a (B, n, n) stack of them, as :class:`Pcm` does.
+
+    Every entry must be a positive finite real, and every product a_ij * a_ji
+    must lie within ``RECIPROCITY_TOL`` of 1.  Each check raises for its first
+    failing cell in row-major order, member by member, so a stack with one
+    bad member fails as that member alone does.
+    """
+    n = a.shape[-1]
+    bad = ~(np.isfinite(a) & (a > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonPositiveEntryError(*divmod(k % (n * n), n), float(a.flat[k]))
+    with np.errstate(over="ignore"):    # an overflowed product is inf, which fails
+        prod = a * a.swapaxes(-1, -2)    # prod[..., i, j] = a_ij * a_ji, diagonal included
+    bad = np.triu(~np.isfinite(prod)
+                  | (np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod))))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ReciprocityViolationError(*divmod(k % (n * n), n), float(prod.flat[k]))
+
+
 class Pcm:
     """Validated positive reciprocal matrix.
 
@@ -47,18 +69,7 @@ class Pcm:
         n = a.shape[0]
         if n < 2:
             raise NotSquareError(f"matrix order must be at least 2, got {n}")
-        # each check reports its first failing cell in row-major order
-        bad = ~(np.isfinite(a) & (a > 0.0))
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), n)
-            raise NonPositiveEntryError(i, j, float(a[i, j]))
-        with np.errstate(over="ignore"):    # an overflowed product is inf, which fails
-            prod = a * a.T    # prod[i, j] = a_ij * a_ji, diagonal included
-        bad = np.triu(~np.isfinite(prod)
-                      | (np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod))))
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), n)
-            raise ReciprocityViolationError(i, j, float(prod[i, j]))
+        validate_entries(a)
         a.setflags(write=False)
         self._a = a
 
@@ -117,6 +128,7 @@ class CanonicalForm:
 
 _DISJOINT_CELLS = ((0, 1), (2, 3))
 CANONICAL_FORMS = {
+    PerturbationKind.CONSISTENT: CanonicalForm((), 2),
     PerturbationKind.SIMPLE: CanonicalForm(((0, 1),), 3),
     PerturbationKind.CASE1: CanonicalForm(((0, 1), (0, 2)), 4),
     PerturbationKind.CASE2A: CanonicalForm(_DISJOINT_CELLS, 4, 4),
@@ -156,10 +168,10 @@ class PerturbationStructure:
     matrix admits (the primary one is the lexicographically smallest).
 
     Building one validates it, and nothing else checks these fields again:
-    a base holds n - 1 ratios, a kind with a canonical form exists at order
-    n and has a factor for each of its cells, and every factor given is a
-    positive finite real.  The base may be None where a consumer needs
-    only (kind, n, delta, gamma), as the closed-form root does.
+    a base holds n - 1 positive finite ratios, a kind with a canonical form
+    exists at order n and has a factor for each of its cells, and every
+    factor given is a positive finite real.  The base may be None where a
+    consumer needs only (kind, n, delta, gamma), as the closed-form root does.
     """
 
     kind: PerturbationKind
@@ -172,9 +184,12 @@ class PerturbationStructure:
     alternatives: tuple[tuple[tuple[int, int], ...], ...] = ()
 
     def __post_init__(self):
-        if self.base is not None and len(self.base) != self.n - 1:
-            raise InvalidCaseError(f"order n = {self.n} needs {self.n - 1} base ratios, "
-                                   f"got {len(self.base)}")
+        if self.base is not None:
+            if len(self.base) != self.n - 1:
+                raise InvalidCaseError(f"order n = {self.n} needs {self.n - 1} base ratios, "
+                                       f"got {len(self.base)}")
+            if not all(0.0 < x < np.inf for x in self.base):    # NaN fails too
+                raise InvalidCaseError("base ratios must be positive finite reals")
         form = CANONICAL_FORMS.get(self.kind)
         if form is not None:
             check_order(self.kind, self.n)
@@ -186,45 +201,49 @@ class PerturbationStructure:
                 raise InvalidCaseError(f"{name} must be a positive finite real, got {float(f)!r}")
 
 
-def _consistent_entries(base) -> np.ndarray:
-    """Entries x_j / x_i of the consistent PCM generated by base ratios x_1..x_{n-1}."""
+def canonical_entries(kind: PerturbationKind, base, delta=None, gamma=None) -> np.ndarray:
+    """Entries of the canonical matrices of ``kind`` on one base or a (B, n - 1) stack.
+
+    With y = (1, base), the consistent entries are y_j / y_i; then delta
+    multiplies the form's first cell and gamma its second, and each
+    reciprocal cell follows.  A factor is one number or one per base.  The
+    bases must be positive finite ratios, as a structure checks them; the
+    entries are not validated (:func:`validate_entries` does that).
+    """
     x = np.asarray(base, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidCaseError("base must be a vector of at least one positive ratio")
-    lo, hi = min(float(x.min()), 1.0), max(float(x.max()), 1.0)    # x_0 = 1 included
-    if not 0.0 < lo <= hi < np.inf:    # NaN fails every comparison
-        raise InvalidCaseError("base ratios must be positive finite reals")
-    if hi * np.finfo(float).tiny > lo:    # lo <= 1 <= hi, so this product cannot overflow
+    y = np.concatenate((np.ones(x.shape[:-1] + (1,)), x), axis=-1)
+    lo, hi = y.min(axis=-1), y.max(axis=-1)
+    far = hi * np.finfo(float).tiny > lo    # lo <= 1 <= hi, so this product cannot overflow
+    if far.any():
+        k = int(np.argmax(far))
+        lo, hi = float(np.ravel(lo)[k]), float(np.ravel(hi)[k])
         raise InvalidCaseError(f"base ratios {lo!r} and {hi!r} are too far apart: "
                                f"entry {hi!r}/{lo!r} or its reciprocal is not a normal float")
-    y = np.concatenate(([1.0], x))
-    return y[None, :] / y[:, None]
+    a = y[..., None, :] / y[..., :, None]
+    for (i, j), f in zip(CANONICAL_FORMS[kind].cells, (delta, gamma)):
+        a[..., i, j] *= f
+        a[..., j, i] = 1.0 / a[..., i, j]
+    return a
+
+
+def apply_perturbation(structure: PerturbationStructure) -> Pcm:
+    """Build the canonical matrix ``structure`` describes: :func:`canonical_entries` on one base.
+
+    delta multiplies cell (0, 1); gamma multiplies (0, 2) when both
+    perturbations share the first row, or (2, 3) when they are disjoint.
+    """
+    if structure.base is None:
+        raise InvalidCaseError("structure must carry a base vector")
+    if structure.kind not in CANONICAL_FORMS:
+        raise InvalidCaseError(f"kind {structure.kind.value!r} has no canonical form")
+    return Pcm(canonical_entries(structure.kind, structure.base, structure.delta,
+                                 structure.gamma))
 
 
 def consistent_pcm(base) -> Pcm:
     """Build the consistent PCM generated by base ratios x_1..x_{n-1}."""
-    return Pcm(_consistent_entries(base))
-
-
-def apply_perturbation(structure: PerturbationStructure) -> Pcm:
-    """Build the canonical perturbed matrix described by ``structure``.
-
-    delta multiplies cell (0, 1); gamma multiplies (0, 2) when both
-    perturbations share the first row, or (2, 3) when they are disjoint.
-    Reciprocal cells are updated accordingly.  Only the perturbed matrix
-    is validated; the structure was when it was built.
-    """
-    if structure.base is None:
-        raise InvalidCaseError("structure must carry a base vector")
-    form = CANONICAL_FORMS.get(structure.kind)
-    if form is None:
-        raise InvalidCaseError(f"kind {structure.kind.value!r} has no canonical perturbed form")
-
-    a = _consistent_entries(structure.base)
-    for (i, j), f in zip(form.cells, (structure.delta, structure.gamma)):
-        a[i, j] *= f
-        a[j, i] = 1.0 / a[i, j]
-    return Pcm(a)
+    return apply_perturbation(PerturbationStructure(PerturbationKind.CONSISTENT, len(base) + 1,
+                                                    tuple(base)))
 
 
 def is_consistent(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> bool:
@@ -434,7 +453,7 @@ def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
         kind = PerturbationKind.CASE1
     else:
         kind = disjoint_kind(n)
-    factors = [ratio(i, j) for i, j in CANONICAL_FORMS[kind].cells] if size else []
+    factors = [ratio(i, j) for i, j in CANONICAL_FORMS[kind].cells]
     delta, gamma = (factors + [None, None])[:2]
 
     return PerturbationStructure(
@@ -458,10 +477,7 @@ def reconstruct(structure: PerturbationStructure) -> Pcm:
     """
     if structure.kind == PerturbationKind.OTHER:
         raise InvalidCaseError("cannot reconstruct an unstructured matrix")
-    if structure.kind == PerturbationKind.CONSISTENT:
-        canonical = consistent_pcm(structure.base)
-    else:
-        canonical = apply_perturbation(structure)
+    canonical = apply_perturbation(structure)
     perm = structure.permutation or tuple(range(structure.n))
     a = np.empty_like(canonical.entries)
     idx = np.asarray(perm)

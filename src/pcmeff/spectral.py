@@ -11,7 +11,6 @@ together in tests.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,9 @@ class BatchSpectralResult:
     iterations: np.ndarray
 
 
-def power_iteration_batch(ms: Sequence[Pcm], tol: float = DEFAULT_POWER_TOL,
+def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
                           max_iter: int = DEFAULT_MAX_ITER) -> BatchSpectralResult:
-    """Dominant eigenpairs of a stack of PCMs of one order, all-ones start.
+    """Dominant eigenpairs of a (B, n, n) array of validated PCM entries, all-ones start.
 
     The eigenvalue estimate is the 1-norm growth ratio ||A w||_1 / ||w||_1,
     which for a positive matrix converges to the dominant eigenvalue.
@@ -78,14 +77,9 @@ def power_iteration_batch(ms: Sequence[Pcm], tol: float = DEFAULT_POWER_TOL,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not ms:
+    count, n = len(a), a.shape[-1]
+    if not count:
         raise ValueError("power iteration needs at least one matrix")
-    n = ms[0].n
-    for m in ms:
-        if m.n != n:
-            raise ValueError(f"matrices of one stack must share order {n}, got order {m.n}")
-    a = np.array([m.entries for m in ms])
-    count = len(ms)
     lambda_max, w_out = np.empty(count), np.empty((count, n))
     residual_out, iterations = np.empty(count), np.zeros(count, dtype=int)
     live = np.arange(count)    # input index of each member still iterating
@@ -113,7 +107,7 @@ def power_iteration_batch(ms: Sequence[Pcm], tol: float = DEFAULT_POWER_TOL,
 def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Dominant eigenpair of one PCM: :func:`power_iteration_batch` on a stack of one."""
-    r = power_iteration_batch([m], tol, max_iter)
+    r = power_iteration_batch(m.entries[None], tol, max_iter)
     return SpectralResult(float(r.lambda_max[0]), r.w[0], float(r.residual[0]),
                           int(r.iterations[0]))
 
@@ -214,7 +208,7 @@ def variant_count(kind: PerturbationKind) -> int:
     return form.head + (form.min_order > form.head)
 
 
-# Each form reads x = (1, base) with one column per base of a stack.  lam, d
+# Each form reads x = (1, base), or one column of it per base of a stack.  lam, d
 # and g stay Python floats: numpy's array ** k may round unlike float ** k.
 def _case1_vector(n, x, d, g, lam, variant):
     w = np.empty((n,) + x.shape[1:])
@@ -334,7 +328,7 @@ def _case2b_vector(n, x, d, g, lam, variant):
 
 
 def _checked_base(structure: PerturbationStructure) -> np.ndarray:
-    """x = (1, base) of a structure the closed forms apply to, as a stack of one column."""
+    """x = (1, base) of a structure the closed forms apply to."""
     if structure.kind not in DOUBLE_KINDS:
         raise InvalidCaseError(
             f"closed forms exist only for double-perturbed matrices, got {structure.kind.value!r}")
@@ -344,7 +338,7 @@ def _checked_base(structure: PerturbationStructure) -> np.ndarray:
         raise DegenerateParametersError(
             "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
             "or consistent case and the closed forms do not apply")
-    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))[:, None]
+    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
 
 
 def _variant_vector(structure: PerturbationStructure, x: np.ndarray, variant: int,
@@ -368,14 +362,15 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    return _variant_vector(structure, x, variant, lam)[:, 0]
+    return _variant_vector(structure, x, variant, lam)
 
 
 def variant_vectors(cell: PerturbationStructure, x: np.ndarray, lam: float) -> np.ndarray:
-    """Every :func:`raw_variant_vector` form at ``lam``, shape (variants, n, B).
+    """Every :func:`raw_variant_vector` form at ``lam``, shape (variants, n) + x.shape[1:].
 
-    Column ``k`` of ``x`` is (1, base) of the ``k``-th of B bases.  The cell's
-    base is not read, and the caller has checked that the closed forms apply.
+    ``x`` is (1, base), or (n, B) with column ``k`` (1, base) of the ``k``-th
+    base.  The cell's base is not read, and the caller has checked that the
+    closed forms apply.
     """
     return np.array([_variant_vector(cell, x, v, lam) for v in range(variant_count(cell.kind))])
 
@@ -400,7 +395,7 @@ def closed_form_eigenvector(structure: PerturbationStructure,
     x = _checked_base(structure)
     lam = lambda_max_closed_form(structure)
     if variant is None:
-        candidates = variant_vectors(structure, x, lam)[:, :, 0]
+        candidates = variant_vectors(structure, x, lam)
         variant = int(np.argmax(np.abs(candidates[:, 0])))
         raw = candidates[variant]
     else:

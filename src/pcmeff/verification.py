@@ -27,7 +27,9 @@ from .pcm import (
     PerturbationStructure,
     Pcm,
     apply_perturbation,
+    canonical_entries,
     disjoint_kind,
+    validate_entries,
 )
 # Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
 from .spectral import lambda_max_closed_form, power_iteration, power_iteration_batch, \
@@ -36,10 +38,9 @@ from .spectral import lambda_max_closed_form, power_iteration, power_iteration_b
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
 
-# Most matrices a sweep solves as one stack.  A sweep holds every pending
-# sample and matrix of a stack at once, so the cap bounds its extra memory
-# (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
-# time per member.
+# Most matrices a sweep solves as one stack.  A sweep holds the matrices of
+# a stack at once, so the cap bounds its extra memory (about 1 MB at 256 on
+# the default lemma sweep); a larger stack saves little time per member.
 _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
@@ -62,14 +63,20 @@ class LemmaReport:
     violations: list = field(default_factory=list)
     min_margin: float = np.inf
 
-    def record(self, samples: Sequence[PerturbationStructure], margins: np.ndarray) -> None:
-        """Count a stack of samples and their margins; violations keep the stack's order."""
+    def record(self, kind: PerturbationKind, x: np.ndarray, delta: np.ndarray,
+               gamma: np.ndarray, margins: np.ndarray) -> None:
+        """Count a stack of samples and their margins; violations keep the stack's order.
+
+        Sample ``k`` has x = (1, base) in row ``k`` of ``x`` and factors
+        ``delta[k]`` and ``gamma[k]``; only a violation becomes a structure.
+        """
         lemma = LEMMAS.get(self.lemma_id)
         floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
         self.samples_run += len(margins)
         self.min_margin = min(self.min_margin, float(margins.min()))
-        self.violations += [(samples[k], float(margins[k]))
-                            for k in np.flatnonzero(~(margins > floor))]
+        self.violations += [(PerturbationStructure(kind, x.shape[1], tuple(x[k, 1:].tolist()),
+                                                   float(delta[k]), float(gamma[k])),
+                             float(margins[k])) for k in np.flatnonzero(~(margins > floor))]
 
     @property
     def passed(self) -> bool:
@@ -247,20 +254,6 @@ def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
     return margins
 
 
-def _positivity_margins(cell: PerturbationStructure, samples: list, lam: float) -> np.ndarray:
-    """Worst normalized entry of the closed-form variant vectors at the cell's root ``lam``."""
-    v = variant_vectors(cell, _stacked(samples)[0].T, lam)
-    return (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-
-
-def _stacked(samples: Sequence[PerturbationStructure]):
-    """x = (1, base), delta and gamma of samples of one order, one row or entry per sample."""
-    x = np.ones((len(samples), samples[0].n))
-    x[:, 1:] = [s.base for s in samples]
-    return (x, np.array([s.delta for s in samples], dtype=float),
-            np.array([s.gamma for s in samples], dtype=float))
-
-
 def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | None:
     """Why the point's (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
 
@@ -286,7 +279,7 @@ def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | 
 def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
-    The sweep's checks on a stack of one.  ``ValueError`` for an unknown
+    The sweep on one grid cell with one base.  ``ValueError`` for an unknown
     check id, then :class:`HypothesisViolatedError` with the reason of
     :func:`_hypothesis_violation` (in particular whenever delta or gamma
     equals 1, which no perturbation statement covers).
@@ -299,11 +292,7 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     if sample.base is None:
         raise InvalidCaseError("structure must carry a base vector")
     report = LemmaReport(lemma_id)
-    if lemma_id == POSITIVITY_CHECK:
-        report.record([sample], _positivity_margins(sample, [sample],
-                                                    lambda_max_closed_form(sample)))
-    else:
-        _record({lemma_id: report}, [lemma_id], [sample], [[True]])
+    _sweep_cells({lemma_id: report}, [sample], np.array([(1.0,) + tuple(sample.base)]))
     return LemmaCheck(lemma_id, report.passed, report.min_margin)
 
 
@@ -355,43 +344,67 @@ class SuiteGrid:
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
-def _record(reports: dict[str, LemmaReport], check_ids: list[str], samples: list,
-            held: list) -> None:
-    """Build and solve the samples' matrices as one stack, then record each check on its samples.
+def _record(reports: dict[str, LemmaReport], check_ids: list[str], kind: PerturbationKind,
+            x: np.ndarray, delta: np.ndarray, gamma: np.ndarray, held: np.ndarray) -> None:
+    """Build, validate and solve a stack of matrices, then record each check on its samples.
 
-    The samples share kind and order; ``held[k][c]`` says whether
-    ``check_ids[c]``, a lemma or the cycle check, holds in sample ``k``'s cell.
+    Sample ``k`` has x = (1, base) in row ``k`` of ``x`` and factors
+    ``delta[k]`` and ``gamma[k]``; ``held[k, c]`` says whether
+    ``check_ids[c]``, a lemma or the cycle check, holds in its grid cell.
     """
-    if not samples:
-        return
-    ms = [apply_perturbation(sample) for sample in samples]
-    w, a = power_iteration_batch(ms).w, np.array([m.entries for m in ms])
-    x, delta, gamma = _stacked(samples)
-    for check_id, rows in zip(check_ids, np.array(held).T):
+    a = canonical_entries(kind, x[:, 1:], delta, gamma)
+    validate_entries(a)
+    w = power_iteration_batch(a).w
+    for check_id, rows in zip(check_ids, held.T):
         k = np.flatnonzero(rows)
         if not k.size:
             continue
         lemma = LEMMAS.get(check_id)
-        reports[check_id].record([samples[i] for i in k], (
+        reports[check_id].record(kind, x[k], delta[k], gamma[k], (
             lemma.margin(w[k], x[k], delta[k], gamma[k]) if lemma is not None
-            else _cycle_margins(samples[0].kind, w[k], a[k], delta[k], gamma[k])))
+            else _cycle_margins(kind, w[k], a[k], delta[k], gamma[k])))
+
+
+def _sweep_cells(reports: dict[str, LemmaReport], cells: list, x: np.ndarray) -> None:
+    """Record the requested checks on the samples of grid cells of one kind and order.
+
+    Row ``k`` of ``x`` is (1, base) of sample ``k``, and the cells split the
+    rows into equal blocks in order.  The hypotheses and the closed-form root
+    depend on the cell alone and are evaluated once per cell.  Positivity,
+    the worst normalized entry of the closed-form variant vectors, runs on
+    each cell's block of bases.  A sample's matrix is built when a requested
+    check reads it, in stacks of at most ``_STACK_CAP`` samples.
+    """
+    kind, count = cells[0].kind, len(x) // len(cells)
+    delta = np.repeat([cell.delta for cell in cells], count)
+    gamma = np.repeat([cell.gamma for cell in cells], count)
+    for c, cell in enumerate(cells):
+        if POSITIVITY_CHECK in reports and _hypothesis_violation(POSITIVITY_CHECK, cell) is None:
+            rows = slice(c * count, (c + 1) * count)
+            v = variant_vectors(cell, x[rows].T, lambda_max_closed_form(cell))
+            margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
+            reports[POSITIVITY_CHECK].record(kind, x[rows], delta[rows], gamma[rows], margins)
+    matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
+                  and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
+    held = np.repeat([[_hypothesis_violation(check_id, cell) is None for check_id in matrix_ids]
+                      for cell in cells], count, axis=0)
+    rows = np.flatnonzero(held.any(axis=1))
+    for start in range(0, len(rows), _STACK_CAP):
+        k = rows[start:start + _STACK_CAP]
+        _record(reports, matrix_ids, kind, x[k], delta[k], gamma[k], held[k])
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                     check_ids: Sequence[str] = ALL_CHECK_IDS) -> list[LemmaReport]:
     """Sweep the requested checks over their hypothesis regions of the grid.
 
-    Each check is one array expression over a stack of samples.  The
-    hypotheses and the closed-form root depend on the grid cell alone and
-    are evaluated once per cell, and the positivity check runs on each
-    cell's stack of bases.  A sample's matrix is built when a requested
-    check reads it; the matrices of one kind and order are solved and
-    checked in stacks of at most ``_STACK_CAP``.  Every base is drawn
-    whichever checks are requested, so a subset reports exactly what the
-    full sweep reports for it.  Reports come back in registry order followed
-    by the positivity and cycle checks, violations in draw order; the run is
-    a pure function of the grid, seed and check ids.  ``ValueError`` for an
-    unknown check id.
+    Each check is one array expression over a stack of samples, and a
+    sample is a row of bases and factors, not an object (see
+    :func:`_sweep_cells`).  Every base is drawn whichever checks are
+    requested, so a subset reports exactly what the full sweep reports for
+    it.  Reports come back in registry order followed by the positivity and
+    cycle checks, violations in draw order; the run is a pure function of
+    the grid, seed and check ids.  ``ValueError`` for an unknown check id.
     """
     unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]
     if unknown:
@@ -400,30 +413,13 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     reports = {check_id: LemmaReport(check_id) for check_id in ALL_CHECK_IDS
                if check_id in check_ids}
-
     for kind in DOUBLE_KINDS:
-        matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
-                      and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
         for n in grid.orders(kind):
-            samples, held = [], []
-            for delta in grid.ratio_values:
-                for gamma in grid.ratio_values:
-                    cell = PerturbationStructure(kind, n, delta=delta, gamma=gamma)
-                    bases = [sample_base(rng, n) for _ in range(grid.bases(kind))]
-                    cell_samples = [PerturbationStructure(kind, n, b, delta, gamma) for b in bases]
-                    if (POSITIVITY_CHECK in reports
-                            and _hypothesis_violation(POSITIVITY_CHECK, cell) is None):
-                        reports[POSITIVITY_CHECK].record(cell_samples, _positivity_margins(
-                            cell, cell_samples, lambda_max_closed_form(cell)))
-                    mask = [_hypothesis_violation(check_id, cell) is None
-                            for check_id in matrix_ids]
-                    for sample in cell_samples if any(mask) else ():
-                        samples.append(sample)
-                        held.append(mask)
-                        if len(samples) == _STACK_CAP:
-                            _record(reports, matrix_ids, samples, held)
-                            samples, held = [], []
-            _record(reports, matrix_ids, samples, held)
+            cells = [PerturbationStructure(kind, n, delta=delta, gamma=gamma)
+                     for delta in grid.ratio_values for gamma in grid.ratio_values]
+            x = np.ones((len(cells) * grid.bases(kind), n))
+            x[:, 1:] = [sample_base(rng, n) for _ in range(len(x))]
+            _sweep_cells(reports, cells, x)
     return list(reports.values())
 
 
@@ -455,8 +451,9 @@ def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generat
         ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
         for n in {m.n for m in ms}:
             stack = [m for m in ms if m.n == n]
-            conforming += sum(is_efficient(m, w).efficient == efficient
-                              for m, w in zip(stack, power_iteration_batch(stack).w))
+            w = power_iteration_batch(np.array([m.entries for m in stack])).w
+            conforming += sum(is_efficient(m, wm).efficient == efficient
+                              for m, wm in zip(stack, w))
     return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
 
 

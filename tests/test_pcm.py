@@ -17,6 +17,7 @@ from pcmeff import (
     Pcm,
     PcmError,
     ReciprocityViolationError,
+    SuiteGrid,
     apply_perturbation,
     classify_perturbation,
     consistent_pcm,
@@ -218,6 +219,56 @@ def test_structure_order_must_match_its_base():
             PerturbationStructure(PerturbationKind.CASE1, n=7, base=(2, 3, 4), delta=2, gamma=3)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_structure_rejects_a_base_ratio_that_is_no_positive_finite_real(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidCaseError, match="^base ratios must be positive finite reals$"):
+            PerturbationStructure(PerturbationKind.CASE1, 4, (bad, 2.0, 3.0), 2.0, 3.0)
+
+
+@pytest.mark.parametrize("kind", list(pcm.CANONICAL_FORMS))
+def test_stacked_build_equals_apply_perturbation_member_by_member(kind):
+    rng = np.random.default_rng(31)
+    cells = len(pcm.CANONICAL_FORMS[kind].cells)
+    for n in SuiteGrid.orders(kind):
+        bases = log_uniform(rng, size=(5, n - 1))
+        factors = [log_uniform(rng, size=5) for _ in range(cells)]
+        for stack_factors in (factors, [f[2] for f in factors]):    # one per base, or one
+            stack = pcm.canonical_entries(kind, bases, *stack_factors)
+            assert stack.shape == (5, n, n)
+            for k in range(5):
+                member_factors = [float(np.broadcast_to(f, 5)[k]) for f in stack_factors]
+                one = apply_perturbation(PerturbationStructure(kind, n, tuple(bases[k].tolist()),
+                                                               *member_factors))
+                assert stack[k].tobytes() == one.entries.tobytes()
+
+
+def _damage_one_cell(stack):
+    stack[2, 3, 1] *= 1.0 + 1e-9     # breaks the reciprocity of cell (1, 3)
+    return stack
+
+
+@pytest.mark.parametrize("build", [
+    # delta overflows cell (0, 1) of member 2 to inf, and its reciprocal to 0
+    pytest.param(lambda: pcm.canonical_entries(PerturbationKind.CASE1, np.full((4, 4), 2.0),
+                                               np.array([2.0, 3.0, 1e308, 0.5]), 3.0),
+                 id="overflowing-delta"),
+    pytest.param(lambda: _damage_one_cell(pcm.canonical_entries(
+        PerturbationKind.CASE2B, np.full((4, 4), 2.0), 2.0, 0.5)), id="broken-reciprocity"),
+])
+def test_a_bad_stack_member_fails_as_it_does_alone(build):
+    with np.errstate(over="ignore"):
+        stack = build()
+    with pytest.raises(PcmError) as alone:
+        Pcm(stack[2])
+    assert type(alone.value) in (NonPositiveEntryError, ReciprocityViolationError)
+    with pytest.raises(type(alone.value)) as stacked:
+        pcm.validate_entries(stack)
+    assert (stacked.value.i, stacked.value.j, str(stacked.value)) == \
+        (alone.value.i, alone.value.j, str(alone.value))
+
+
 # the orders each canonical form exists at, as the paper states them
 PAPER_ORDERS = {
     PerturbationKind.SIMPLE: lambda n: n >= 3,
@@ -402,9 +453,8 @@ near_one = st.sampled_from([1e-12, 5e-10, 1e-9, 2e-9, 5e-9, 1e-6, 1e-3]).flatmap
 factor = st.one_of(st.floats(min_value=-2.2, max_value=2.2).map(np.exp), near_one)
 
 
-SHAPES = [(n, kind) for kind in (PerturbationKind.CONSISTENT, *pcm.CANONICAL_FORMS)
-          for n in range(3, 10)
-          if kind not in pcm.CANONICAL_FORMS or pcm.CANONICAL_FORMS[kind].allows(n)]
+SHAPES = [(n, kind) for kind, form in pcm.CANONICAL_FORMS.items()
+          for n in range(3, 10) if form.allows(n)]
 
 
 @st.composite

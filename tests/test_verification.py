@@ -188,18 +188,30 @@ def test_suite_is_deterministic():
            [(b.lemma_id, b.samples_run, b.min_margin) for b in r2]
 
 
-def test_suite_builds_one_matrix_per_sample(monkeypatch):
-    built = []
-    init = Pcm.__init__
+def count_builds(monkeypatch):
+    """Record the rows of every stacked build and every ``Pcm`` built."""
+    rows, pcms = [], []
+    build, init = verification.canonical_entries, Pcm.__init__
+
+    def counting_build(kind, base, *factors):
+        rows.append(len(base))
+        return build(kind, base, *factors)
 
     def counting_init(self, entries):
-        built.append(entries)
+        pcms.append(entries)
         init(self, entries)
 
+    monkeypatch.setattr(verification, "canonical_entries", counting_build)
     monkeypatch.setattr(Pcm, "__init__", counting_init)
+    return rows, pcms
+
+
+def test_suite_builds_one_matrix_per_sample(monkeypatch):
+    rows, pcms = count_builds(monkeypatch)
     reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
     # every grid sample is a positivity sample: the ratio grid leaves out 1
-    assert len(built) == reports["positivity"].samples_run == 5 * 64 + 4 * 64 + 4 * 64
+    assert sum(rows) == reports["positivity"].samples_run == 5 * 64 + 4 * 64 + 4 * 64
+    assert pcms == []    # the sweep checks its stacks without building a Pcm
 
 
 def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
@@ -266,9 +278,9 @@ def count_solves(monkeypatch):
     sizes = []
     batch = verification.power_iteration_batch
 
-    def counting_batch(ms, *args, **kwargs):
-        sizes.append(len(ms))
-        return batch(ms, *args, **kwargs)
+    def counting_batch(a, *args, **kwargs):
+        sizes.append(len(a))
+        return batch(a, *args, **kwargs)
 
     def scalar(*args, **kwargs):
         raise AssertionError("the sweep solved one matrix on its own")
@@ -304,17 +316,11 @@ def test_subset_reports_equal_the_full_sweep(check_ids):
 
 @pytest.mark.parametrize("check_ids, builds", [(("2a",), 4 * 64), (("positivity",), 0)])
 def test_subset_builds_only_the_matrices_its_checks_read(monkeypatch, check_ids, builds):
-    built = []
-    init = Pcm.__init__
-
-    def counting_init(self, entries):
-        built.append(entries)
-        init(self, entries)
-
-    monkeypatch.setattr(Pcm, "__init__", counting_init)
+    rows, pcms = count_builds(monkeypatch)
     sizes = count_solves(monkeypatch)
     run_lemma_suite(SMALL_GRID, seed=1, check_ids=check_ids)
-    assert len(built) == sum(sizes) == builds
+    assert sum(rows) == sum(sizes) == builds
+    assert pcms == []
 
 
 @pytest.mark.parametrize("counts", [dict(bases_per_cell=0, bases_per_cell_case2a=-3),
