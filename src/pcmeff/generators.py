@@ -90,9 +90,18 @@ def sample_ratio(rng: np.random.Generator, lo: float, hi: float,
             return v
 
 
-def sample_base(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+def sample_bases(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` log-uniform bases of order n from one draw, shape (count, n - 1).
+
+    The draws and their bits are those of ``count`` :func:`sample_base` calls.
+    """
     lo, hi = DEFAULT_BASE_RANGE
-    return tuple(float(np.exp(v)) for v in rng.uniform(np.log(lo), np.log(hi), n - 1))
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), (count, n - 1)))
+
+
+def sample_base(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    """One log-uniform base of order n: :func:`sample_bases` as a batch of one."""
+    return tuple(sample_bases(rng, n, 1)[0].tolist())
 
 
 def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:

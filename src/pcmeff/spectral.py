@@ -208,10 +208,24 @@ def variant_count(kind: PerturbationKind) -> int:
     return form.head + (form.min_order > form.head)
 
 
-# Each form reads x = (1, base), or one column of it per base of a stack.  lam, d
-# and g stay Python floats: numpy's array ** k may round unlike float ** k.
-def _case1_vector(n, x, d, g, lam, variant):
-    w = np.empty((n,) + x.shape[1:])
+def form_terms(delta: float, gamma: float, lam: float) -> tuple[float, ...]:
+    """delta, gamma and lam, then the powers of them the eigenvector forms read.
+
+    The powers are d**2, g**2, (d - 1)**2, (g - 1)**2, lam**2 and lam**3,
+    each taken once, on Python floats: numpy's array ``**`` may round unlike
+    float ``**``, while ``+ - * /`` round alike on both.  A stack of samples
+    passes these terms as a (9, B) array whose column ``k`` belongs to
+    column ``k`` of x.
+    """
+    return (delta, gamma, lam, delta**2, gamma**2, (delta - 1) ** 2, (gamma - 1) ** 2,
+            lam**2, lam**3)
+
+
+# Each form reads x = (1, base), or one column of it per base of a stack, and the
+# form_terms of its parameters.
+def _case1_vector(x, t, variant):
+    n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
+    w = np.empty(x.shape)
     if variant == 0:
         w[0] = d * g * lam * (lam - n + 1)
         w[1] = (g * lam - (n - 2) * g + d + (n - 3) * d * g) / x[1]
@@ -221,107 +235,109 @@ def _case1_vector(n, x, d, g, lam, variant):
             w[i] = tail / x[i]
     elif variant == 1:
         w[0] = x[1] * g * lam * (d * lam - (n - 2) * d + g + n - 3)
-        w[1] = g * lam**3 - (n - 1) * g * lam**2 - (n - 3) * (g**2 - 2 * g + 1)
-        w[2] = x[1] / x[2] * (g * lam**2 - g * lam + d * lam + (n - 3) * (d * g - d - g + 1))
-        tail = g * lam**2 - g * lam - g + d + d * g * lam - d * g + g**2
+        w[1] = g * lam3 - (n - 1) * g * lam2 - (n - 3) * (g2 - 2 * g + 1)
+        w[2] = x[1] / x[2] * (g * lam2 - g * lam + d * lam + (n - 3) * (d * g - d - g + 1))
+        tail = g * lam2 - g * lam - g + d + d * g * lam - d * g + g2
         for i in range(3, n):
             w[i] = x[1] / x[i] * tail
     elif variant == 2:
         w[0] = x[2] * d * lam * (d + g * lam - (n - 2) * g + n - 3)
-        w[1] = x[2] / x[1] * (d * lam**2 - d * lam + g * lam + (n - 3) * (d * g - d - g + 1))
-        w[2] = d * lam**3 - (n - 1) * d * lam**2 - (n - 3) * (d**2 - 2 * d + 1)
-        tail = d * lam**2 - d * lam + g - d + d**2 + d * g * lam - d * g
+        w[1] = x[2] / x[1] * (d * lam2 - d * lam + g * lam + (n - 3) * (d * g - d - g + 1))
+        w[2] = d * lam3 - (n - 1) * d * lam2 - (n - 3) * (d2 - 2 * d + 1)
+        tail = d * lam2 - d * lam + g - d + d2 + d * g * lam - d * g
         for i in range(3, n):
             w[i] = x[2] / x[i] * tail
     else:
         w[0] = x[3] * d * g * lam * (d + g + lam - 2)
-        w[1] = x[3] / x[1] * (d * g * lam**2 - d * g * lam + g**2 + g * lam - g - d * g + d)
-        w[2] = x[3] / x[2] * (d * g * lam**2 - d * g * lam - d * g + g + d**2 + d * lam - d)
-        tail = d * g * lam**2 - 4 * d * g + g + d + d**2 * g + g**2 * d
+        w[1] = x[3] / x[1] * (d * g * lam2 - d * g * lam + g2 + g * lam - g - d * g + d)
+        w[2] = x[3] / x[2] * (d * g * lam2 - d * g * lam - d * g + g + d2 + d * lam - d)
+        tail = d * g * lam2 - 4 * d * g + g + d + d2 * g + g2 * d
         for i in range(3, n):
             w[i] = x[3] / x[i] * tail
     return w
 
 
-def _case2a_vector(x, d, g, lam, variant):
-    w = np.empty((4,) + x.shape[1:])
+def _case2a_vector(x, t, variant):
+    d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3 = t
+    w = np.empty(x.shape)
     if variant == 0:
-        w[0] = d * (lam**3 * g - 3 * lam**2 * g - 1 + 2 * g - g**2)
-        w[1] = (lam**2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g**2) / x[1]
-        w[2] = g * (g + lam - 1 + d * lam**2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
-        w[3] = (1 + lam * g - g + lam * d - d + d * g * lam**2 - 2 * lam * d * g + d * g) / x[3]
+        w[0] = d * (lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2)
+        w[1] = (lam2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g2) / x[1]
+        w[2] = g * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
+        w[3] = (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
     elif variant == 1:
-        w[0] = x[1] * (d * g * lam**2 - 2 * lam * d * g + 1 + 2 * lam * g - 2 * g + g**2)
-        w[1] = lam**3 * g - 3 * lam**2 * g - 1 + 2 * g - g**2
-        w[2] = x[1] / x[2] * g * (lam * g + lam**2 - 2 * lam - g + 1 + lam * d - d + d * g)
-        w[3] = x[1] / x[3] * (lam + lam**2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
+        w[0] = x[1] * (d * g * lam2 - 2 * lam * d * g + 1 + 2 * lam * g - 2 * g + g2)
+        w[1] = lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2
+        w[2] = x[1] / x[2] * g * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
+        w[3] = x[1] / x[3] * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
     elif variant == 2:
         w[0] = x[2] * d * (1 + lam * g - g) * (d + lam - 1)
-        w[1] = x[2] / x[1] * (1 + lam * g - g + lam * d - d + d * g * lam**2 - 2 * lam * d * g + d * g)
-        w[2] = g * (d * lam**3 - 3 * d * lam**2 - 1 + 2 * d - d**2)
-        w[3] = x[2] / x[3] * (2 * lam * d * g + d * lam**2 - 2 * lam * d - 2 * d * g + g + d**2 * g)
+        w[1] = x[2] / x[1] * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g)
+        w[2] = g * (d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2)
+        w[3] = x[2] / x[3] * (2 * lam * d * g + d * lam2 - 2 * lam * d - 2 * d * g + g + d2 * g)
     else:
-        w[0] = x[3] * d * (lam * g + lam**2 - 2 * lam - g + 1 + lam * d - d + d * g)
-        w[1] = x[3] / x[1] * (g + lam - 1 + d * lam**2 - 2 * lam * d + d + lam * d * g - d * g)
-        w[2] = x[3] / x[2] * (2 * lam * d + d * g * lam**2 - 2 * lam * d * g - 2 * d + 1 + d**2)
-        w[3] = d * lam**3 - 3 * d * lam**2 - 1 + 2 * d - d**2
+        w[0] = x[3] * d * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
+        w[1] = x[3] / x[1] * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g)
+        w[2] = x[3] / x[2] * (2 * lam * d + d * g * lam2 - 2 * lam * d * g - 2 * d + 1 + d2)
+        w[3] = d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2
     return w
 
 
-def _case2b_vector(n, x, d, g, lam, variant):
-    w = np.empty((n,) + x.shape[1:])
+def _case2b_vector(x, t, variant):
+    n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
+    w = np.empty(x.shape)
     if variant == 0:
-        w[0] = d * lam * (lam**3 * g - (n - 1) * lam**2 * g - (n - 3) * (g**2 - 2 * g + 1))
-        w[1] = (lam**3 * g - (n - 2) * lam**2 * g + (n - 2) * d * g * lam**2
-                + (lam * d + (n - 4) * (d - 1)) * (g**2 - 2 * g + 1)) / x[1]
-        w[2] = g * lam * (g + lam - 1 + d * lam**2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
-        w[3] = lam * (1 + lam * g - g + lam * d - d + d * g * lam**2 - 2 * lam * d * g + d * g) / x[3]
-        tail = (g**2 - 2 * g + lam**2 * g + 1 + lam * d - d * g * lam**2 - 2 * lam * d * g
-                + lam * g**2 * d + lam**3 * d * g - d + 2 * d * g - d * g**2)
+        w[0] = d * lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * (g2 - 2 * g + 1))
+        w[1] = (lam3 * g - (n - 2) * lam2 * g + (n - 2) * d * g * lam2
+                + (lam * d + (n - 4) * (d - 1)) * (g2 - 2 * g + 1)) / x[1]
+        w[2] = g * lam * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
+        w[3] = lam * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
+        tail = (g2 - 2 * g + lam2 * g + 1 + lam * d - d * g * lam2 - 2 * lam * d * g
+                + lam * g2 * d + lam3 * d * g - d + 2 * d * g - d * g2)
         for i in range(4, n):
             w[i] = tail / x[i]
     elif variant == 1:
-        w[0] = x[1] * (lam**3 * d * g - (n - 2) * d * g * lam**2 - (n - 4) * d * (g - 1) ** 2
-                       + lam + (n - 2) * lam**2 * g - 2 * lam * g + lam * g**2
-                       + (n - 4) * (g - 1) ** 2)
-        w[1] = lam * (lam**3 * g - (n - 1) * lam**2 * g - (n - 3) * (g - 1) ** 2)
-        w[2] = x[1] / x[2] * g * lam * (lam * g + lam**2 - 2 * lam - g + 1 + d * lam - d + d * g)
-        w[3] = x[1] / x[3] * lam * (lam + lam**2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
-        tail = (lam * g**2 - 2 * lam * g + lam**3 * g + lam - g**2 + 2 * g - lam**2 * g - 1
-                + d - 2 * d * g + d * g**2 + d * g * lam**2)
+        w[0] = x[1] * (lam3 * d * g - (n - 2) * d * g * lam2 - (n - 4) * d * gm1_2
+                       + lam + (n - 2) * lam2 * g - 2 * lam * g + lam * g2
+                       + (n - 4) * gm1_2)
+        w[1] = lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * gm1_2)
+        w[2] = x[1] / x[2] * g * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
+        w[3] = x[1] / x[3] * lam * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
+        tail = (lam * g2 - 2 * lam * g + lam3 * g + lam - g2 + 2 * g - lam2 * g - 1
+                + d - 2 * d * g + d * g2 + d * g * lam2)
         for i in range(4, n):
             w[i] = x[1] / x[i] * tail
     elif variant == 2:
         w[0] = x[2] * d * lam * (1 + lam * g - g) * (d + lam - 1)
         w[1] = x[2] / x[1] * lam * (1 + lam * g - g) * (1 + d * lam - d)
-        w[2] = g * lam * (lam**3 * d - (n - 1) * d * lam**2 - (n - 3) * (d - 1) ** 2)
-        w[3] = x[2] / x[3] * (d * lam**3 - (n - 2) * d * lam**2 * (1 - g) - 2 * lam * d * g
-                              + 2 * (n - 4) * d * (1 - g) + lam * g + d**2 * lam * g
-                              + (n - 4) * (-1 + g - d**2 + d**2 * g))
-        tail = (1 + lam * g - g) * (d * lam**2 + 1 - 2 * d + d**2)
+        w[2] = g * lam * (lam3 * d - (n - 1) * d * lam2 - (n - 3) * dm1_2)
+        w[3] = x[2] / x[3] * (d * lam3 - (n - 2) * d * lam2 * (1 - g) - 2 * lam * d * g
+                              + 2 * (n - 4) * d * (1 - g) + lam * g + d2 * lam * g
+                              + (n - 4) * (-1 + g - d2 + d2 * g))
+        tail = (1 + lam * g - g) * (d * lam2 + 1 - 2 * d + d2)
         for i in range(4, n):
             w[i] = x[2] / x[i] * tail
     elif variant == 3:
-        w[0] = x[3] * d * lam * (lam * g + lam**2 - 2 * lam - g + 1 + d * lam - d + d * g)
+        w[0] = x[3] * d * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
         w[1] = x[3] / x[1] * lam * (g + lam - 1) * (1 + d * lam - d)
-        w[2] = x[3] / x[2] * (lam**3 * d * g - (n - 2) * d * lam**2 * (g - 1) - 2 * d * lam
-                              + 2 * (n - 4) * d * (g - 1) + lam + d**2 * lam
-                              + (n - 4) * (1 - g + d**2 - d**2 * g))
-        w[3] = lam * (d * lam**3 - (n - 1) * d * lam**2 - (n - 3) * (d - 1) ** 2)
-        tail = (d * g * lam**2 + lam**3 * d - d * lam**2 - 2 * d * lam - 2 * d * g + 2 * d
-                - 1 + g + lam + d**2 * lam - d**2 + d**2 * g)
+        w[2] = x[3] / x[2] * (lam3 * d * g - (n - 2) * d * lam2 * (g - 1) - 2 * d * lam
+                              + 2 * (n - 4) * d * (g - 1) + lam + d2 * lam
+                              + (n - 4) * (1 - g + d2 - d2 * g))
+        w[3] = lam * (d * lam3 - (n - 1) * d * lam2 - (n - 3) * dm1_2)
+        tail = (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam - 2 * d * g + 2 * d
+                - 1 + g + lam + d2 * lam - d2 + d2 * g)
         for i in range(4, n):
             w[i] = x[3] / x[i] * tail
     else:
-        w[0] = x[4] * d * lam * (g**2 - 2 * g + lam**2 * g + 1) * (d + lam - 1)
-        w[1] = x[4] / x[1] * lam * (g**2 - 2 * g + lam**2 * g + 1) * (1 + d * lam - d)
-        w[2] = x[4] / x[2] * g * lam * (d * g * lam**2 + lam**3 * d - d * lam**2 - 2 * d * lam
-                                        - 2 * d * g + 2 * d - 1 + g + lam + d**2 * lam
-                                        - d**2 + d**2 * g)
-        w[3] = x[4] / x[3] * lam * (d * lam**2 + lam**3 * d * g - d * g * lam**2 - 2 * lam * d * g
-                                    - 2 * d + 2 * d * g - g + 1 + lam * g + d**2
-                                    + d**2 * lam * g - d**2 * g)
-        tail = (g**2 - 2 * g + lam**2 * g + 1) * (d * lam**2 + 1 - 2 * d + d**2)
+        w[0] = x[4] * d * lam * (g2 - 2 * g + lam2 * g + 1) * (d + lam - 1)
+        w[1] = x[4] / x[1] * lam * (g2 - 2 * g + lam2 * g + 1) * (1 + d * lam - d)
+        w[2] = x[4] / x[2] * g * lam * (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam
+                                        - 2 * d * g + 2 * d - 1 + g + lam + d2 * lam
+                                        - d2 + d2 * g)
+        w[3] = x[4] / x[3] * lam * (d * lam2 + lam3 * d * g - d * g * lam2 - 2 * lam * d * g
+                                    - 2 * d + 2 * d * g - g + 1 + lam * g + d2
+                                    + d2 * lam * g - d2 * g)
+        tail = (g2 - 2 * g + lam2 * g + 1) * (d * lam2 + 1 - 2 * d + d2)
         for i in range(4, n):
             w[i] = x[4] / x[i] * tail
     return w
@@ -341,14 +357,8 @@ def _checked_base(structure: PerturbationStructure) -> np.ndarray:
     return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
 
 
-def _variant_vector(structure: PerturbationStructure, x: np.ndarray, variant: int,
-                    lam: float) -> np.ndarray:
-    n, d, g = structure.n, structure.delta, structure.gamma
-    if structure.kind == PerturbationKind.CASE1:
-        return _case1_vector(n, x, d, g, lam, variant)
-    if structure.kind == PerturbationKind.CASE2A:
-        return _case2a_vector(x, d, g, lam, variant)
-    return _case2b_vector(n, x, d, g, lam, variant)
+_FORMS = {PerturbationKind.CASE1: _case1_vector, PerturbationKind.CASE2A: _case2a_vector,
+          PerturbationKind.CASE2B: _case2b_vector}
 
 
 def raw_variant_vector(structure: PerturbationStructure, variant: int,
@@ -362,17 +372,20 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    return _variant_vector(structure, x, variant, lam)
+    return _FORMS[structure.kind](x, form_terms(structure.delta, structure.gamma, lam), variant)
 
 
-def variant_vectors(cell: PerturbationStructure, x: np.ndarray, lam: float) -> np.ndarray:
-    """Every :func:`raw_variant_vector` form at ``lam``, shape (variants, n) + x.shape[1:].
+def variant_vectors(kind: PerturbationKind, x: np.ndarray, terms) -> np.ndarray:
+    """Every :func:`raw_variant_vector` form of ``kind``, shape (variants,) + x.shape.
 
-    ``x`` is (1, base), or (n, B) with column ``k`` (1, base) of the ``k``-th
-    base.  The cell's base is not read, and the caller has checked that the
-    closed forms apply.
+    ``x`` is (1, base) with the :func:`form_terms` tuple, or (n, B) with
+    column ``k`` (1, base) of the ``k``-th sample and a (9, B) array of
+    terms whose column ``k`` holds that sample's :func:`form_terms`.  Each
+    column gets the bits of the one-dimensional call on its own parameters.
+    The caller has checked that the closed forms apply.
     """
-    return np.array([_variant_vector(cell, x, v, lam) for v in range(variant_count(cell.kind))])
+    form = _FORMS[kind]
+    return np.array([form(x, terms, v) for v in range(variant_count(kind))])
 
 
 @dataclass(frozen=True)
@@ -395,7 +408,8 @@ def closed_form_eigenvector(structure: PerturbationStructure,
     x = _checked_base(structure)
     lam = lambda_max_closed_form(structure)
     if variant is None:
-        candidates = variant_vectors(structure, x, lam)
+        candidates = variant_vectors(structure.kind, x,
+                                     form_terms(structure.delta, structure.gamma, lam))
         variant = int(np.argmax(np.abs(candidates[:, 0])))
         raw = candidates[variant]
     else:

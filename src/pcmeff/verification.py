@@ -19,7 +19,7 @@ import numpy as np
 
 from .efficiency import is_efficient
 from .errors import HypothesisViolatedError, InvalidCaseError
-from .generators import parametric_inefficient, sample_base, sample_ratio
+from .generators import parametric_inefficient, sample_base, sample_bases, sample_ratio
 from .pcm import (
     CANONICAL_FORMS,
     DOUBLE_KINDS,
@@ -32,8 +32,8 @@ from .pcm import (
     validate_entries,
 )
 # Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
-from .spectral import lambda_max_closed_form, power_iteration, power_iteration_batch, \
-    raw_variant_vector, variant_vectors  # noqa: F401
+from .spectral import form_terms, lambda_max_closed_form, power_iteration, \
+    power_iteration_batch, raw_variant_vector, variant_vectors  # noqa: F401
 
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
@@ -243,8 +243,13 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
 
 
 def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
-    """Worst normalized slack of w_u / w_v over a_uv along each sample's region cycle."""
-    cycles = [region_cycle(kind, d, g) for d, g in zip(delta.tolist(), gamma.tolist())]
+    """Worst normalized slack of w_u / w_v over a_uv along each sample's region cycle.
+
+    A cycle depends on (delta, gamma) alone and is resolved once per distinct pair.
+    """
+    pairs = list(zip(delta.tolist(), gamma.tolist()))
+    cycle_of = {pair: region_cycle(kind, *pair) for pair in set(pairs)}
+    cycles = [cycle_of[pair] for pair in pairs]
     margins = np.empty(len(cycles))
     for cycle in set(cycles):
         rows = [k for k, c in enumerate(cycles) if c == cycle]
@@ -369,21 +374,29 @@ def _sweep_cells(reports: dict[str, LemmaReport], cells: list, x: np.ndarray) ->
     """Record the requested checks on the samples of grid cells of one kind and order.
 
     Row ``k`` of ``x`` is (1, base) of sample ``k``, and the cells split the
-    rows into equal blocks in order.  The hypotheses and the closed-form root
-    depend on the cell alone and are evaluated once per cell.  Positivity,
-    the worst normalized entry of the closed-form variant vectors, runs on
-    each cell's block of bases.  A sample's matrix is built when a requested
-    check reads it, in stacks of at most ``_STACK_CAP`` samples.
+    rows into equal blocks in order.  The hypotheses, the closed-form root
+    and the powers the forms read depend on the cell alone and are evaluated
+    once per cell; every check then runs on stacks of at most ``_STACK_CAP``
+    samples.  Positivity, the worst normalized entry of the closed-form
+    variant vectors, reads no matrix.  A sample's matrix is built when
+    another requested check reads it.
     """
     kind, count = cells[0].kind, len(x) // len(cells)
     delta = np.repeat([cell.delta for cell in cells], count)
     gamma = np.repeat([cell.gamma for cell in cells], count)
-    for c, cell in enumerate(cells):
-        if POSITIVITY_CHECK in reports and _hypothesis_violation(POSITIVITY_CHECK, cell) is None:
-            rows = slice(c * count, (c + 1) * count)
-            v = variant_vectors(cell, x[rows].T, lambda_max_closed_form(cell))
+    positive = [_hypothesis_violation(POSITIVITY_CHECK, cell) is None
+                for cell in cells] if POSITIVITY_CHECK in reports else []
+    if any(positive):
+        rows = np.flatnonzero(np.repeat(positive, count))
+        # a (9, rows) array: each held cell's form terms, repeated to its samples
+        terms = np.repeat(np.transpose([
+            form_terms(cell.delta, cell.gamma, lambda_max_closed_form(cell))
+            for cell, held in zip(cells, positive) if held]), count, axis=1)
+        for start in range(0, len(rows), _STACK_CAP):
+            k = rows[start:start + _STACK_CAP]
+            v = variant_vectors(kind, x[k].T, terms[:, start:start + _STACK_CAP])
             margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-            reports[POSITIVITY_CHECK].record(kind, x[rows], delta[rows], gamma[rows], margins)
+            reports[POSITIVITY_CHECK].record(kind, x[k], delta[k], gamma[k], margins)
     matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
                   and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
     held = np.repeat([[_hypothesis_violation(check_id, cell) is None for check_id in matrix_ids]
@@ -418,7 +431,7 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
             cells = [PerturbationStructure(kind, n, delta=delta, gamma=gamma)
                      for delta in grid.ratio_values for gamma in grid.ratio_values]
             x = np.ones((len(cells) * grid.bases(kind), n))
-            x[:, 1:] = [sample_base(rng, n) for _ in range(len(x))]
+            x[:, 1:] = sample_bases(rng, n, len(x))
             _sweep_cells(reports, cells, x)
     return list(reports.values())
 

@@ -362,21 +362,35 @@ def test_default_variant_has_largest_leading_component():
     assert closed_form_eigenvector(st).variant == int(np.argmax(leading))
 
 
+def _drawn_until(rng, holds):
+    """The first log-uniform draw from [1/81, 81] for which ``holds`` is true."""
+    while True:
+        v = float(np.exp(rng.uniform(np.log(1 / 81), np.log(81))))
+        if holds(v):
+            return v
+
+
 def test_stacked_variant_vectors_keep_the_one_base_bits():
-    # a stack of bases, a stack of one and a one-dimensional x give each form the same bits
+    # every column of one stacked call has its own base, delta, gamma and lam, and gets
+    # the bits of the one-dimensional call on Python floats; in the last two columns
+    # each power rounds unlike the product it stands for, so a power taken on an
+    # array of rows instead of a float shows
     rng = np.random.default_rng(23)
+    square = _drawn_until(rng, lambda v: v**2 != v * v)
+    shifted = _drawn_until(rng, lambda v: (v - 1) ** 2 != (v - 1) * (v - 1))
     for kind, orders in ALL_CASES:
         for n in orders:
-            for d, g in [(0.2, 7.0), (3.0, 3.0), (1.1, 0.9), (9.0, 0.5)]:
-                cell = PerturbationStructure(kind, n, delta=d, gamma=g)
-                lam = lambda_max_closed_form(cell)
-                xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), (n, 6)))
-                xs[0] = 1.0
-                stacked = spectral.variant_vectors(cell, xs, lam)
-                assert stacked.shape == (variant_count(kind), n, 6)
-                for k in range(6):
-                    one = PerturbationStructure(kind, n, tuple(xs[1:, k]), d, g)
+            cells = np.exp(rng.uniform(np.log(1 / 81), np.log(81), (512, 3))).tolist()
+            cells += [[square, square, square], [shifted, shifted, square]]
+            xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), (n, len(cells))))
+            xs[0] = 1.0
+            terms = [spectral.form_terms(d, g, lam) for d, g, lam in cells]
+            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms))
+            assert stacked.shape == (variant_count(kind), n, len(cells))
+            for k, (d, g, lam) in enumerate(cells):
+                one = spectral.variant_vectors(kind, xs[:, k].copy(), terms[k])
+                assert stacked[..., k].tobytes() == one.tobytes()
+                if k >= 512:
+                    st = PerturbationStructure(kind, n, tuple(xs[1:, k]), d, g)
                     for v in range(variant_count(kind)):
-                        scalar = spectral._variant_vector(one, xs[:, k].copy(), v, lam)
-                        assert stacked[v, :, k].tobytes() == scalar.tobytes()
-                        assert raw_variant_vector(one, v, lam).tobytes() == scalar.tobytes()
+                        assert raw_variant_vector(st, v, lam).tobytes() == one[v].tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -238,12 +240,16 @@ def test_positivity_check_reads_each_structure_once(monkeypatch):
         return count(kind)
 
     monkeypatch.setattr(spectral, "variant_count", counting_count)
-    reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
-    # one stacked evaluation per grid cell, and positivity holds in every cell
-    cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
-        * len(SMALL_GRID.ratio_values) ** 2
-    assert len(counted) == cells == 640
-    assert reports[POSITIVITY_CHECK].samples_run == 832
+    for cap in (verification._STACK_CAP, 7):
+        monkeypatch.setattr(verification, "_STACK_CAP", cap)
+        counted.clear()
+        reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
+        # positivity holds in every cell, and each (kind, n) stack is evaluated
+        # once per chunk of at most _STACK_CAP samples
+        chunks = sum(math.ceil(SMALL_GRID.bases(kind) * len(SMALL_GRID.ratio_values) ** 2 / cap)
+                     for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind))
+        assert len(counted) == chunks
+        assert reports[POSITIVITY_CHECK].samples_run == 832
 
 
 def test_equality_checks_hold_tightly():

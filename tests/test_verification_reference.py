@@ -99,8 +99,8 @@ def _cycle_margin(sample, m, w):
 
 
 def _positivity_margin(sample, lam):
-    x = _x(sample)    # one-dimensional: the scalar evaluation of each form
-    vectors = [spectral._variant_vector(sample, x, v, lam)
+    # one-dimensional: the scalar evaluation of each form
+    vectors = [spectral.raw_variant_vector(sample, v, lam)
                for v in range(spectral.variant_count(sample.kind))]
     return float(min(np.min(v) / np.max(np.abs(v)) for v in vectors))
 
