@@ -276,13 +276,15 @@ def int_at_least(lowest: int):
     return parse
 
 
-def tolerance(zero_allowed: bool):
-    """An argparse type: a finite float above 0, or at least 0 when ``zero_allowed``."""
+def tolerance(zero_allowed: bool, below: float = np.inf):
+    """An argparse type: a finite float above 0 (at least 0 if ``zero_allowed``) below ``below``."""
     def parse(text: str) -> float:
         value = float(text)
         if not ((value >= 0.0 if zero_allowed else value > 0.0) and value < np.inf):
             raise argparse.ArgumentTypeError(
                 f"must be finite and {'at least' if zero_allowed else 'above'} 0, got {text}")
+        if not value < below:
+            raise argparse.ArgumentTypeError(f"must be below {below:g}, got {text}")
         return value
     parse.__name__ = "float"
     return parse
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", action="store_true")
     p_an.add_argument("--digraph-dot", metavar="PATH")
     p_an.add_argument("--tol-consistency", type=tolerance(True), default=DEFAULT_CONSISTENCY_TOL)
-    p_an.add_argument("--tol-tie", type=tolerance(True), default=DEFAULT_TIE_TOL)
+    p_an.add_argument("--tol-tie", type=tolerance(True, below=1.0), default=DEFAULT_TIE_TOL)
     p_an.add_argument("--tol-power", type=tolerance(False), default=DEFAULT_POWER_TOL)
     p_an.set_defaults(func=_cmd_analyze)
 

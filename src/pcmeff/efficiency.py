@@ -69,8 +69,8 @@ def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigr
     only within ``RECIPROCITY_TOL``, a pair that neither direction improves
     in both cells counts as a tie.
     """
-    if not tie_tol >= 0:    # NaN fails too
-        raise ValueError("tie_tol must be non-negative")
+    if not 0.0 <= tie_tol < 1.0:    # NaN fails too; from 1 up every pair is a tie
+        raise ValueError(f"tie_tol must be non-negative and below 1, got {tie_tol}")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive finite vector of length n")

@@ -137,7 +137,10 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     base = spec.base if spec.base is not None else sample_base(rng, n)
     if len(base) != n - 1:
         raise IncompatibleOrderError(f"base must have {n - 1} ratios, got {len(base)}")
-    factors = [f if f is not None else sample_ratio(rng, lo, hi, exclude_one=True)
-               for f in (spec.delta, spec.gamma)[:len(CANONICAL_FORMS[kind].cells)]]
+    factors = []
+    for name in ("delta", "gamma")[:len(CANONICAL_FORMS[kind].cells)]:
+        if (f := getattr(spec, name)) == 1.0:    # an unperturbed cell: not of this kind
+            raise IncompatibleOrderError(f"{name} must differ from 1 for family {family!r}")
+        factors.append(f if f is not None else sample_ratio(rng, lo, hi, exclude_one=True))
     structure = PerturbationStructure(kind, n, tuple(base), *factors)
     return apply_perturbation(structure), structure

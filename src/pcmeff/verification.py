@@ -101,7 +101,7 @@ class _Lemma:
 
     lemma_id: str
     kind: PerturbationKind
-    hypothesis: Callable[[float, float, int], bool]
+    hypothesis: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     margin: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     equality: bool = False
 
@@ -123,17 +123,17 @@ def _build_registry() -> dict[str, _Lemma]:
     c1, c2a, c2b = PerturbationKind.CASE1, PerturbationKind.CASE2A, PerturbationKind.CASE2B
     lemmas = [
         # shared-row case: perturbations at cells (1,2) and (1,3), 1-based
-        _Lemma("1a", c1, lambda d, g, n: d > 1 and d >= g,
+        _Lemma("1a", c1, lambda d, g, n: (d > 1) & (d >= g),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], -1)),
-        _Lemma("1b", c1, lambda d, g, n: d < 1 and d <= g,
+        _Lemma("1b", c1, lambda d, g, n: (d < 1) & (d <= g),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], +1)),
-        _Lemma("1c", c1, lambda d, g, n: g > 1 and g >= d,
+        _Lemma("1c", c1, lambda d, g, n: (g > 1) & (g >= d),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], g * x[:, 2], -1)),
-        _Lemma("1d", c1, lambda d, g, n: g < 1 and g <= d,
+        _Lemma("1d", c1, lambda d, g, n: (g < 1) & (g <= d),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], g * x[:, 2], +1)),
-        _Lemma("1e", c1, lambda d, g, n: d > 1 and g > 1,
+        _Lemma("1e", c1, lambda d, g, n: (d > 1) & (g > 1),
                lambda w, x, d, g: _tail_margin(w, x, 1, 3, +1)),
-        _Lemma("1f", c1, lambda d, g, n: d < 1 and g < 1,
+        _Lemma("1f", c1, lambda d, g, n: (d < 1) & (g < 1),
                lambda w, x, d, g: _tail_margin(w, x, 1, 3, -1)),
         _Lemma("1g", c1, lambda d, g, n: True,
                lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], g - d)),
@@ -146,21 +146,21 @@ def _build_registry() -> dict[str, _Lemma]:
         # disjoint-row 4x4 case: perturbations at (1,2) and (3,4)
         _Lemma("2a", c2a, lambda d, g, n: True,
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 1], d * x[:, 1], 1.0 - d)),
-        _Lemma("2b", c2a, lambda d, g, n: d > 1 and g < 1,
+        _Lemma("2b", c2a, lambda d, g, n: (d > 1) & (g < 1),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], x[:, 2], +1)),
-        _Lemma("2c", c2a, lambda d, g, n: d < 1 and g > 1,
+        _Lemma("2c", c2a, lambda d, g, n: (d < 1) & (g > 1),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 2], x[:, 2], -1)),
-        _Lemma("2d", c2a, lambda d, g, n: d < 1 and g < 1,
+        _Lemma("2d", c2a, lambda d, g, n: (d < 1) & (g < 1),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 3], x[:, 3], -1)),
-        _Lemma("2e", c2a, lambda d, g, n: d > 1 and g > 1,
+        _Lemma("2e", c2a, lambda d, g, n: (d > 1) & (g > 1),
                lambda w, x, d, g: _ordered(w[:, 0] / w[:, 3], x[:, 3], +1)),
-        _Lemma("2f", c2a, lambda d, g, n: d < 1 and g < 1,
+        _Lemma("2f", c2a, lambda d, g, n: (d < 1) & (g < 1),
                lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], +1)),
-        _Lemma("2g", c2a, lambda d, g, n: d > 1 and g > 1,
+        _Lemma("2g", c2a, lambda d, g, n: (d > 1) & (g > 1),
                lambda w, x, d, g: _ordered(w[:, 1] / w[:, 2], x[:, 2] / x[:, 1], -1)),
-        _Lemma("2h", c2a, lambda d, g, n: d < 1 and g > 1,
+        _Lemma("2h", c2a, lambda d, g, n: (d < 1) & (g > 1),
                lambda w, x, d, g: _ordered(w[:, 1] / w[:, 3], x[:, 3] / x[:, 1], +1)),
-        _Lemma("2i", c2a, lambda d, g, n: d > 1 and g < 1,
+        _Lemma("2i", c2a, lambda d, g, n: (d > 1) & (g < 1),
                lambda w, x, d, g: _ordered(w[:, 1] / w[:, 3], x[:, 3] / x[:, 1], -1)),
         _Lemma("2j", c2a, lambda d, g, n: True,
                lambda w, x, d, g: _ordered(w[:, 2] / w[:, 3], g * x[:, 3] / x[:, 2], 1.0 - g)),
@@ -192,25 +192,26 @@ ALL_CHECK_IDS = LEMMA_IDS + (POSITIVITY_CHECK, CYCLE_CHECK)
 
 # Directed cycles certifying strong connectivity, one per parameter sign
 # region (1-based nodes; "i" stands for every contracted trailing node).
+# Each region's predicate is elementwise, like a lemma's hypothesis.
 CASE1_CYCLES = (
-    (lambda d, g: d > 1 and g > d, (1, "i", 2, 3, 1)),
-    (lambda d, g: g > 1 and g < d, (1, "i", 3, 2, 1)),
-    (lambda d, g: d > 1 and g < 1, (1, 3, "i", 2, 1)),
-    (lambda d, g: d < 1 and g < d, (1, 3, 2, "i", 1)),
-    (lambda d, g: g < 1 and g > d, (1, 2, 3, "i", 1)),
-    (lambda d, g: d < 1 and g > 1, (1, 2, "i", 3, 1)),
+    (lambda d, g: (d > 1) & (g > d), (1, "i", 2, 3, 1)),
+    (lambda d, g: (g > 1) & (g < d), (1, "i", 3, 2, 1)),
+    (lambda d, g: (d > 1) & (g < 1), (1, 3, "i", 2, 1)),
+    (lambda d, g: (d < 1) & (g < d), (1, 3, 2, "i", 1)),
+    (lambda d, g: (g < 1) & (g > d), (1, 2, 3, "i", 1)),
+    (lambda d, g: (d < 1) & (g > 1), (1, 2, "i", 3, 1)),
 )
 CASE2A_CYCLES = (
-    (lambda d, g: d > 1 and g > 1, (1, 4, 3, 2, 1)),
-    (lambda d, g: d > 1 and g < 1, (1, 3, 4, 2, 1)),
-    (lambda d, g: d < 1 and g < 1, (1, 2, 3, 4, 1)),
-    (lambda d, g: d < 1 and g > 1, (1, 2, 4, 3, 1)),
+    (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, 2, 1)),
+    (lambda d, g: (d > 1) & (g < 1), (1, 3, 4, 2, 1)),
+    (lambda d, g: (d < 1) & (g < 1), (1, 2, 3, 4, 1)),
+    (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, 1)),
 )
 CASE2B_CYCLES = (
-    (lambda d, g: d > 1 and g > 1, (1, 4, 3, "i", 2, 1)),
-    (lambda d, g: d > 1 and g < 1, (1, "i", 3, 4, 2, 1)),
-    (lambda d, g: d < 1 and g < 1, (1, 2, "i", 3, 4, 1)),
-    (lambda d, g: d < 1 and g > 1, (1, 2, 4, 3, "i", 1)),
+    (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, "i", 2, 1)),
+    (lambda d, g: (d > 1) & (g < 1), (1, "i", 3, 4, 2, 1)),
+    (lambda d, g: (d < 1) & (g < 1), (1, 2, "i", 3, 4, 1)),
+    (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, "i", 1)),
 )
 _CYCLES = {
     PerturbationKind.CASE1: CASE1_CYCLES,
@@ -245,59 +246,51 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
 def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
     """Worst normalized slack of w_u / w_v over a_uv along each sample's region cycle.
 
-    A cycle depends on (delta, gamma) alone and is resolved once per distinct pair.
+    A row that no region's predicate covers keeps a NaN margin: a violation.
     """
-    pairs = list(zip(delta.tolist(), gamma.tolist()))
-    cycle_of = {pair: region_cycle(kind, *pair) for pair in set(pairs)}
-    cycles = [cycle_of[pair] for pair in pairs]
-    margins = np.empty(len(cycles))
-    for cycle in set(cycles):
-        rows = [k for k, c in enumerate(cycles) if c == cycle]
+    margins = np.full(len(w), np.nan)
+    for predicate, cycle in _CYCLES[kind]:
+        rows = np.flatnonzero(predicate(delta, gamma))
         u, v = np.array(expand_cycle_arcs(cycle, w.shape[1], kind)).T
         entries = a[rows][:, u, v]
         margins[rows] = ((w[rows][:, u] / w[rows][:, v] - entries) / entries).min(axis=1)
     return margins
 
 
-def _hypothesis_violation(check_id: str, point: PerturbationStructure) -> str | None:
-    """Why the point's (kind, n, delta, gamma) lies outside the check's hypothesis, or None.
+def _holds(check_id: str, kind: PerturbationKind, n: int, delta, gamma):
+    """Where a known check's hypothesis holds on floats or arrays of factors, elementwise.
 
-    The base is not read, and ``check_id`` must be a known check id.
+    No statement covers a factor equal to 1, and ``kind`` must be double-perturbed; the
+    cycle check needs a sign region of its kind, a lemma its own kind and region.
     """
-    kind, n, delta, gamma = point.kind, point.n, point.delta, point.gamma
-    if kind not in DOUBLE_KINDS:
-        return f"sample kind {kind.value!r} is not double-perturbed"
-    if 1.0 in (delta, gamma):
-        return "delta and gamma must be different from 1"
-    if check_id == CYCLE_CHECK and kind == PerturbationKind.CASE1 and delta == gamma:
-        return "shared-row cycle regions require delta != gamma"
-    if check_id in (POSITIVITY_CHECK, CYCLE_CHECK):
-        return None
-    lemma = LEMMAS[check_id]
-    if kind != lemma.kind:
-        return f"check {check_id} applies to {lemma.kind.value}, sample is {kind.value}"
-    if not lemma.hypothesis(delta, gamma, n):
-        return f"sample outside the hypothesis region of {check_id}"
-    return None
+    held = (delta != 1.0) & (gamma != 1.0)
+    if check_id == CYCLE_CHECK:
+        return held & np.logical_or.reduce([region(delta, gamma) for region, _ in _CYCLES[kind]])
+    lemma = LEMMAS.get(check_id)
+    if lemma is None:
+        return held
+    return held & (lemma.kind == kind) & lemma.hypothesis(delta, gamma, n)
 
 
 def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     """Evaluate one check on one sample; margin > 0 means the claim held.
 
     The sweep on one grid cell with one base.  ``ValueError`` for an unknown
-    check id, then :class:`HypothesisViolatedError` with the reason of
-    :func:`_hypothesis_violation` (in particular whenever delta or gamma
-    equals 1, which no perturbation statement covers).
+    check id, then :class:`HypothesisViolatedError` naming the check and the
+    sample's kind, n, delta and gamma unless the kind is double-perturbed and
+    :func:`_holds` is true there (never where delta or gamma equals 1).
     """
     if lemma_id not in ALL_CHECK_IDS:
         raise ValueError(f"unknown check ids {[lemma_id]}")
-    reason = _hypothesis_violation(lemma_id, sample)
-    if reason is not None:
-        raise HypothesisViolatedError(reason)
+    kind, n, delta, gamma = sample.kind, sample.n, sample.delta, sample.gamma
+    if kind not in DOUBLE_KINDS or not _holds(lemma_id, kind, n, delta, gamma):
+        raise HypothesisViolatedError(f"check {lemma_id} does not apply to kind {kind.value!r}, "
+                                      f"n = {n}, delta = {delta}, gamma = {gamma}")
     if sample.base is None:
         raise InvalidCaseError("structure must carry a base vector")
     report = LemmaReport(lemma_id)
-    _sweep_cells({lemma_id: report}, [sample], np.array([(1.0,) + tuple(sample.base)]))
+    _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
+                 np.array([(1.0,) + tuple(sample.base)]))
     return LemmaCheck(lemma_id, report.passed, report.min_margin)
 
 
@@ -340,8 +333,9 @@ class SuiteGrid:
         Each base count covers the smallest hypothesis region among the
         checks of the kinds it feeds.
         """
-        region = {kind: min(sum(lem.hypothesis(d, g, n) for n in cls.orders(kind)
-                                for d in cls.ratio_values for g in cls.ratio_values)
+        delta, gamma = np.meshgrid(cls.ratio_values, cls.ratio_values)
+        region = {kind: min(sum(int(_holds(lem.lemma_id, kind, n, delta, gamma).sum())
+                                for n in cls.orders(kind))
                             for lem in LEMMAS.values() if lem.kind == kind)
                   for kind in DOUBLE_KINDS}
         case2a = region.pop(PerturbationKind.CASE2A)
@@ -370,41 +364,41 @@ def _record(reports: dict[str, LemmaReport], check_ids: list[str], kind: Perturb
             else _cycle_margins(kind, w[k], a[k], delta[k], gamma[k])))
 
 
-def _sweep_cells(reports: dict[str, LemmaReport], cells: list, x: np.ndarray) -> None:
+def _sweep_cells(reports: dict[str, LemmaReport], kind: PerturbationKind, delta: np.ndarray,
+                 gamma: np.ndarray, x: np.ndarray) -> None:
     """Record the requested checks on the samples of grid cells of one kind and order.
 
-    Row ``k`` of ``x`` is (1, base) of sample ``k``, and the cells split the
-    rows into equal blocks in order.  The hypotheses, the closed-form root
-    and the powers the forms read depend on the cell alone and are evaluated
-    once per cell; every check then runs on stacks of at most ``_STACK_CAP``
-    samples.  Positivity, the worst normalized entry of the closed-form
-    variant vectors, reads no matrix.  A sample's matrix is built when
-    another requested check reads it.
+    Cell ``c`` has factors ``delta[c]`` and ``gamma[c]``, and row ``k`` of
+    ``x``, (1, base) of sample ``k``, belongs to cell ``k // count`` for
+    ``count`` rows per cell.  Each hypothesis is one mask over the cells, and
+    the closed-form root and its powers are taken once per held cell, in
+    Python floats.  Every check runs on stacks of at most ``_STACK_CAP``
+    samples; positivity, the worst normalized entry of the closed-form
+    variant vectors, reads no matrix.
     """
-    kind, count = cells[0].kind, len(x) // len(cells)
-    delta = np.repeat([cell.delta for cell in cells], count)
-    gamma = np.repeat([cell.gamma for cell in cells], count)
-    positive = [_hypothesis_violation(POSITIVITY_CHECK, cell) is None
-                for cell in cells] if POSITIVITY_CHECK in reports else []
-    if any(positive):
-        rows = np.flatnonzero(np.repeat(positive, count))
-        # a (9, rows) array: each held cell's form terms, repeated to its samples
-        terms = np.repeat(np.transpose([
-            form_terms(cell.delta, cell.gamma, lambda_max_closed_form(cell))
-            for cell, held in zip(cells, positive) if held]), count, axis=1)
+    n, cell = x.shape[1], np.arange(len(x)) // (len(x) // len(delta))
+    row_delta, row_gamma = delta[cell], gamma[cell]
+    if POSITIVITY_CHECK in reports:
+        held = _holds(POSITIVITY_CHECK, kind, n, delta, gamma)
+        # a (9, cells) table of form terms, filled in the held cells' columns
+        terms = np.zeros((9, len(delta)))
+        for c in np.flatnonzero(held):
+            point = PerturbationStructure(kind, n, delta=float(delta[c]), gamma=float(gamma[c]))
+            terms[:, c] = form_terms(point.delta, point.gamma, lambda_max_closed_form(point))
+        rows = np.flatnonzero(held[cell])
         for start in range(0, len(rows), _STACK_CAP):
             k = rows[start:start + _STACK_CAP]
-            v = variant_vectors(kind, x[k].T, terms[:, start:start + _STACK_CAP])
+            v = variant_vectors(kind, x[k].T, terms[:, cell[k]])
             margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-            reports[POSITIVITY_CHECK].record(kind, x[k], delta[k], gamma[k], margins)
+            reports[POSITIVITY_CHECK].record(kind, x[k], row_delta[k], row_gamma[k], margins)
     matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
                   and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
-    held = np.repeat([[_hypothesis_violation(check_id, cell) is None for check_id in matrix_ids]
-                      for cell in cells], count, axis=0)
+    held = np.array([_holds(check_id, kind, n, delta, gamma) for check_id in matrix_ids],
+                    dtype=bool).reshape(len(matrix_ids), len(delta)).T[cell]
     rows = np.flatnonzero(held.any(axis=1))
     for start in range(0, len(rows), _STACK_CAP):
         k = rows[start:start + _STACK_CAP]
-        _record(reports, matrix_ids, kind, x[k], delta[k], gamma[k], held[k])
+        _record(reports, matrix_ids, kind, x[k], row_delta[k], row_gamma[k], held[k])
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
@@ -426,13 +420,13 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     reports = {check_id: LemmaReport(check_id) for check_id in ALL_CHECK_IDS
                if check_id in check_ids}
+    delta = np.repeat(grid.ratio_values, len(grid.ratio_values))    # cells: delta outer,
+    gamma = np.tile(grid.ratio_values, len(grid.ratio_values))      # gamma inner
     for kind in DOUBLE_KINDS:
         for n in grid.orders(kind):
-            cells = [PerturbationStructure(kind, n, delta=delta, gamma=gamma)
-                     for delta in grid.ratio_values for gamma in grid.ratio_values]
-            x = np.ones((len(cells) * grid.bases(kind), n))
+            x = np.ones((len(delta) * grid.bases(kind), n))
             x[:, 1:] = sample_bases(rng, n, len(x))
-            _sweep_cells(reports, cells, x)
+            _sweep_cells(reports, kind, delta, gamma, x)
     return list(reports.values())
 
 

@@ -151,6 +151,18 @@ def test_bad_tolerance_is_a_usage_error(example1_file, capsys, option, value, bo
     assert err.endswith(f"error: argument {option}: must be finite and {bound} 0, got {value}\n")
 
 
+@pytest.mark.parametrize("value", ["1", "5"])
+def test_tie_tolerance_from_1_up_is_a_usage_error(example1_file, capsys, value):
+    # at 1 - tol <= 0 every pair would be a tie, and the inefficient example1 would pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", str(example1_file), "--tol-tie", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --tol-tie: must be below 1, got {value}\n")
+    assert cli.main(["analyze", str(example1_file), "--tol-tie", "0.01"]) == cli.EXIT_INEFFICIENT
+
+
 def test_analyze_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a matrix\n")
@@ -302,6 +314,18 @@ def test_generate_names_a_bad_factor():
     assert proc.returncode == 1
     assert proc.stderr == "error: delta must be a positive finite real, got 0.0\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("family, option", [("case1", "--delta"), ("case1", "--gamma"),
+                                            ("case2b", "--gamma"), ("simple", "--delta")])
+def test_generate_rejects_a_unit_factor(tmp_path, capsys, family, option):
+    # a factor of 1 leaves its cell unperturbed: the sidecar would name the wrong kind
+    out = tmp_path / "m.txt"
+    assert cli.main(["generate", "--family", family, "--n", "5", option, "1",
+                     "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {option[2:]} must differ from 1 for family "
+                                       f"{family!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [("verify", "--theorem", "apq", "--samples", "2"),

@@ -88,8 +88,9 @@ def test_digraph_needs_an_arc_on_every_pair():
         digraph_from_arcs(3, [(0, 1), (2, 1)])
 
 
-@pytest.mark.parametrize("tie_tol", [-1e-9, np.nan])
+@pytest.mark.parametrize("tie_tol", [-1e-9, np.nan, 1.0, 5.0])
 def test_tie_tolerance_must_be_non_negative(tie_tol):
+    # from 1 up, 1 - tie_tol <= 0 gives every pair both arcs: every verdict would be efficient
     with pytest.raises(ValueError, match="tie_tol must be non-negative"):
         build_digraph(consistent_pcm([2.0]), [2.0, 1.0], tie_tol)
 

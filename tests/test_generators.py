@@ -119,6 +119,23 @@ def test_incompatible_orders_rejected(family, n):
         generate(GeneratorSpec(family=family, n=n))
 
 
+@pytest.mark.parametrize("family, n, factors", [
+    ("simple", 5, {"delta": 1.0}), ("case1", 5, {"delta": 1.0, "gamma": 2.0}),
+    ("case1", 6, {"gamma": 1.0}), ("case2a", 4, {"delta": 3.0, "gamma": 1.0}),
+    ("case2b", 5, {"delta": 1.0}),
+])
+def test_unit_factor_of_a_cell_rejected(family, n, factors):
+    # a unit factor leaves its cell unperturbed, so the matrix is not of the family's kind
+    name = next(name for name, f in factors.items() if f == 1.0)
+    with pytest.raises(IncompatibleOrderError, match=f"^{name} must differ from 1 for family"):
+        generate(GeneratorSpec(family=family, n=n, **factors))
+
+
+def test_unit_factor_outside_the_form_is_not_read():
+    m, truth = generate(GeneratorSpec(family="simple", n=5, delta=2.0, gamma=1.0, seed=3))
+    assert classify_perturbation(m).kind == truth.kind == PerturbationKind.SIMPLE
+
+
 def test_unknown_family_rejected():
     with pytest.raises(IncompatibleOrderError):
         generate(GeneratorSpec(family="triple", n=5))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from pcmeff.verification import (
     CASE1_CYCLES,
     CASE2A_CYCLES,
     CASE2B_CYCLES,
+    CYCLE_CHECK,
     LEMMA_IDS,
+    LEMMAS,
     POSITIVITY_CHECK,
     expand_cycle_arcs,
     region_cycle,
@@ -120,6 +124,73 @@ def test_check_lemma_rejects_an_unknown_check_id_first(sample):
     assert not isinstance(raised.value, HypothesisViolatedError)
 
 
+# ------------------------------------------------------------- hypotheses
+
+# 1.0, ties delta == gamma and reciprocal pairs delta * gamma == 1
+MESH = (1 / 9, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 9.0)
+
+
+def mesh_cells():
+    delta, gamma = (f.ravel() for f in np.meshgrid(MESH, MESH))
+    return delta, gamma, list(zip(delta.tolist(), gamma.tolist()))
+
+
+def per_cell_rule(check_id, kind, n, d, g):
+    """The hypothesis rule as it was stated one cell at a time."""
+    if 1.0 in (d, g):
+        return False
+    if check_id == CYCLE_CHECK:
+        return not (kind == PerturbationKind.CASE1 and d == g)
+    if check_id == POSITIVITY_CHECK:
+        return True
+    lemma = LEMMAS[check_id]
+    return lemma.kind == kind and bool(lemma.hypothesis(d, g, n))
+
+
+def test_elementwise_tables_equal_the_scalar_evaluation():
+    delta, gamma, cells = mesh_cells()
+    for lemma in LEMMAS.values():
+        for n in SuiteGrid.orders(lemma.kind):
+            mask = np.broadcast_to(lemma.hypothesis(delta, gamma, n), delta.shape)
+            assert mask.tolist() == [lemma.hypothesis(d, g, n) for d, g in cells], lemma.lemma_id
+    for table in (CASE1_CYCLES, CASE2A_CYCLES, CASE2B_CYCLES):
+        for predicate, cycle in table:
+            assert predicate(delta, gamma).tolist() == [predicate(d, g) for d, g in cells], cycle
+    for kind in DOUBLE_KINDS:
+        for n in SuiteGrid.orders(kind):
+            for check_id in ALL_CHECK_IDS:
+                held = verification._holds(check_id, kind, n, delta, gamma)
+                assert held.tolist() == [bool(verification._holds(check_id, kind, n, d, g))
+                                         for d, g in cells], (check_id, kind, n)
+                assert held.tolist() == [per_cell_rule(check_id, kind, n, d, g)
+                                         for d, g in cells], (check_id, kind, n)
+
+
+def test_check_lemma_raises_exactly_where_the_hypothesis_fails(monkeypatch):
+    swept = []
+    monkeypatch.setattr(verification, "_sweep_cells", lambda *args: swept.append(args))
+    delta, gamma, cells = mesh_cells()
+    for kind in DOUBLE_KINDS + (PerturbationKind.SIMPLE,):
+        orders = SuiteGrid.orders(kind)
+        for n in {orders[0], orders[-1]}:    # 1j and 3h fail at the first, hold at the last
+            for check_id in ALL_CHECK_IDS:
+                held = [False] * len(cells) if kind == PerturbationKind.SIMPLE \
+                    else verification._holds(check_id, kind, n, delta, gamma).tolist()
+                for (d, g), h in zip(cells, held):
+                    sample = PerturbationStructure(kind, n, (1.5,) * (n - 1), d, g)
+                    swept.clear()
+                    if h:
+                        check_lemma(check_id, sample)
+                        assert len(swept) == 1
+                    else:
+                        with pytest.raises(HypothesisViolatedError) as raised:
+                            check_lemma(check_id, sample)
+                        assert swept == []
+                        assert str(raised.value) == (
+                            f"check {check_id} does not apply to kind '{kind.value}', "
+                            f"n = {n}, delta = {d}, gamma = {g}")
+
+
 # ----------------------------------------------------------------- cycles
 
 def test_region_tables_partition_the_parameter_space():
@@ -130,6 +201,19 @@ def test_region_tables_partition_the_parameter_space():
             assert sum(pred(d, g) for pred, _ in CASE2B_CYCLES) == 1
             if d != g:
                 assert sum(pred(d, g) for pred, _ in CASE1_CYCLES) == 1
+
+
+def test_a_sample_outside_every_region_is_a_cycle_violation():
+    # shared-row delta == gamma lies in no sign region: its margin is NaN, never a pass
+    sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 2.0, 2.0)
+    m = apply_perturbation(sample)
+    factor = np.array([2.0])
+    margins = verification._cycle_margins(sample.kind, power_iteration(m).w[None],
+                                          m.entries[None], factor, factor)
+    assert np.isnan(margins).all()
+    report = verification.LemmaReport(CYCLE_CHECK)
+    report.record(sample.kind, np.ones((1, 5)), factor, factor, margins)
+    assert not report.passed and [s for s, _ in report.violations] == [sample]
 
 
 def test_named_cycle_is_present_in_the_digraph():
@@ -229,6 +313,44 @@ def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
     cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
         * len(SMALL_GRID.ratio_values) ** 2
     assert len(solved) == len(set(solved)) == cells == 640
+
+
+@pytest.mark.parametrize("check_ids", [ALL_CHECK_IDS, ("2b", "cycle"), ("positivity", "3h")])
+def test_hypotheses_are_evaluated_once_per_stack(monkeypatch, check_ids):
+    held, hypotheses = [], []
+    holds = verification._holds
+
+    def counting_holds(check_id, kind, n, delta, gamma):
+        held.append((check_id, kind, n, type(delta), delta.shape, type(gamma), gamma.shape))
+        return holds(check_id, kind, n, delta, gamma)
+
+    for lemma in list(LEMMAS.values()):
+        def counting(d, g, n, lemma=lemma):
+            hypotheses.append((lemma.lemma_id, n, type(d), np.shape(d), type(g), np.shape(g)))
+            return lemma.hypothesis(d, g, n)
+        monkeypatch.setitem(LEMMAS, lemma.lemma_id,
+                            dataclasses.replace(lemma, hypothesis=counting))
+    monkeypatch.setattr(verification, "_holds", counting_holds)
+    run_lemma_suite(SMALL_GRID, 1, check_ids)
+    cells = (len(SMALL_GRID.ratio_values) ** 2,)
+    # one call per (kind, n) stack for each requested check, each on the stack's cell arrays
+    assert Counter(held) == Counter(
+        (check_id, kind, n, np.ndarray, cells, np.ndarray, cells)
+        for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind) for check_id in check_ids
+        if check_id not in LEMMAS or LEMMAS[check_id].kind == kind)
+    assert Counter(hypotheses) == Counter(
+        (check_id, n, np.ndarray, cells, np.ndarray, cells)
+        for check_id in check_ids if check_id in LEMMAS
+        for n in SMALL_GRID.orders(LEMMAS[check_id].kind))
+
+
+@pytest.mark.parametrize("samples, bases", [
+    (1, (1, 1)), (16, (1, 1)), (17, (1, 2)), (64, (1, 4)), (80, (1, 5)), (81, (2, 6)),
+    (1000, (13, 63)),
+])
+def test_grid_for_samples(samples, bases):
+    grid = SuiteGrid.for_samples(samples)
+    assert (grid.bases_per_cell, grid.bases_per_cell_case2a) == bases
 
 
 def test_positivity_check_reads_each_structure_once(monkeypatch):

@@ -128,7 +128,7 @@ def reference_suite(grid, seed):
                 for gamma in grid.ratio_values:
                     cell = PerturbationStructure(kind, n, delta=delta, gamma=gamma)
                     held = [check_id for check_id in ALL_CHECK_IDS
-                            if verification._hypothesis_violation(check_id, cell) is None]
+                            if verification._holds(check_id, kind, n, delta, gamma)]
                     lam = lambda_max_closed_form(cell) if POSITIVITY_CHECK in held else None
                     for _ in range(grid.bases(kind)):
                         sample = PerturbationStructure(kind, n, sample_base(rng, n), delta, gamma)
@@ -182,7 +182,7 @@ def test_check_lemma_equals_the_per_sample_path(kind, n, delta, gamma):
         w = power_iteration(m).w
         lam = lambda_max_closed_form(sample)
         held = [check_id for check_id in ALL_CHECK_IDS
-                if verification._hypothesis_violation(check_id, sample) is None]
+                if verification._holds(check_id, kind, n, delta, gamma)]
         assert POSITIVITY_CHECK in held and len(held) > 5
         for check_id in held:
             check = check_lemma(check_id, sample)
