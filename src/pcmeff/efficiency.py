@@ -184,7 +184,8 @@ def find_sink_improvement(m: Pcm, w, verdict: EfficiencyVerdict):
     w = np.asarray(w, dtype=float)
     a = m.entries
     inside = np.asarray(verdict.sink, dtype=int)
-    outside = np.asarray([j for j in range(m.n) if j not in set(verdict.sink)], dtype=int)
+    outside = np.ones(m.n, dtype=bool)
+    outside[inside] = False
     t_max = np.min(a[np.ix_(inside, outside)] * w[outside][None, :] / w[inside][:, None])
     t = 0.5 * (1.0 + t_max)
     w_prime = w.copy()

@@ -77,16 +77,21 @@ def parametric_inefficient(n: int, p: float, q: float) -> Pcm:
     return Pcm(a)
 
 
+def _degenerate(f: float) -> bool:
+    """Whether a perturbation factor lies within the degeneracy gap around 1."""
+    return abs(f - 1.0) < DEGENERACY_GAP
+
+
 def sample_ratio(rng: np.random.Generator, lo: float, hi: float,
                  exclude_one: bool = False) -> float:
     """Log-uniform draw from [lo, hi]; multiplicative scales sample evenly.
 
-    With ``exclude_one`` the draw is repeated until it clears the
-    degeneracy gap around 1.
+    With ``exclude_one`` the draw is repeated until it is not
+    :func:`_degenerate`.
     """
     while True:
         v = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        if not exclude_one or abs(v - 1.0) >= DEGENERACY_GAP:
+        if not exclude_one or not _degenerate(v):
             return v
 
 
@@ -139,7 +144,8 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
         raise IncompatibleOrderError(f"base must have {n - 1} ratios, got {len(base)}")
     factors = []
     for name in ("delta", "gamma")[:len(CANONICAL_FORMS[kind].cells)]:
-        if (f := getattr(spec, name)) == 1.0:    # an unperturbed cell: not of this kind
+        # a degenerate factor leaves its cell as good as unperturbed: not of this kind
+        if (f := getattr(spec, name)) is not None and _degenerate(f):
             raise IncompatibleOrderError(f"{name} must differ from 1 for family {family!r}")
         factors.append(f if f is not None else sample_ratio(rng, lo, hi, exclude_one=True))
     structure = PerturbationStructure(kind, n, tuple(base), *factors)

@@ -12,7 +12,6 @@ or 2 upper-triangle cells plus reciprocals) that restores consistency.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -257,52 +256,50 @@ def _upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], tol: float):
-    """Try to complete the matrix consistently ignoring the ``removed`` cells.
+def _misfit(a: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the upper cells where not |a_ij - t_j / t_i| <= tol * a_ij.
 
-    Treats the remaining upper-triangle cells as ratio constraints
-    t_j / t_i = a_ij on node potentials t.  Potentials are propagated over
-    a BFS spanning forest and every remaining cell is checked against them.
-    Returns the potential vector, or None when no consistent completion
-    exists.  (With at most two cells removed the constraint graph stays
-    connected for n >= 4; a disconnected forest would make the completion
-    non-unique, which cannot occur here because smaller removals are tried
-    first.)
+    A zero or infinite potential can make t_j / t_i NaN, which misses too.
+    """
+    idx = np.arange(len(t))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (idx[:, None] < idx) & ~(np.abs(a - t / t[:, None]) <= tol * a)
+
+
+def _potentials(a: np.ndarray, removed: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
+    """Node potentials t, t_j / t_i = a_ij, from row 0 with the ``removed`` cells left out.
+
+    A kept cell (0, v) sets t_v = a_0v, with t_0 = 1.  A removed cell
+    (0, v) takes t_v = t_u * a_uv from the smallest u whose cells (0, u) and
+    {u, v} are kept, the node a breadth-first search from 0 reaches v
+    through first.  That u exists for the sets the search tries: at most
+    two cells at n >= 4, at most one at n = 3 (where removing (1, 2) leaves
+    a tree, which always passes).
+    """
+    t = a[0].copy()
+    t[0] = 1.0
+    for i, v in removed:
+        if i == 0:
+            u = next(u for u in range(1, a.shape[0]) if u != v and (0, u) not in removed
+                     and (min(u, v), max(u, v)) not in removed)
+            t[v] = t[u] * a[u, v]
+    return t
+
+
+def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], tol: float):
+    """The :func:`_potentials` without ``removed``, or None if a kept cell is a :func:`_misfit`.
 
     :func:`_bad_triads` relies on two facts.  An accepted completion bounds
     every kept cell, |log a_ij - log(t_j/t_i)| <= -log(1 - tol), so a
     triad i < k < j whose three cells are all kept has log residual
-    |log a_ik + log a_kj - log a_ij| <= -3 log(1 - tol).  And node 0 is the
-    first root, so a kept cell (0, v) sets t_v = a_0v exactly.
+    |log a_ik + log a_kj - log a_ij| <= -3 log(1 - tol).  And a kept cell
+    (0, v) sets t_v = a_0v exactly.
     """
-    n = a.shape[0]
-    removed_set = set(removed)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in _upper_pairs(n):
-        if (i, j) not in removed_set:
-            adj[i].append(j)
-            adj[j].append(i)
-
-    t = np.zeros(n)
-    for root in range(n):
-        if t[root] != 0.0:
-            continue
-        t[root] = 1.0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if t[v] == 0.0:
-                    t[v] = t[u] * a[u, v]
-                    queue.append(v)
-
-    for i, j in _upper_pairs(n):
-        if (i, j) in removed_set:
-            continue
-        expected = t[j] / t[i]
-        if abs(a[i, j] - expected) > tol * a[i, j]:
-            return None
-    return t
+    t = _potentials(a, removed)
+    miss = _misfit(a, t, tol)
+    for cell in removed:
+        miss[cell] = False
+    return None if miss.any() else t
 
 
 def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
@@ -317,8 +314,8 @@ def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
       an accepted completion, 3 * -log(1 - tol), by more than the rounding
       of the logs and of the acceptance test (with tol >= 1 there is no
       bound);
-    - i = 0 and the acceptance test of (k, j) fails against t_k = a_0k and
-      t_j = a_0j, the potentials that kept cells (0, k) and (0, j) set.
+    - i = 0 and (k, j) is a :func:`_misfit` of the row-0 potentials, which
+      kept cells (0, k) and (0, j) set.
 
     The second test is the size-0 check cell by cell, so the table is
     empty exactly when the unedited matrix passes.
@@ -328,9 +325,8 @@ def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
     i, k, j = np.nonzero((idx[:, None, None] < idx[None, :, None])
                          & (idx[None, :, None] < idx[None, None, :]))
     root = i == 0
-    kr, jr = k[root], j[root]
     bad = np.zeros(len(i), dtype=bool)
-    bad[root] = np.abs(a[kr, jr] - a[0, jr] / a[0, kr]) > tol * a[kr, jr]
+    bad[root] = _misfit(a, _potentials(a), tol)[k[root], j[root]]
     cell_tol = tol * (1.0 + 2.0 * _EPS)     # the acceptance test's own rounding
     if cell_tol < 1.0:
         bound = -np.log1p(-cell_tol)

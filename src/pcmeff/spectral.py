@@ -397,21 +397,16 @@ class ClosedFormResult:
     variant: int
 
 
-def closed_form_eigenvector(structure: PerturbationStructure,
-                            variant: int | None = None) -> ClosedFormResult:
+def closed_form_eigenvector(structure: PerturbationStructure) -> ClosedFormResult:
     """Principal eigenvector of a canonical double-perturbed matrix.
 
-    All forms of a case agree up to a positive scalar; when ``variant`` is
-    None the best-conditioned one is picked (largest leading component
-    before normalization) and recorded in the result.
+    All forms of a case agree up to a positive scalar; the best-conditioned
+    one is picked (largest leading component before normalization) and
+    recorded in the result.
     """
     x = _checked_base(structure)
     lam = lambda_max_closed_form(structure)
-    if variant is None:
-        candidates = variant_vectors(structure.kind, x,
-                                     form_terms(structure.delta, structure.gamma, lam))
-        variant = int(np.argmax(np.abs(candidates[:, 0])))
-        raw = candidates[variant]
-    else:
-        raw = raw_variant_vector(structure, variant, lam)
-    return ClosedFormResult(lam, normalize_weights(raw), variant)
+    candidates = variant_vectors(structure.kind, x,
+                                 form_terms(structure.delta, structure.gamma, lam))
+    variant = int(np.argmax(np.abs(candidates[:, 0])))
+    return ClosedFormResult(lam, normalize_weights(candidates[variant]), variant)

@@ -319,13 +319,14 @@ def test_generate_names_a_bad_factor():
 @pytest.mark.parametrize("family, option", [("case1", "--delta"), ("case1", "--gamma"),
                                             ("case2b", "--gamma"), ("simple", "--delta")])
 def test_generate_rejects_a_unit_factor(tmp_path, capsys, family, option):
-    # a factor of 1 leaves its cell unperturbed: the sidecar would name the wrong kind
+    # a factor of (nearly) 1 leaves its cell unperturbed: the sidecar would name the wrong kind
     out = tmp_path / "m.txt"
-    assert cli.main(["generate", "--family", family, "--n", "5", option, "1",
-                     "--out", str(out)]) == cli.EXIT_ERROR
-    assert capsys.readouterr() == ("", f"error: {option[2:]} must differ from 1 for family "
-                                       f"{family!r}\n")
-    assert list(tmp_path.iterdir()) == []
+    for value in ("1", repr(1 + 1e-13), "0.9995"):
+        assert cli.main(["generate", "--family", family, "--n", "5", option, value,
+                         "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {option[2:]} must differ from 1 for family "
+                                           f"{family!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [("verify", "--theorem", "apq", "--samples", "2"),

@@ -125,10 +125,12 @@ def test_incompatible_orders_rejected(family, n):
     ("case2b", 5, {"delta": 1.0}),
 ])
 def test_unit_factor_of_a_cell_rejected(family, n, factors):
-    # a unit factor leaves its cell unperturbed, so the matrix is not of the family's kind
+    # a factor within the degeneracy gap of 1 leaves its cell as good as unperturbed,
+    # so the matrix is not of the family's kind
     name = next(name for name, f in factors.items() if f == 1.0)
-    with pytest.raises(IncompatibleOrderError, match=f"^{name} must differ from 1 for family"):
-        generate(GeneratorSpec(family=family, n=n, **factors))
+    for unit in (1.0, 1 + 1e-13, 0.9995):
+        with pytest.raises(IncompatibleOrderError, match=f"^{name} must differ from 1 for family"):
+            generate(GeneratorSpec(family=family, n=n, **{**factors, name: unit}))
 
 
 def test_unit_factor_outside_the_form_is_not_read():

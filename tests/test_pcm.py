@@ -1,4 +1,7 @@
+import collections
 import itertools
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -27,6 +30,7 @@ from pcmeff import (
     pcm,
     reconstruct,
 )
+from pcmeff.generators import FAMILIES
 
 ratio = st.floats(min_value=1 / 9, max_value=9.0)
 
@@ -433,17 +437,79 @@ def test_order_two_is_vacuously_consistent():
 
 # --------------------------------------------------- exhaustive search oracle
 
+def bfs_potentials(a: np.ndarray, removed) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Potentials t_j / t_i = a_ij over a breadth-first spanning forest, and the kept cells.
+
+    The reference for ``pcm._potentials``: adjacency lists of the kept upper
+    cells, one search per unvisited root, a zero potential as unvisited.
+    """
+    n = a.shape[0]
+    removed_set = set(removed)
+    kept = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in removed_set]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in kept:
+        adj[i].append(j)
+        adj[j].append(i)
+    t = np.zeros(n)
+    for root in range(n):
+        if t[root] != 0.0:
+            continue
+        t[root] = 1.0
+        queue = collections.deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if t[v] == 0.0:
+                    t[v] = t[u] * a[u, v]
+                    queue.append(v)
+    return t, kept
+
+
+def bfs_misses(a: np.ndarray, t: np.ndarray, kept) -> list[tuple[float, float]]:
+    """(|a_ij - t_j / t_i|, a_ij) of each kept cell, one scalar at a time."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return [(abs(a[i, j] - t[j] / t[i]), a[i, j]) for i, j in kept]
+
+
+def bfs_accepts(misses, tol: float) -> bool:
+    """No kept cell is off by more than tol * a_ij (a NaN miss passes)."""
+    return not any(d > tol * x for d, x in misses)
+
+
+def bfs_completion(a: np.ndarray, removed, tol: float):
+    """Consistent completion by graph search, the reference for ``pcm._consistent_completion``."""
+    t, kept = bfs_potentials(a, removed)
+    return t if bfs_accepts(bfs_misses(a, t, kept), tol) else None
+
+
 def exhaustive_classify(m: Pcm, tol: float) -> PerturbationStructure:
-    """The search without pruning: every set of 0, 1 or 2 upper cells, in order."""
+    """The search without pruning: every set of 0, 1 or 2 upper cells, in order, by BFS."""
     if m.n < 3:
         return classify_perturbation(m, tol)
     pairs = pcm._upper_pairs(m.n)
     for size in (0, 1, 2):
         hits = [(removed, t) for removed in itertools.combinations(pairs, size)
-                if (t := pcm._consistent_completion(m.entries, removed, tol)) is not None]
+                if (t := bfs_completion(m.entries, removed, tol)) is not None]
         if hits:
             return pcm._repair_structure(m.entries, hits)
     return PerturbationStructure(kind=PerturbationKind.OTHER, n=m.n)
+
+
+def assert_completion_equals_bfs(a: np.ndarray, tols) -> None:
+    """Same decision and potential bits on every removal set the search can reach."""
+    n = a.shape[0]
+    pairs = pcm._upper_pairs(n)
+    # at n = 3 the search stops at size 1: removing (1, 2) leaves a tree
+    for size in range(3 if n > 3 else 2):
+        for removed in itertools.combinations(pairs, size):
+            t, kept = bfs_potentials(a, removed)
+            misses = bfs_misses(a, t, kept)
+            for tol in tols:
+                got = pcm._consistent_completion(a, removed, tol)
+                if bfs_accepts(misses, tol):
+                    assert got is not None and got.tobytes() == t.tobytes(), (removed, tol)
+                else:
+                    assert got is None, (removed, tol)
 
 
 ORACLE_TOLS = (0.0, 1e-12, 1e-9, 1e-3, 0.5)
@@ -455,6 +521,12 @@ factor = st.one_of(st.floats(min_value=-2.2, max_value=2.2).map(np.exp), near_on
 
 SHAPES = [(n, kind) for kind, form in pcm.CANONICAL_FORMS.items()
           for n in range(3, 10) if form.allows(n)]
+
+
+def _skewed(a: np.ndarray, rng, noise: float) -> np.ndarray:
+    """``a`` with reciprocal log-normal noise of deviation ``noise`` on every off-diagonal pair."""
+    skew = np.triu(rng.normal(0.0, noise, a.shape), 1)
+    return a * np.exp(skew - skew.T)
 
 
 @st.composite
@@ -472,8 +544,7 @@ def classifiable_matrices(draw, n: int, kind: PerturbationKind) -> Pcm:
                                                      delta=delta, gamma=gamma)).entries
     noise = draw(st.sampled_from([0.0, 0.0, 1e-12, 5e-10, 1e-6, 0.3]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    skew = np.triu(rng.normal(0.0, noise, (n, n)), 1)
-    a = a * np.exp(skew - skew.T)
+    a = _skewed(a, rng, noise)
     perm = list(draw(st.permutations(range(n))))
     a = a[np.ix_(perm, perm)]
     return Pcm(a.T if draw(st.booleans()) else a)
@@ -486,6 +557,94 @@ def test_pruned_search_equals_exhaustive_search(n, kind, data):
     m = data.draw(classifiable_matrices(n, kind))
     for tol in ORACLE_TOLS:
         assert classify_perturbation(m, tol) == exhaustive_classify(m, tol)
+
+
+@pytest.mark.parametrize("n,kind", SHAPES)
+@settings(max_examples=1, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_completion_equals_the_bfs_on_every_removal_set(n, kind, data):
+    # the first derandomized draw is all ones; the search oracle above covers it
+    m = data.draw(classifiable_matrices(n, kind).filter(lambda m: np.any(m.entries != 1.0)))
+    assert_completion_equals_bfs(m.entries, ORACLE_TOLS)
+
+
+def test_potentials_beyond_the_float_range_raise_no_warning():
+    # removing (0, 2) fits every other cell exactly in log space, but
+    # t_2 = 1e-160 * 1e-180 underflows to 0, so the size-1 repair is missed
+    a = np.ones((4, 4))
+    for (i, j), v in {(0, 1): 1e-160, (0, 2): 1e-300, (0, 3): 1e-160, (1, 2): 1e-180,
+                      (2, 3): 1e180}.items():
+        a[i, j], a[j, i] = v, 1.0 / v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = classify_perturbation(Pcm(a))
+        assert_completion_equals_bfs(a, ORACLE_TOLS)
+    assert c.kind == PerturbationKind.CASE1
+    assert c.positions == ((0, 1), (0, 3))
+    assert c.alternatives == (((1, 2), (2, 3)),)
+
+
+# ------------------------------------------------------ pinned classifications
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "classify_golden.json"
+
+
+def golden_matrices():
+    """(label, matrix, tol) of the classifications ``classify_golden.json`` pins.
+
+    Every generator family at every order 4-9 it allows, relabeled and
+    every other one transposed; then noisy matrices and bases spanning
+    e^-92..e^92, each at one of the oracle tolerances.
+    """
+    rng = np.random.default_rng(2016)
+    cases = []
+    for family in FAMILIES:
+        for n in range(4, 10):
+            try:
+                m, _ = generate(GeneratorSpec(family, n=n, seed=n))
+            except IncompatibleOrderError:
+                continue
+            cases.append((f"{family}-n{n}", m.entries, pcm.DEFAULT_CONSISTENCY_TOL))
+    for k, (family, n, noise, tol) in enumerate([
+            ("case1", 6, 1e-12, 1e-9), ("case2b", 7, 5e-10, 1e-9), ("simple", 5, 1e-6, 1e-3),
+            ("consistent", 8, 0.3, 0.5), ("case2a", 4, 2e-9, 0.0)]):
+        m, _ = generate(GeneratorSpec(family, n=n, seed=100 + k))
+        cases.append((f"{family}-n{n}-noise{noise}", _skewed(m.entries, rng, noise), tol))
+    for k, (family, n) in enumerate([("case1", 5), ("case2b", 8), ("simple", 9),
+                                     ("consistent", 6)]):
+        base = tuple(np.exp(rng.uniform(-92.0, 92.0, n - 1)).tolist())
+        m, _ = generate(GeneratorSpec(family, n=n, base=base, seed=200 + k))
+        cases.append((f"{family}-n{n}-wide", m.entries, ORACLE_TOLS[k + 1]))
+    relabeled = []
+    for k, (label, a, tol) in enumerate(cases):
+        perm = rng.permutation(a.shape[0])
+        b = a[np.ix_(perm, perm)]
+        relabeled.append((label, Pcm(b.T if k % 2 else b), tol))
+    return relabeled
+
+
+def golden_record(c: PerturbationStructure) -> dict:
+    """A classification with every float as ``float.hex``."""
+    def hexed(v):
+        return None if v is None else float(v).hex()
+    return {
+        "kind": c.kind.value,
+        "positions": [list(p) for p in c.positions],
+        "permutation": None if c.permutation is None else list(c.permutation),
+        "alternatives": [[list(p) for p in alt] for alt in c.alternatives],
+        "base": None if c.base is None else [hexed(x) for x in c.base],
+        "delta": hexed(c.delta),
+        "gamma": hexed(c.gamma),
+    }
+
+
+def test_classification_bits_match_the_pinned_records():
+    pinned = json.loads(GOLDEN_PATH.read_text())
+    cases = golden_matrices()
+    assert [r["case"] for r in pinned] == [label for label, _, _ in cases]
+    for record, (label, m, tol) in zip(pinned, cases):
+        assert record["tol"] == tol.hex(), label
+        assert record["result"] == golden_record(classify_perturbation(m, tol)), label
 
 
 @pytest.mark.parametrize("tol", [-1e-9, np.nan])
