@@ -35,16 +35,13 @@ from .pcm import (
     apply_perturbation,
     classify_perturbation,
     consistent_pcm,
-    is_consistent,
     reconstruct,
 )
 from .spectral import (
     BatchSpectralResult,
     ClosedFormResult,
     SpectralResult,
-    charpoly_oracle,
     closed_form_eigenvector,
-    eval_charpoly,
     lambda_max_closed_form,
     normalize_weights,
     power_iteration,

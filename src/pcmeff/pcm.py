@@ -245,13 +245,6 @@ def consistent_pcm(base) -> Pcm:
                                                     tuple(base)))
 
 
-def is_consistent(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> bool:
-    """Check cardinal transitivity a_ik * a_kj = a_ij for all triples."""
-    a = m.entries
-    prod = a[:, :, None] * a[None, :, :]    # prod[i, k, j] = a_ik * a_kj
-    return bool(np.all(np.abs(prod - a[:, None, :]) <= tol * a[:, None, :]))
-
-
 def _upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

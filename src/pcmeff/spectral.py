@@ -5,8 +5,7 @@ on any valid PCM and only uses matrix-vector products.  For the canonical
 double-perturbed forms the characteristic polynomial collapses to a low
 degree bracket whose unique root above n is the principal eigenvalue, and
 the eigenvector itself has explicit algebraic forms; those are evaluated
-directly.  ``charpoly_oracle`` (a plain determinant) ties the two routes
-together in tests.
+directly.  A plain determinant ties the two routes together in tests.
 """
 
 from __future__ import annotations
@@ -59,19 +58,27 @@ class BatchSpectralResult:
     iterations: np.ndarray
 
 
+# Steps between convergence tests; the result is that of a test after every step.
+_BLOCK = 8
+
+
+def _max_over_order(v: np.ndarray) -> np.ndarray:
+    """Max over axis 2 of a (steps, B, n, 1) array, over n contiguous slabs: exact in any order."""
+    return np.maximum.reduce(v.transpose(2, 0, 1, 3).copy(), axis=0)
+
+
 def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
                           max_iter: int = DEFAULT_MAX_ITER) -> BatchSpectralResult:
     """Dominant eigenpairs of a (B, n, n) array of validated PCM entries, all-ones start.
 
     The eigenvalue estimate is the 1-norm growth ratio ||A w||_1 / ||w||_1,
-    which for a positive matrix converges to the dominant eigenvalue.
-    A member has converged when |A w - lambda w|_inf / |w|_inf <= tol; it
-    keeps the iterate of that step and leaves the live stack.  Each step
-    multiplies every live member by its own matrix-vector product, so a
-    member's bits do not depend on the others in the stack, and the
-    deterministic start vector keeps runs bit-reproducible.  When some
-    member has not converged after ``max_iter`` steps,
-    :class:`NoConvergenceError` names the residual of the first such member.
+    which for a positive matrix converges to the dominant eigenvalue.  A
+    member keeps the iterate of the first step where |A w - lambda w|_inf /
+    |w|_inf <= tol.  A step multiplies each live member by its own matrix
+    and normalizes; residuals are taken per block of ``_BLOCK`` steps, after
+    which converged members leave the stack, so a member's bits depend on no
+    other member.  When some member has not converged after ``max_iter``
+    steps, :class:`NoConvergenceError` names the residual of the first one.
     """
     if not tol > 0:    # NaN fails too
         raise ValueError("tol must be positive")
@@ -84,24 +91,27 @@ def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
     residual_out, iterations = np.empty(count), np.zeros(count, dtype=int)
     live = np.arange(count)    # input index of each member still iterating
     w = np.full((count, n, 1), 1.0 / n)
-    for it in range(1, max_iter + 1):
-        y = a @ w
-        # the reductions of y.sum() and np.max, called without their wrappers
-        lam = np.add.reduce(y, axis=1, keepdims=True)    # w sums to 1
-        residual = np.maximum.reduce(np.abs(y - lam * w), axis=1) / np.maximum.reduce(w, axis=1)
-        done = (residual <= tol)[:, 0]
-        if np.count_nonzero(done):
-            idx = live[done]
-            lambda_max[idx] = lam[done, 0, 0]
-            w_out[idx] = w[done, :, 0]
-            residual_out[idx] = residual[done, 0]
-            iterations[idx] = it
-            keep = ~done
-            if not np.count_nonzero(keep):
+    for taken in range(0, max_iter, _BLOCK):
+        ws, ys, lams = [w], [], []    # step s multiplies ws[s] into ys[s], estimate lams[s]
+        for _ in range(min(_BLOCK, max_iter - taken)):
+            ys.append(a @ w)
+            lams.append(np.add.reduce(ys[-1], axis=1, keepdims=True))    # w sums to 1
+            w = ys[-1] / lams[-1]
+            ws.append(w)
+        ws, lams = np.array(ws[:-1]), np.array(lams)
+        residual = (_max_over_order(np.abs(np.array(ys) - lams * ws)) / _max_over_order(ws))[..., 0]
+        done = residual <= tol
+        hit = done.any(axis=0)
+        if hit.any():
+            k = np.flatnonzero(hit)
+            s = done.argmax(axis=0)[k]    # each converged member's first converged step
+            idx = live[k]
+            lambda_max[idx], w_out[idx] = lams[s, k, 0, 0], ws[s, k, :, 0]
+            residual_out[idx], iterations[idx] = residual[s, k], taken + s + 1
+            if len(k) == len(live):
                 return BatchSpectralResult(lambda_max, w_out, residual_out, iterations)
-            live, a, y, lam, residual = live[keep], a[keep], y[keep], lam[keep], residual[keep]
-        w = y / lam
-    raise NoConvergenceError(max_iter, float(residual[0, 0]))
+            live, a, w = live[~hit], a[~hit], w[~hit]
+    raise NoConvergenceError(max_iter, float(residual[-1, np.argmin(hit)]))
 
 
 def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
@@ -112,17 +122,17 @@ def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
                           int(r.iterations[0]))
 
 
-def _bracket_coeffs(structure: PerturbationStructure) -> tuple[float, ...]:
+def _bracket_coeffs(kind: PerturbationKind, n: int, d: float, g: float) -> tuple[float, ...]:
     """Coefficients (highest degree first) of the non-trivial polynomial factor.
 
     The full characteristic polynomial is sign * lambda^k * bracket(lambda);
     the bracket carries every nonzero root, in particular the unique real
-    root above n.  It depends on kind, n, delta and gamma alone.
+    root above n.  It depends on kind, n, delta and gamma alone, and is
+    computed on Python floats, whose ``**`` may round unlike numpy's.
     """
-    kind = structure.kind
     if kind not in DOUBLE_KINDS:
         raise InvalidCaseError(f"no closed-form polynomial for kind {kind.value!r}")
-    n, d, g = float(structure.n), structure.delta, structure.gamma
+    n = float(n)
     if kind == PerturbationKind.CASE1:
         b1 = (g / d + d / g) + (n - 3) * (g + d + 1.0 / g + 1.0 / d) - 4.0 * n + 10.0
         return 1.0, -n, 0.0, -b1
@@ -133,67 +143,60 @@ def _bracket_coeffs(structure: PerturbationStructure) -> tuple[float, ...]:
     return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
 
 
-def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
-    """p(x) and p'(x) by Horner's scheme, coefficients highest degree first."""
-    p = dp = 0.0
-    for c in coeffs:
+def _horner(columns: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(x) and p'(x) by Horner's scheme, one coefficient array per degree, highest first.
+
+    Entry ``k`` of each array belongs to column ``k`` of ``x``.  Leading zeros keep
+    p = p' = 0 exactly, so a zero-padded polynomial gets the unpadded one's bits.
+    """
+    p = dp = np.zeros(x.shape)
+    for c in columns:
         dp = dp * x + p
         p = p * x + c
     return p, dp
 
 
-def eval_charpoly(structure: PerturbationStructure, lam: float) -> float:
-    """Evaluate the closed-form characteristic polynomial at ``lam``.
-
-    Matches det(A - lam I) of the corresponding canonical matrix for every
-    base vector (the similarity scaling by the base drops out), so the
-    structure's base is not read.
-    """
-    coeffs = _bracket_coeffs(structure)
-    sign = -1.0 if structure.n % 2 else 1.0
-    return sign * lam ** (structure.n - len(coeffs) + 1) * _horner(coeffs, lam)[0]
-
-
-def charpoly_oracle(m: Pcm, lam: float) -> float:
-    """det(A - lam I), computed directly by LU factorization.
-
-    Deliberately ignorant of the closed forms; serves as the independent
-    reference they are checked against.
-    """
-    a = m.entries
-    return float(np.linalg.det(a - lam * np.eye(m.n)))
-
-
-def lambda_max_closed_form(structure: PerturbationStructure) -> float:
-    """Unique real root above n of the polynomial bracket, by Newton from above.
+def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, float]]) -> np.ndarray:
+    """Unique real root above n of the bracket of each (kind, n, delta, gamma) cell, by Newton.
 
     With delta = gamma = 1 the matrix is consistent and exactly n is
     returned.  Otherwise p(n) < 0 < p(b) must hold at the Cauchy root bound
-    b = 1 + max |coefficient|, and Newton starts at b.  The roots are
-    eigenvalues of a positive matrix, so all but the Perron root lambda_max
-    are strictly smaller in modulus, and by Gauss-Lucas p' and p'' have no
-    real root at or above lambda_max: p is increasing and convex there, and
-    the iterates descend monotonically onto it.  The loop stops at the first
-    iterate not strictly below the last or below n, which a strictly
-    decreasing sequence of floats must reach.  The root depends on kind, n,
-    delta and gamma alone; the structure's base is not read and may be None.
+    b = 1 + max |coefficient|, or :class:`RootNotBracketedError` names the
+    first cell where it fails, and Newton starts at b.  The roots are
+    eigenvalues of a positive matrix, so all but the Perron root are strictly
+    smaller in modulus, and by Gauss-Lucas p is increasing and convex above
+    it: the iterates descend monotonically onto it.  A cell stops at the
+    first iterate not strictly below its last or below n, and gets the bits
+    of a Newton loop on its own Python floats.
     """
-    coeffs = _bracket_coeffs(structure)
-    n = float(structure.n)
-    f_n = _horner(coeffs, n)[0]
-    if f_n == 0.0:
-        return n
-    root = 1.0 + max(abs(c) for c in coeffs)
-    f_bound = _horner(coeffs, root)[0]
-    if not f_n < 0.0 < f_bound:    # NaN fails too
-        raise RootNotBracketedError(
-            f"bracket failed: p({n}) = {f_n:.3e}, p({root}) = {f_bound:.3e}")
-    while True:
-        f, df = _horner(coeffs, root)
-        below = root - f / df
-        if not n <= below < root:
-            return root
-        root = below
+    coeffs = [_bracket_coeffs(*cell) for cell in cells]
+    width = max(map(len, coeffs), default=0)
+    columns = list(np.array([(0.0,) * (width - len(c)) + c for c in coeffs]).T.copy())
+    n = np.array([float(cell[1]) for cell in cells])
+    x = np.array([1.0 + max(map(abs, c)) for c in coeffs])
+    f_n, f_bound = _horner(columns, np.array([n, x]))[0]
+    unbracketed = ~((f_n < 0.0) & (0.0 < f_bound)) & (f_n != 0.0)    # NaN fails too
+    if unbracketed.any():
+        k = int(np.argmax(unbracketed))
+        raise RootNotBracketedError(f"bracket failed: p({float(n[k])}) = {f_n[k]:.3e}, "
+                                    f"p({float(x[k])}) = {f_bound[k]:.3e}")
+    root, live = n.copy(), np.flatnonzero(f_n != 0.0)    # the root is n where p(n) = 0
+    x, n, columns = x[live], n[live], [c[live] for c in columns]
+    while len(live):
+        f, df = _horner(columns, x)
+        below = x - f / df
+        step = (n <= below) & (below < x)
+        if not step.all():
+            root[live[~step]] = x[~step]
+            live, n, below, columns = live[step], n[step], below[step], [c[step] for c in columns]
+        x = below
+    return root
+
+
+def lambda_max_closed_form(structure: PerturbationStructure) -> float:
+    """:func:`lambda_max_closed_forms` on the one cell of ``structure``, whose base may be None."""
+    return float(lambda_max_closed_forms(
+        [(structure.kind, structure.n, structure.delta, structure.gamma)])[0])
 
 
 def variant_count(kind: PerturbationKind) -> int:

@@ -32,8 +32,8 @@ from .pcm import (
     validate_entries,
 )
 # Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
-from .spectral import form_terms, lambda_max_closed_form, power_iteration, \
-    power_iteration_batch, raw_variant_vector, variant_vectors  # noqa: F401
+from .spectral import form_terms, lambda_max_closed_form, lambda_max_closed_forms, \
+    power_iteration, power_iteration_batch, raw_variant_vector, variant_vectors  # noqa: F401
 
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
@@ -290,7 +290,8 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
         raise InvalidCaseError("structure must carry a base vector")
     report = LemmaReport(lemma_id)
     _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
-                 np.array([(1.0,) + tuple(sample.base)]))
+                 np.array([(1.0,) + tuple(sample.base)]), np.array([True]),
+                 [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])
     return LemmaCheck(lemma_id, report.passed, report.min_margin)
 
 
@@ -365,27 +366,26 @@ def _record(reports: dict[str, LemmaReport], check_ids: list[str], kind: Perturb
 
 
 def _sweep_cells(reports: dict[str, LemmaReport], kind: PerturbationKind, delta: np.ndarray,
-                 gamma: np.ndarray, x: np.ndarray) -> None:
+                 gamma: np.ndarray, x: np.ndarray, positive: np.ndarray,
+                 roots: Sequence[float]) -> None:
     """Record the requested checks on the samples of grid cells of one kind and order.
 
     Cell ``c`` has factors ``delta[c]`` and ``gamma[c]``, and row ``k`` of
     ``x``, (1, base) of sample ``k``, belongs to cell ``k // count`` for
-    ``count`` rows per cell.  Each hypothesis is one mask over the cells, and
-    the closed-form root and its powers are taken once per held cell, in
-    Python floats.  Every check runs on stacks of at most ``_STACK_CAP``
-    samples; positivity, the worst normalized entry of the closed-form
-    variant vectors, reads no matrix.
+    ``count`` rows per cell.  Each hypothesis is one mask over the cells;
+    ``positive`` is that of positivity, if requested, and ``roots`` holds the
+    closed-form root of each cell in it.  Every check runs on stacks of at
+    most ``_STACK_CAP`` samples; positivity, the worst normalized entry of
+    the closed-form variant vectors, reads no matrix.
     """
     n, cell = x.shape[1], np.arange(len(x)) // (len(x) // len(delta))
     row_delta, row_gamma = delta[cell], gamma[cell]
     if POSITIVITY_CHECK in reports:
-        held = _holds(POSITIVITY_CHECK, kind, n, delta, gamma)
         # a (9, cells) table of form terms, filled in the held cells' columns
         terms = np.zeros((9, len(delta)))
-        for c in np.flatnonzero(held):
-            point = PerturbationStructure(kind, n, delta=float(delta[c]), gamma=float(gamma[c]))
-            terms[:, c] = form_terms(point.delta, point.gamma, lambda_max_closed_form(point))
-        rows = np.flatnonzero(held[cell])
+        for c, lam in zip(np.flatnonzero(positive), roots):
+            terms[:, c] = form_terms(float(delta[c]), float(gamma[c]), float(lam))
+        rows = np.flatnonzero(positive[cell])
         for start in range(0, len(rows), _STACK_CAP):
             k = rows[start:start + _STACK_CAP]
             v = variant_vectors(kind, x[k].T, terms[:, cell[k]])
@@ -422,11 +422,17 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                if check_id in check_ids}
     delta = np.repeat(grid.ratio_values, len(grid.ratio_values))    # cells: delta outer,
     gamma = np.tile(grid.ratio_values, len(grid.ratio_values))      # gamma inner
-    for kind in DOUBLE_KINDS:
-        for n in grid.orders(kind):
-            x = np.ones((len(delta) * grid.bases(kind), n))
-            x[:, 1:] = sample_bases(rng, n, len(x))
-            _sweep_cells(reports, kind, delta, gamma, x)
+    stacks = [(kind, n) for kind in DOUBLE_KINDS for n in grid.orders(kind)]
+    # each stack's positivity mask, and the roots of its cells from one stacked solve
+    positive = [_holds(POSITIVITY_CHECK, kind, n, delta, gamma) if POSITIVITY_CHECK in reports
+                else np.zeros(len(delta), dtype=bool) for kind, n in stacks]
+    solved = lambda_max_closed_forms([(kind, n, d, g) for (kind, n), held in zip(stacks, positive)
+                                      for d, g in zip(delta[held].tolist(), gamma[held].tolist())])
+    roots = np.split(solved, np.cumsum([np.count_nonzero(held) for held in positive])[:-1])
+    for (kind, n), held, lam in zip(stacks, positive, roots):
+        x = np.ones((len(delta) * grid.bases(kind), n))
+        x[:, 1:] = sample_bases(rng, n, len(x))
+        _sweep_cells(reports, kind, delta, gamma, x, held, lam)
     return list(reports.values())
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcmeff import EfficiencyDigraph, Pcm
+from pcmeff import EfficiencyDigraph, Pcm, spectral
+from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
 
 # 4x4 matrix whose principal eigenvector is inefficient; its reference
 # eigenvector (8 digits, truncated) and the dominating second coordinate
@@ -37,3 +38,34 @@ def digraph_from_arcs(n: int, arcs) -> EfficiencyDigraph:
     for i, j in arcs:
         adjacency[i, j] = True
     return EfficiencyDigraph(adjacency, tie_tol=0.0)
+
+
+# ----------------------------------------------------- oracles shared by tests
+
+def is_consistent(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> bool:
+    """Check cardinal transitivity a_ik * a_kj = a_ij for all triples."""
+    a = m.entries
+    prod = a[:, :, None] * a[None, :, :]    # prod[i, k, j] = a_ik * a_kj
+    return bool(np.all(np.abs(prod - a[:, None, :]) <= tol * a[:, None, :]))
+
+
+def eval_charpoly(structure, lam: float) -> float:
+    """The closed-form characteristic polynomial of a double-perturbed structure at ``lam``.
+
+    Matches det(A - lam I) of the corresponding canonical matrix for every
+    base vector (the similarity scaling by the base drops out), so the
+    structure's base is not read.
+    """
+    coeffs = spectral._bracket_coeffs(structure.kind, structure.n, structure.delta,
+                                      structure.gamma)
+    sign = -1.0 if structure.n % 2 else 1.0
+    return sign * lam ** (structure.n - len(coeffs) + 1) * float(np.polyval(coeffs, lam))
+
+
+def charpoly_oracle(m: Pcm, lam: float) -> float:
+    """det(A - lam I), computed directly by LU factorization.
+
+    Deliberately ignorant of the closed forms; serves as the independent
+    reference they are checked against.
+    """
+    return float(np.linalg.det(m.entries - lam * np.eye(m.n)))

@@ -13,10 +13,8 @@ from pcmeff import (
     PerturbationKind,
     PerturbationStructure,
     apply_perturbation,
-    charpoly_oracle,
     classify_perturbation,
     dominates,
-    eval_charpoly,
     find_sink_improvement,
     generate,
     GeneratorSpec,
@@ -39,7 +37,9 @@ from conftest import (
     EXAMPLE1_IMPROVED_W2,
     EXAMPLE1_RATIOS,
     EXAMPLE1_W,
+    charpoly_oracle,
     digraph_from_arcs,
+    eval_charpoly,
 )
 
 SAMPLES_PER_CASE = 500

@@ -1,7 +1,10 @@
 import ast
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +32,27 @@ EXAMPLE1_TEXT = "4\n1 1/2 4 2\n2 1 5 7\n1/4 1/5 1 2\n1/2 1/7 1/2 1\n"
 CONSISTENT_TEXT = "3\n1 2 6\n1/2 1 3\n1/6 1/3 1\n"
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "pcmeff", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run_process(*args):
+    """``python -m pcmeff *args`` in a new process."""
+    return subprocess.run([sys.executable, "-m", "pcmeff", *args], capture_output=True, text=True)
+
+
+def run_cli(*args):
+    """``cli.main(args)`` in this process, with the result :func:`run_process` would give.
+
+    Standard output and error are captured, a ``SystemExit`` becomes its exit
+    code, and the working directory is restored.
+    """
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
@@ -46,6 +67,20 @@ def consistent_file(tmp_path):
     path = tmp_path / "consistent.txt"
     path.write_text(CONSISTENT_TEXT)
     return path
+
+
+@pytest.mark.parametrize("args, code", [
+    (("generate", "--family", "example1"), 0),
+    (("verify",), 1),
+    (("analyze", "{dir}/bad.txt"), 2),
+    (("analyze", "{dir}/example1.txt"), 3),
+])
+def test_module_entry_point_matches_the_in_process_run(example1_file, args, code):
+    (example1_file.parent / "bad.txt").write_text("not a matrix\n")
+    args = [a.format(dir=example1_file.parent) for a in args]
+    proc, ran = run_process(*args), run_cli(*args)
+    assert proc.returncode == ran.returncode == code
+    assert (proc.stdout, proc.stderr) == (ran.stdout, ran.stderr)
 
 
 # ------------------------------------------------------------------ analyze

@@ -9,11 +9,10 @@ from pcmeff import (
     classify_perturbation,
     example1_matrix,
     generate,
-    is_consistent,
     parametric_inefficient,
 )
 
-from conftest import EXAMPLE1_ENTRIES
+from conftest import EXAMPLE1_ENTRIES, is_consistent
 
 # hand-transcribed 6x6 instance of the parametric family with p=2, q=3,
 # pinning the corner cells (2,6) = 1/q and (6,2) = q

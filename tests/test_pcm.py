@@ -25,12 +25,13 @@ from pcmeff import (
     classify_perturbation,
     consistent_pcm,
     generate,
-    is_consistent,
     lambda_max_closed_form,
     pcm,
     reconstruct,
 )
 from pcmeff.generators import FAMILIES
+
+from conftest import is_consistent
 
 ratio = st.floats(min_value=1 / 9, max_value=9.0)
 

@@ -14,10 +14,8 @@ from pcmeff import (
     RootNotBracketedError,
     SuiteGrid,
     apply_perturbation,
-    charpoly_oracle,
     closed_form_eigenvector,
     consistent_pcm,
-    eval_charpoly,
     lambda_max_closed_form,
     normalize_weights,
     power_iteration,
@@ -26,9 +24,9 @@ from pcmeff import (
     spectral,
     variant_count,
 )
-from pcmeff.pcm import DOUBLE_KINDS
+from pcmeff.pcm import CANONICAL_FORMS, DOUBLE_KINDS
 
-from conftest import EXAMPLE1_W
+from conftest import EXAMPLE1_W, charpoly_oracle, eval_charpoly
 
 ORACLE_LAMBDAS = [-2.0, 1.0, 2.5]   # provably away from every bracket root
 # the sweep's ratio grid plus factors near 0, near 1 and very large
@@ -170,6 +168,48 @@ def test_stack_must_be_nonempty():
         power_iteration_batch(np.empty((0, 4, 4)))
 
 
+def members_converging_at_steps_1_to_17():
+    """Order-6 matrices whose reference loop converges at step 1, 2, ..., 17, in that order.
+
+    Each is the all-ones matrix under seeded reciprocal noise; the step grows
+    with the noise, so a geometric sweep of its scale meets every step.
+    """
+    rng = np.random.default_rng(3)
+    found = {}
+    for scale in np.geomspace(1e-15, 2.0, 400):
+        noise = np.exp(np.triu(rng.normal(0.0, scale, (6, 6)), 1))
+        m = Pcm(noise / noise.T)
+        found.setdefault(reference_power_iteration(m)[3], m)
+    return [found[step] for step in range(1, 18)]
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 9, 40])
+def test_members_converging_at_every_step_match_the_reference_loop(max_iter):
+    # steps 1 to 17 cross the block boundaries after steps 8 and 16; a run cut at
+    # max_iter reports the first member the reference loop cannot finish
+    ms = members_converging_at_steps_1_to_17()
+    for stack in (ms, ms[::-1], ms[7:10], ms[8:9]):
+        expected = []
+        for m in stack:
+            try:
+                expected.append(reference_power_iteration(m, max_iter=max_iter))
+            except NoConvergenceError as error:
+                expected.append(error)
+        failed = [e for e in expected if isinstance(e, NoConvergenceError)]
+        if failed:
+            with pytest.raises(NoConvergenceError) as stacked:
+                power_iteration_batch(np.array([m.entries for m in stack]), max_iter=max_iter)
+            assert str(stacked.value) == str(failed[0])
+            assert (stacked.value.max_iter, float(stacked.value.residual).hex()) == \
+                (max_iter, float(failed[0].residual).hex())
+            continue
+        r = power_iteration_batch(np.array([m.entries for m in stack]), max_iter=max_iter)
+        for k, (lam, w, residual, iterations) in enumerate(expected):
+            assert (r.lambda_max[k], r.residual[k], r.iterations[k]) == \
+                (lam, residual, iterations)
+            assert r.w[k].tobytes() == w.tobytes()
+
+
 # ----------------------------------------------------- characteristic polynomial
 
 def test_consistent_parameters_make_order_a_root():
@@ -235,7 +275,7 @@ def bisection_root(params):
 
     This is the bisection the root finder ran before Newton alone replaced it.
     """
-    coeffs = spectral._bracket_coeffs(params)
+    coeffs = spectral._bracket_coeffs(params.kind, params.n, params.delta, params.gamma)
     lo, hi = float(params.n), 1.0 + max(abs(c) for c in coeffs)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if np.polyval(coeffs, mid) > 0.0:
@@ -259,10 +299,81 @@ def test_newton_root_matches_bisection_and_eigenvalues(kind):
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (-1.0, 1.0)])    # p(n) > 0, p(bound) < 0
 def test_unbracketed_root_is_an_error(monkeypatch, coeffs):
-    monkeypatch.setattr(spectral, "_bracket_coeffs", lambda params: coeffs)
+    monkeypatch.setattr(spectral, "_bracket_coeffs", lambda *cell: coeffs)
     with pytest.raises(RootNotBracketedError):
         lambda_max_closed_form(PerturbationStructure(PerturbationKind.CASE1, 5, delta=2.0,
                                                      gamma=3.0))
+
+
+def reference_horner(coeffs, x):
+    """p(x) and p'(x) by Horner's scheme on Python floats, coefficients highest degree first."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
+def reference_root(kind, n, d, g):
+    """Newton from the Cauchy bound on one cell's Python floats, as before roots were stacked."""
+    coeffs = spectral._bracket_coeffs(kind, n, d, g)
+    n = float(n)
+    f_n = reference_horner(coeffs, n)[0]
+    if f_n == 0.0:
+        return n
+    root = 1.0 + max(abs(c) for c in coeffs)
+    f_bound = reference_horner(coeffs, root)[0]
+    if not f_n < 0.0 < f_bound:
+        raise RootNotBracketedError(
+            f"bracket failed: p({n}) = {f_n:.3e}, p({root}) = {f_bound:.3e}")
+    while True:
+        f, df = reference_horner(coeffs, root)
+        below = root - f / df
+        if not n <= below < root:
+            return root
+        root = below
+
+
+def assert_roots_match_the_reference(cells):
+    roots = spectral.lambda_max_closed_forms(cells)
+    assert roots.shape == (len(cells),)
+    assert [r.hex() for r in roots.tolist()] == \
+        [reference_root(*cell).hex() for cell in cells]
+
+
+def test_stacked_roots_match_the_scalar_loop_on_the_sweep_grid():
+    # every sweep-grid cell, the factors of ROOT_FACTORS and unit factors, in one call
+    factors = ROOT_FACTORS + (1.0,)
+    assert_roots_match_the_reference([(kind, n, d, g) for kind in DOUBLE_KINDS
+                                      for n in SuiteGrid.orders(kind)
+                                      for d, g in itertools.product(factors, repeat=2)])
+
+
+def test_stacked_roots_match_the_scalar_loop_on_random_cells():
+    # factors log-uniform in [e^-18, e^18] and orders up to 32, every kind in one call
+    rng = np.random.default_rng(29)
+    cells = []
+    for kind in DOUBLE_KINDS:
+        form = CANONICAL_FORMS[kind]
+        orders = rng.integers(form.min_order, (form.max_order or 32) + 1, 2000)
+        factors = np.exp(rng.uniform(-18.0, 18.0, (2000, 2)))
+        cells += [(kind, int(n), d, g) for n, (d, g) in zip(orders, factors.tolist())]
+    assert_roots_match_the_reference(cells)
+
+
+def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
+    cells = [(PerturbationKind.CASE1, n, 2.0, 3.0) for n in range(4, 11)]
+    coeffs = spectral._bracket_coeffs
+    bad = {7: (-1.0, 1.0), 9: (1.0, 0.0)}    # p(bound) < 0 at n = 7, p(n) > 0 at n = 9
+    monkeypatch.setattr(spectral, "_bracket_coeffs",
+                        lambda kind, n, d, g: bad.get(n) or coeffs(kind, n, d, g))
+    with pytest.raises(RootNotBracketedError) as scalar:
+        reference_root(*cells[3])
+    with pytest.raises(RootNotBracketedError) as stacked:
+        spectral.lambda_max_closed_forms(cells)
+    assert str(stacked.value) == str(scalar.value) == \
+        "bracket failed: p(7.0) = -6.000e+00, p(2.0) = -1.000e+00"
+    assert_roots_match_the_reference(cells[:3] + cells[4:5])
 
 
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])

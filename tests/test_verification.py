@@ -301,18 +301,25 @@ def test_suite_builds_one_matrix_per_sample(monkeypatch):
 
 
 def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
-    solved = []
-    solve = verification.lambda_max_closed_form
+    solves = []
+    solve = verification.lambda_max_closed_forms
 
-    def counting_solve(params):
-        solved.append((params.kind, params.n, params.delta, params.gamma))
-        return solve(params)
+    def counting_solve(cells):
+        solves.append(list(cells))
+        return solve(cells)
 
-    monkeypatch.setattr(verification, "lambda_max_closed_form", counting_solve)
+    def scalar(params):
+        raise AssertionError("the sweep solved one root on its own")
+
+    monkeypatch.setattr(verification, "lambda_max_closed_forms", counting_solve)
+    monkeypatch.setattr(verification, "lambda_max_closed_form", scalar)
     run_lemma_suite(SMALL_GRID, seed=1)
-    cells = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS) \
-        * len(SMALL_GRID.ratio_values) ** 2
-    assert len(solved) == len(set(solved)) == cells == 640
+    # one stacked solve per sweep, whose rows are the grid's cells, each once
+    grid = {(kind, n, d, g) for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind)
+            for d in SMALL_GRID.ratio_values for g in SMALL_GRID.ratio_values}
+    assert len(solves) == 1
+    assert len(solves[0]) == len(set(solves[0])) == len(grid) == 640
+    assert set(solves[0]) == grid
 
 
 @pytest.mark.parametrize("check_ids", [ALL_CHECK_IDS, ("2b", "cycle"), ("positivity", "3h")])
