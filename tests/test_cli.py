@@ -1,6 +1,8 @@
 import ast
+import enum
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,21 +11,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE1_W
 from pcmeff import (
+    GeneratorSpec,
     NoConvergenceError,
+    Pcm,
     PerturbationKind,
     PerturbationStructure,
     RootNotBracketedError,
     apply_perturbation,
     cli,
     example1_matrix,
+    generate,
     is_efficient,
     power_iteration,
     to_dot,
 )
-from pcmeff.matrixio import format_matrix
+from pcmeff.efficiency import DEFAULT_TIE_TOL
+from pcmeff.generators import FAMILIES
+from pcmeff.matrixio import format_matrix, load_matrix
+from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
+from pcmeff.spectral import DEFAULT_POWER_TOL
 
 # `pcmeff verify --lemmas all --samples 64 --seed 42 --json`, saved while the
 # root finder still bisected before its Newton steps
@@ -249,6 +260,89 @@ def test_json_report_round_trips(example1_file):
     proc = run_cli("analyze", str(example1_file), "--json")
     report = json.loads(proc.stdout)
     assert json.loads(json.dumps(report)) == report
+    assert proc.stdout == json.dumps(report, indent=2) + "\n"
+
+
+# the orders of each family among 4, 8 and 16; case2b starts at 5
+FAMILY_ORDERS = {"case2a": (4,), "case2b": (5, 8, 16), "example1": (None,)}
+
+
+def analyzed_matrices():
+    """(name, entries) of every family at n = 4, 8 and 16, and of a noisy PCM."""
+    for family in FAMILIES:
+        for n in FAMILY_ORDERS.get(family, (4, 8, 16)):
+            m, _ = generate(GeneratorSpec(family, n=n, seed=5))
+            yield f"{family}-n{m.n}", m.entries
+    rng = np.random.default_rng(11)
+    log_a = np.triu(rng.normal(0.0, 1.0, (9, 9)), 1)
+    yield "noisy-n9", np.exp(log_a - log_a.T)
+
+
+@pytest.mark.parametrize("name, entries", list(analyzed_matrices()))
+def test_analyze_json_is_the_indented_json_of_the_report(tmp_path, name, entries):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(format_matrix(entries))
+    proc = run_cli("analyze", str(path), "--json")
+    report, _ = cli._analysis_report(
+        Pcm(load_matrix(str(path))), source={"path": str(path), "format": "txt"},
+        tol_consistency=DEFAULT_CONSISTENCY_TOL, tie_tol=DEFAULT_TIE_TOL,
+        power_tol=DEFAULT_POWER_TOL)
+    report["timing_seconds"] = json.loads(proc.stdout)["timing_seconds"]
+    assert proc.stdout == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", [("--lemmas", "all", "--samples", "1"),
+                                  ("--theorem", "apq", "--samples", "3")])
+def test_verify_json_is_the_indented_json_of_its_payload(args):
+    proc = run_cli("verify", *args, "--json")
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_sidecar_is_the_indented_json_of_the_ground_truth(tmp_path, family):
+    n = FAMILY_ORDERS.get(family, (4,))[0]
+    out = tmp_path / "m.txt"
+    assert run_cli("generate", "--family", family, *(("--n", str(n)) if n else ()),
+                   "--seed", "2", "--out", str(out)).returncode == 0
+    m, structure = generate(GeneratorSpec(family, n=n, seed=2))
+    sidecar = {"schema_version": cli.SCHEMA_VERSION, "family": family, "n": m.n, "seed": 2,
+               "ground_truth": cli._classification_dict(structure) if structure else None}
+    assert (tmp_path / "m.txt.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
+
+
+# ----------------------------------------------------------- the json writer
+
+class Grade(enum.IntEnum):
+    HIGH = 3
+
+
+# values that a careless writer could take for others, or that it must escape
+NUMBERS = [0, 1, 0.0, 1.0, -0.0, 0.1, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
+           2**1024, -(2**1100), math.nan, math.inf, -math.inf]    # 1 == 1.0 == True
+OTHERS = [None, True, False, np.float64(1.5), np.float64(math.inf), Grade.HIGH]
+TEXTS = ["", "[", "]", ",", ", ", '", "', ": ", '"', "\\", "{", "}", "\n", "\t", "\x00",
+         "\x1f", "\x7f", "n", "é", "\u2028", "\U0001f600", "\ud800", "\udfff", "a b"]
+numbers = st.sampled_from(NUMBERS) | st.integers() | st.floats()
+texts = st.lists(st.sampled_from(TEXTS), max_size=3).map("".join) | st.text(max_size=3)
+number_lists = st.lists(numbers, max_size=5) | st.lists(numbers | st.booleans(), max_size=5)
+leaves = st.one_of(
+    st.sampled_from(NUMBERS + OTHERS + TEXTS), numbers, texts, number_lists,
+    st.lists(number_lists, max_size=4),          # ragged, and lists of empty lists
+    st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=1, max_size=4),
+    st.lists(numbers, max_size=3).map(tuple),
+    st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), numbers,
+                    min_size=1, max_size=2),
+)
+json_trees = st.recursive(leaves, lambda children: (
+    st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(json_trees)
+def test_json_writer_equals_indented_json_dumps(tree):
+    assert cli._json(tree) == json.dumps(tree, indent=2)
 
 
 def test_text_and_json_values_agree(example1_file):
