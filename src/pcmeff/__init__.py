@@ -24,6 +24,7 @@ from .errors import (
     NotSquareError,
     ParseError,
     PcmError,
+    PotentialRangeError,
     ReciprocityViolationError,
     RootNotBracketedError,
 )

@@ -42,6 +42,10 @@ class DegenerateParametersError(PcmError):
     """delta or gamma equals 1; the closed forms do not apply."""
 
 
+class PotentialRangeError(PcmError):
+    """A repair the classification tries needs a potential that no float holds."""
+
+
 class NoConvergenceError(RuntimeError):
     """Power iteration failed to reach the residual tolerance."""
 

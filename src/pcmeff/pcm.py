@@ -12,6 +12,7 @@ or 2 upper-triangle cells plus reciprocals) that restores consistency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +22,7 @@ from .errors import (
     InvalidCaseError,
     NonPositiveEntryError,
     NotSquareError,
+    PotentialRangeError,
     ReciprocityViolationError,
 )
 
@@ -146,12 +148,12 @@ def check_order(kind: PerturbationKind, n: int, error: type = InvalidCaseError) 
         raise error(f"kind {kind.value!r} requires n {wanted}, got {n}")
 
 
-def disjoint_kind(n: int) -> PerturbationKind:
-    """The disjoint-row kind whose canonical form has order ``n``."""
+def canonical_kind(cells: tuple[tuple[int, int], ...], n: int) -> PerturbationKind:
+    """The kind whose canonical form perturbs exactly ``cells`` and exists at order ``n``."""
     for kind, form in CANONICAL_FORMS.items():
-        if form.cells == _DISJOINT_CELLS and form.allows(n):
+        if form.cells == cells and form.allows(n):
             return kind
-    raise InvalidCaseError(f"no disjoint-row form of order {n}")
+    raise InvalidCaseError(f"no canonical form perturbs the cells {cells} at order {n}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,9 @@ def _potentials(a: np.ndarray, removed: tuple[tuple[int, int], ...] = ()) -> np.
     {u, v} are kept, the node a breadth-first search from 0 reaches v
     through first.  That u exists for the sets the search tries: at most
     two cells at n >= 4, at most one at n = 3 (where removing (1, 2) leaves
-    a tree, which always passes).
+    a tree, which always passes).  If t_u * a_uv underflows to 0 or
+    overflows, no float potential fits the repair at ``removed``:
+    :class:`PotentialRangeError` names it, its kind and log10 t_v.
     """
     t = a[0].copy()
     t[0] = 1.0
@@ -275,7 +279,12 @@ def _potentials(a: np.ndarray, removed: tuple[tuple[int, int], ...] = ()) -> np.
         if i == 0:
             u = next(u for u in range(1, a.shape[0]) if u != v and (0, u) not in removed
                      and (min(u, v), max(u, v)) not in removed)
-            t[v] = t[u] * a[u, v]
+            t[v] = tv = float(t[u]) * float(a[u, v])    # Python floats: overflow gives no warning
+            if not 0.0 < tv < math.inf:
+                raise PotentialRangeError(
+                    f"the {_repair_kind(a.shape[0], removed).value} repair at {removed} needs a "
+                    f"potential of 10^{math.log10(t[u]) + math.log10(a[u, v]):.1f} relative "
+                    "to node 0, beyond the float range")
     return t
 
 
@@ -359,24 +368,22 @@ def _hitting_sets(bad: np.ndarray, pairs: list[tuple[int, int]], size: int):
 
 
 def _canonical_permutation(n: int, positions: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Relabeling that moves the perturbed cells into their canonical spots."""
-    if len(positions) == 0:
-        return tuple(range(n))
-    if len(positions) == 1:
-        i, j = positions[0]
-        head = [i, j]
-    else:
-        (i1, j1), (i2, j2) = positions
-        nodes1, nodes2 = {i1, j1}, {i2, j2}
-        shared = nodes1 & nodes2
-        if shared:
-            v = min(shared)
-            others = sorted((nodes1 | nodes2) - {v})
-            head = [v, others[0], others[1]]
-        else:
-            head = [i1, j1, i2, j2]
-    rest = [k for k in range(n) if k not in head]
-    return tuple(head + rest)
+    """Relabeling that moves the perturbed cells into their canonical spots.
+
+    The node the cells share comes first, then the cells' other nodes in
+    order (sorted, as positions are), then every other node.
+    """
+    nodes = [v for cell in positions for v in cell]
+    head = [v for v in nodes if nodes.count(v) > 1][:1]
+    head += [v for v in nodes if v not in head]
+    return tuple(head + [v for v in range(n) if v not in head])
+
+
+def _repair_kind(n: int, positions: tuple[tuple[int, int], ...]) -> PerturbationKind:
+    """The :func:`canonical_kind` of ``positions`` relabeled by :func:`_canonical_permutation`."""
+    label = _canonical_permutation(n, positions).index
+    return canonical_kind(tuple(sorted(tuple(sorted((label(i), label(j))))
+                                       for i, j in positions)), n)
 
 
 def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> PerturbationStructure:
@@ -390,71 +397,42 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
     node 0 already fix a failing test, cannot stay whole in an accepted
     completion (see :func:`_bad_triads`), so every other set would be
     rejected.  The result is therefore the one the exhaustive search over
-    all sets gives, on every input and every ``tol``.  Among
-    equal-size repairs the lexicographically smallest position set is the
-    primary one; the others are reported in ``alternatives``.  The
-    recovered base is expressed in canonical labeling with the first
-    relabeled alternative as numeraire.
+    all sets gives, on every input and every ``tol``.  Order 2 has no
+    triad, so its empty set passes.  Among equal-size repairs the
+    lexicographically smallest position set is the primary one; the others
+    are reported in ``alternatives``.  The repair's kind is the row of
+    ``CANONICAL_FORMS`` holding its relabeled cells, and the recovered base
+    is expressed in that canonical labeling with the first relabeled
+    alternative as numeraire.  A tried set whose potential leaves the
+    float range raises :class:`PotentialRangeError` (see :func:`_potentials`),
+    even when another set of its size passes, as the alternatives would
+    then be incomplete.
     """
     if not tol >= 0:    # NaN fails too
         raise ValueError("tol must be non-negative")
     a = m.entries
-    n = m.n
-    if n < 3:
-        # order 2 is vacuously consistent (no triples)
-        return PerturbationStructure(
-            kind=PerturbationKind.CONSISTENT,
-            n=n,
-            base=tuple(a[0, 1:].tolist()),
-            permutation=tuple(range(n)),
-        )
-
-    pairs = _upper_pairs(n)
+    pairs = _upper_pairs(m.n)
     bad = _bad_triads(a, tol)
     for size in (0, 1, 2):
         hits = [(removed, t) for removed in _hitting_sets(bad, pairs, size)
                 if (t := _consistent_completion(a, removed, tol)) is not None]
         if hits:
             return _repair_structure(a, hits)
-    return PerturbationStructure(kind=PerturbationKind.OTHER, n=n)
+    return PerturbationStructure(kind=PerturbationKind.OTHER, n=m.n)
 
 
 def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
     """The structure of the smallest repairs ``hits``: (removed cells, potentials) pairs."""
     n = a.shape[0]
-    hits = sorted(hits, key=lambda h: h[0])
-    positions, t = hits[0]
-    size = len(positions)
-    alternatives = tuple(h[0] for h in hits[1:])
+    (positions, t), *others = sorted(hits, key=lambda h: h[0])
     perm = _canonical_permutation(n, positions)
+    kind = _repair_kind(n, positions)
     tp = t[list(perm)]
-    base = tuple((tp[1:] / tp[0]).tolist())
-
-    def ratio(ci: int, cj: int) -> float:
-        oi, oj = perm[ci], perm[cj]
-        return float(a[oi, oj] * t[oi] / t[oj])
-
-    if size == 0:
-        kind = PerturbationKind.CONSISTENT
-    elif size == 1:
-        kind = PerturbationKind.SIMPLE
-    elif set(positions[0]) & set(positions[1]):
-        kind = PerturbationKind.CASE1
-    else:
-        kind = disjoint_kind(n)
-    factors = [ratio(i, j) for i, j in CANONICAL_FORMS[kind].cells]
+    factors = [float(a[perm[i], perm[j]] * tp[i] / tp[j]) for i, j in CANONICAL_FORMS[kind].cells]
     delta, gamma = (factors + [None, None])[:2]
-
-    return PerturbationStructure(
-        kind=kind,
-        n=n,
-        base=base,
-        delta=delta,
-        gamma=gamma,
-        positions=positions,
-        permutation=perm,
-        alternatives=alternatives,
-    )
+    return PerturbationStructure(kind=kind, n=n, base=tuple((tp[1:] / tp[0]).tolist()),
+                                 delta=delta, gamma=gamma, positions=positions,
+                                 permutation=perm, alternatives=tuple(h[0] for h in others))
 
 
 def reconstruct(structure: PerturbationStructure) -> Pcm:

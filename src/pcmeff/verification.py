@@ -28,7 +28,6 @@ from .pcm import (
     Pcm,
     apply_perturbation,
     canonical_entries,
-    disjoint_kind,
     validate_entries,
 )
 # Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
@@ -218,15 +217,6 @@ _CYCLES = {
     PerturbationKind.CASE2A: CASE2A_CYCLES,
     PerturbationKind.CASE2B: CASE2B_CYCLES,
 }
-
-
-def region_cycle(kind: PerturbationKind, delta: float, gamma: float) -> tuple:
-    """The certifying cycle for the sample's sign region (1-based nodes)."""
-    for predicate, cycle in _CYCLES[kind]:
-        if predicate(delta, gamma):
-            return cycle
-    raise HypothesisViolatedError(
-        f"no sign region matches delta={delta}, gamma={gamma} for {kind.value}")
 
 
 def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tuple[int, int]]:
@@ -472,7 +462,8 @@ def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generat
 
 def _random_double_matrix(rng: np.random.Generator) -> Pcm:
     n = int(rng.choice((4, 5, 6, 7, 8, 9)))
-    kind = PerturbationKind.CASE1 if rng.random() < 0.5 else disjoint_kind(n)
+    shared_row, disjoint = (k for k in DOUBLE_KINDS if CANONICAL_FORMS[k].allows(n))
+    kind = shared_row if rng.random() < 0.5 else disjoint
     delta = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
     gamma = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
     return apply_perturbation(PerturbationStructure(kind, n, sample_base(rng, n), delta, gamma))

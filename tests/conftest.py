@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pcmeff import EfficiencyDigraph, Pcm, spectral
+from pcmeff import EfficiencyDigraph, HypothesisViolatedError, Pcm, PerturbationKind, spectral
 from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
+from pcmeff.verification import _CYCLES
 
 # 4x4 matrix whose principal eigenvector is inefficient; its reference
 # eigenvector (8 digits, truncated) and the dominating second coordinate
@@ -69,3 +70,12 @@ def charpoly_oracle(m: Pcm, lam: float) -> float:
     reference they are checked against.
     """
     return float(np.linalg.det(m.entries - lam * np.eye(m.n)))
+
+
+def region_cycle(kind: PerturbationKind, delta: float, gamma: float) -> tuple:
+    """The certifying cycle for the sample's sign region (1-based nodes)."""
+    for predicate, cycle in _CYCLES[kind]:
+        if predicate(delta, gamma):
+            return cycle
+    raise HypothesisViolatedError(
+        f"no sign region matches delta={delta}, gamma={gamma} for {kind.value}")

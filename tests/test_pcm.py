@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from pcmeff import (
     PerturbationStructure,
     Pcm,
     PcmError,
+    PotentialRangeError,
     ReciprocityViolationError,
     SuiteGrid,
     apply_perturbation,
@@ -433,16 +435,112 @@ def test_classification_respects_order_bounds():
 
 def test_order_two_is_vacuously_consistent():
     c = classify_perturbation(Pcm([[1.0, 7.0], [1 / 7, 1.0]]))
-    assert c.kind == PerturbationKind.CONSISTENT
+    assert c == PerturbationStructure(kind=PerturbationKind.CONSISTENT, n=2, base=(7.0,),
+                                      permutation=(0, 1))
+    assert (c.positions, c.alternatives, c.delta, c.gamma) == ((), (), None, None)
+    assert [x.hex() for x in c.base] == [(7.0).hex()]
+
+
+def test_order_three_inconsistent_matrix_is_simple_at_every_cell():
+    # every single cell of a 3x3 matrix is a repair; (0, 1) is the primary one
+    c = classify_perturbation(Pcm([[1.0, 2.0, 4.0], [0.5, 1.0, 8.0], [0.25, 0.125, 1.0]]))
+    assert c == PerturbationStructure(kind=PerturbationKind.SIMPLE, n=3, base=(0.5, 4.0),
+                                      delta=4.0, positions=((0, 1),), permutation=(0, 1, 2),
+                                      alternatives=(((0, 2),), ((1, 2),)))
+    assert [x.hex() for x in c.base + (c.delta,)] == [x.hex() for x in (0.5, 4.0, 4.0)]
+
+
+def test_canonical_kind_finds_every_table_row_at_its_orders():
+    for kind, form in pcm.CANONICAL_FORMS.items():
+        for n in range(2, 12):
+            if form.allows(n):
+                assert pcm.canonical_kind(form.cells, n) == kind, (kind, n)
+    for cells, n in [(((0, 1),), 2), (((0, 1), (0, 2)), 3), (((0, 1), (2, 3)), 3),
+                     (((0, 2),), 5), (((0, 1), (1, 2)), 5)]:
+        with pytest.raises(InvalidCaseError, match="no canonical form"):
+            pcm.canonical_kind(cells, n)
 
 
 # --------------------------------------------------- exhaustive search oracle
+
+def reference_permutation(n: int, positions: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Relabeling that moves the perturbed cells into their canonical spots, size by size.
+
+    The reference for ``pcm._canonical_permutation``.
+    """
+    if len(positions) == 0:
+        return tuple(range(n))
+    if len(positions) == 1:
+        i, j = positions[0]
+        head = [i, j]
+    else:
+        (i1, j1), (i2, j2) = positions
+        nodes1, nodes2 = {i1, j1}, {i2, j2}
+        shared = nodes1 & nodes2
+        if shared:
+            v = min(shared)
+            others = sorted((nodes1 | nodes2) - {v})
+            head = [v, others[0], others[1]]
+        else:
+            head = [i1, j1, i2, j2]
+    rest = [k for k in range(n) if k not in head]
+    return tuple(head + rest)
+
+
+def reference_kind(n: int, positions: tuple[tuple[int, int], ...]) -> PerturbationKind:
+    """The kind of a repair by its size and shared node, the reference for ``pcm._repair_kind``."""
+    if len(positions) == 0:
+        return PerturbationKind.CONSISTENT
+    if len(positions) == 1:
+        return PerturbationKind.SIMPLE
+    if set(positions[0]) & set(positions[1]):
+        return PerturbationKind.CASE1
+    return PerturbationKind.CASE2A if n == 4 else PerturbationKind.CASE2B
+
+
+def reference_structure(a: np.ndarray, hits) -> PerturbationStructure:
+    """The structure of the smallest repairs ``hits``, relabeled by the reference rules."""
+    n = a.shape[0]
+    hits = sorted(hits, key=lambda h: h[0])
+    positions, t = hits[0]
+    perm = reference_permutation(n, positions)
+    kind = reference_kind(n, positions)
+    tp = t[list(perm)]
+
+    def ratio(ci: int, cj: int) -> float:
+        oi, oj = perm[ci], perm[cj]
+        return float(a[oi, oj] * t[oi] / t[oj])
+
+    factors = [ratio(i, j) for i, j in pcm.CANONICAL_FORMS[kind].cells]
+    delta, gamma = (factors + [None, None])[:2]
+    return PerturbationStructure(kind=kind, n=n, base=tuple((tp[1:] / tp[0]).tolist()),
+                                 delta=delta, gamma=gamma, positions=positions,
+                                 permutation=perm, alternatives=tuple(h[0] for h in hits[1:]))
+
+
+def test_relabeling_and_kind_match_the_reference_rules():
+    sets = 0
+    for n in range(2, 10):
+        for size in range(3):
+            for positions in itertools.combinations(pcm._upper_pairs(n), size):
+                sets += 1
+                perm = pcm._canonical_permutation(n, positions)
+                assert perm == reference_permutation(n, positions), (n, positions)
+                kind = reference_kind(n, positions)
+                if pcm.CANONICAL_FORMS[kind].allows(n):
+                    assert pcm._repair_kind(n, positions) == kind, (n, positions)
+                else:
+                    with pytest.raises(InvalidCaseError):
+                        pcm._repair_kind(n, positions)
+    assert sets == 1514
+
 
 def bfs_potentials(a: np.ndarray, removed) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Potentials t_j / t_i = a_ij over a breadth-first spanning forest, and the kept cells.
 
     The reference for ``pcm._potentials``: adjacency lists of the kept upper
-    cells, one search per unvisited root, a zero potential as unvisited.
+    cells, one search per unvisited root.  A potential that underflows to 0
+    stays 0, as visits are marked apart from the potentials.
     """
     n = a.shape[0]
     removed_set = set(removed)
@@ -452,16 +550,18 @@ def bfs_potentials(a: np.ndarray, removed) -> tuple[np.ndarray, list[tuple[int, 
         adj[i].append(j)
         adj[j].append(i)
     t = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
     for root in range(n):
-        if t[root] != 0.0:
+        if seen[root]:
             continue
-        t[root] = 1.0
+        t[root], seen[root] = 1.0, True
         queue = collections.deque([root])
         while queue:
             u = queue.popleft()
             for v in adj[u]:
-                if t[v] == 0.0:
-                    t[v] = t[u] * a[u, v]
+                if not seen[v]:
+                    with np.errstate(over="ignore"):
+                        t[v], seen[v] = t[u] * a[u, v], True
                     queue.append(v)
     return t, kept
 
@@ -485,25 +585,32 @@ def bfs_completion(a: np.ndarray, removed, tol: float):
 
 def exhaustive_classify(m: Pcm, tol: float) -> PerturbationStructure:
     """The search without pruning: every set of 0, 1 or 2 upper cells, in order, by BFS."""
-    if m.n < 3:
-        return classify_perturbation(m, tol)
     pairs = pcm._upper_pairs(m.n)
     for size in (0, 1, 2):
         hits = [(removed, t) for removed in itertools.combinations(pairs, size)
                 if (t := bfs_completion(m.entries, removed, tol)) is not None]
         if hits:
-            return pcm._repair_structure(m.entries, hits)
+            return reference_structure(m.entries, hits)
     return PerturbationStructure(kind=PerturbationKind.OTHER, n=m.n)
 
 
 def assert_completion_equals_bfs(a: np.ndarray, tols) -> None:
-    """Same decision and potential bits on every removal set the search can reach."""
+    """Same decision and potential bits on every removal set the search can reach.
+
+    Where a BFS potential is 0 or inf, the completion must raise
+    ``PotentialRangeError`` naming the set instead.
+    """
     n = a.shape[0]
     pairs = pcm._upper_pairs(n)
     # at n = 3 the search stops at size 1: removing (1, 2) leaves a tree
     for size in range(3 if n > 3 else 2):
         for removed in itertools.combinations(pairs, size):
             t, kept = bfs_potentials(a, removed)
+            if not np.all((t > 0.0) & (t < np.inf)):
+                for tol in tols:
+                    with pytest.raises(PotentialRangeError, match=re.escape(f"at {removed} ")):
+                        pcm._consistent_completion(a, removed, tol)
+                continue
             misses = bfs_misses(a, t, kept)
             for tol in tols:
                 got = pcm._consistent_completion(a, removed, tol)
@@ -571,18 +678,20 @@ def test_completion_equals_the_bfs_on_every_removal_set(n, kind, data):
 
 def test_potentials_beyond_the_float_range_raise_no_warning():
     # removing (0, 2) fits every other cell exactly in log space, but
-    # t_2 = 1e-160 * 1e-180 underflows to 0, so the size-1 repair is missed
+    # t_2 = 1e-160 * 1e-180 underflows to 0 (overflows in the transpose),
+    # so no float base holds that size-1 repair
     a = np.ones((4, 4))
     for (i, j), v in {(0, 1): 1e-160, (0, 2): 1e-300, (0, 3): 1e-160, (1, 2): 1e-180,
                       (2, 3): 1e180}.items():
         a[i, j], a[j, i] = v, 1.0 / v
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        c = classify_perturbation(Pcm(a))
-        assert_completion_equals_bfs(a, ORACLE_TOLS)
-    assert c.kind == PerturbationKind.CASE1
-    assert c.positions == ((0, 1), (0, 3))
-    assert c.alternatives == (((1, 2), (2, 3)),)
+    for b, log10 in [(a, -340.0), (a.T, 340.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PotentialRangeError, match=re.escape(
+                    f"the simple repair at ((0, 2),) needs a potential of 10^{log10} "
+                    "relative to node 0")):
+                classify_perturbation(Pcm(b))
+            assert_completion_equals_bfs(b, ORACLE_TOLS)
 
 
 # ------------------------------------------------------ pinned classifications

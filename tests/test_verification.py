@@ -35,10 +35,9 @@ from pcmeff.verification import (
     LEMMAS,
     POSITIVITY_CHECK,
     expand_cycle_arcs,
-    region_cycle,
 )
 
-from conftest import digraph_from_arcs
+from conftest import digraph_from_arcs, region_cycle
 
 UNIT4 = (1.0, 1.0, 1.0)
 SMALL_GRID = SuiteGrid(bases_per_cell=1, bases_per_cell_case2a=4)

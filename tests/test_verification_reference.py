@@ -24,8 +24,9 @@ from pcmeff.verification import (
     LEMMAS,
     POSITIVITY_CHECK,
     expand_cycle_arcs,
-    region_cycle,
 )
+
+from conftest import region_cycle
 
 SMALL_GRID = SuiteGrid(bases_per_cell=1, bases_per_cell_case2a=4)
 
