@@ -43,7 +43,12 @@ class DegenerateParametersError(PcmError):
 
 
 class PotentialRangeError(PcmError):
-    """A repair the classification tries needs a potential that no float holds."""
+    """A value the classification or the closed forms need lies beyond the float range.
+
+    Either a repair the classification tries needs a potential, base ratio
+    or factor that no float holds, or no closed-form eigenvector variant of
+    a structure is positive and finite in floats.
+    """
 
 
 class NoConvergenceError(RuntimeError):

@@ -406,7 +406,8 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
     alternative as numeraire.  A tried set whose potential leaves the
     float range raises :class:`PotentialRangeError` (see :func:`_potentials`),
     even when another set of its size passes, as the alternatives would
-    then be incomplete.
+    then be incomplete; so does a primary repair whose base ratio or factor
+    leaves it (see :func:`_repair_structure`).
     """
     if not tol >= 0:    # NaN fails too
         raise ValueError("tol must be non-negative")
@@ -422,15 +423,31 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
 
 
 def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
-    """The structure of the smallest repairs ``hits``: (removed cells, potentials) pairs."""
+    """The structure of the smallest repairs ``hits``: (removed cells, potentials) pairs.
+
+    A base ratio or factor of the primary repair that overflows or underflows
+    to 0 raises :class:`PotentialRangeError` naming the repair and its log10.
+    """
     n = a.shape[0]
     (positions, t), *others = sorted(hits, key=lambda h: h[0])
     perm = _canonical_permutation(n, positions)
     kind = _repair_kind(n, positions)
     tp = t[list(perm)]
-    factors = [float(a[perm[i], perm[j]] * tp[i] / tp[j]) for i, j in CANONICAL_FORMS[kind].cells]
+    cells = CANONICAL_FORMS[kind].cells
+    with np.errstate(over="ignore"):
+        base = tp[1:] / tp[0]
+        factors = [float(a[perm[i], perm[j]] * tp[i] / tp[j]) for i, j in cells]
+    ratios = np.append(base, factors)
+    fits = (0.0 < ratios) & (ratios < math.inf)
+    if not fits.all():
+        k, lt = int(np.argmin(fits)), np.log10(tp)
+        logs = np.append(lt[1:] - lt[0], [np.log10(a[perm[i], perm[j]]) + lt[i] - lt[j]
+                                          for i, j in cells])
+        name = ([f"base ratio x_{v}" for v in range(1, n)] + ["delta", "gamma"])[k]
+        raise PotentialRangeError(f"the {kind.value} repair at {positions} needs {name} = "
+                                  f"10^{logs[k]:.1f}, beyond the float range")
     delta, gamma = (factors + [None, None])[:2]
-    return PerturbationStructure(kind=kind, n=n, base=tuple((tp[1:] / tp[0]).tolist()),
+    return PerturbationStructure(kind=kind, n=n, base=tuple(base.tolist()),
                                  delta=delta, gamma=gamma, positions=positions,
                                  permutation=perm, alternatives=tuple(h[0] for h in others))
 

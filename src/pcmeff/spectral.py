@@ -18,6 +18,7 @@ from .errors import (
     DegenerateParametersError,
     InvalidCaseError,
     NoConvergenceError,
+    PotentialRangeError,
     RootNotBracketedError,
 )
 from .pcm import CANONICAL_FORMS, DOUBLE_KINDS, PerturbationKind, PerturbationStructure, Pcm
@@ -224,126 +225,88 @@ def form_terms(delta: float, gamma: float, lam: float) -> tuple[float, ...]:
             lam**2, lam**3)
 
 
-# Each form reads x = (1, base), or one column of it per base of a stack, and the
-# form_terms of its parameters.
-def _case1_vector(x, t, variant):
+# Each evaluator fills row v of w with form v, from x = (1, base) or a stack of them, and t.
+def _case1_vectors(w, x, t):
     n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
-    w = np.empty(x.shape)
-    if variant == 0:
-        w[0] = d * g * lam * (lam - n + 1)
-        w[1] = (g * lam - (n - 2) * g + d + (n - 3) * d * g) / x[1]
-        w[2] = (d * lam - (n - 2) * d + g + (n - 3) * d * g) / x[2]
-        tail = g + d + d * g * lam - 2 * d * g
-        for i in range(3, n):
-            w[i] = tail / x[i]
-    elif variant == 1:
-        w[0] = x[1] * g * lam * (d * lam - (n - 2) * d + g + n - 3)
-        w[1] = g * lam3 - (n - 1) * g * lam2 - (n - 3) * (g2 - 2 * g + 1)
-        w[2] = x[1] / x[2] * (g * lam2 - g * lam + d * lam + (n - 3) * (d * g - d - g + 1))
-        tail = g * lam2 - g * lam - g + d + d * g * lam - d * g + g2
-        for i in range(3, n):
-            w[i] = x[1] / x[i] * tail
-    elif variant == 2:
-        w[0] = x[2] * d * lam * (d + g * lam - (n - 2) * g + n - 3)
-        w[1] = x[2] / x[1] * (d * lam2 - d * lam + g * lam + (n - 3) * (d * g - d - g + 1))
-        w[2] = d * lam3 - (n - 1) * d * lam2 - (n - 3) * (d2 - 2 * d + 1)
-        tail = d * lam2 - d * lam + g - d + d2 + d * g * lam - d * g
-        for i in range(3, n):
-            w[i] = x[2] / x[i] * tail
-    else:
-        w[0] = x[3] * d * g * lam * (d + g + lam - 2)
-        w[1] = x[3] / x[1] * (d * g * lam2 - d * g * lam + g2 + g * lam - g - d * g + d)
-        w[2] = x[3] / x[2] * (d * g * lam2 - d * g * lam - d * g + g + d2 + d * lam - d)
-        tail = d * g * lam2 - 4 * d * g + g + d + d2 * g + g2 * d
-        for i in range(3, n):
-            w[i] = x[3] / x[i] * tail
-    return w
+    w[0, 0] = d * g * lam * (lam - n + 1)
+    w[0, 1] = (g * lam - (n - 2) * g + d + (n - 3) * d * g) / x[1]
+    w[0, 2] = (d * lam - (n - 2) * d + g + (n - 3) * d * g) / x[2]
+    w[0, 3:] = (g + d + d * g * lam - 2 * d * g) / x[3:]
+    w[1, 0] = x[1] * g * lam * (d * lam - (n - 2) * d + g + n - 3)
+    w[1, 1] = g * lam3 - (n - 1) * g * lam2 - (n - 3) * (g2 - 2 * g + 1)
+    w[1, 2] = x[1] / x[2] * (g * lam2 - g * lam + d * lam + (n - 3) * (d * g - d - g + 1))
+    w[1, 3:] = x[1] / x[3:] * (g * lam2 - g * lam - g + d + d * g * lam - d * g + g2)
+    w[2, 0] = x[2] * d * lam * (d + g * lam - (n - 2) * g + n - 3)
+    w[2, 1] = x[2] / x[1] * (d * lam2 - d * lam + g * lam + (n - 3) * (d * g - d - g + 1))
+    w[2, 2] = d * lam3 - (n - 1) * d * lam2 - (n - 3) * (d2 - 2 * d + 1)
+    w[2, 3:] = x[2] / x[3:] * (d * lam2 - d * lam + g - d + d2 + d * g * lam - d * g)
+    w[3, 0] = x[3] * d * g * lam * (d + g + lam - 2)
+    w[3, 1] = x[3] / x[1] * (d * g * lam2 - d * g * lam + g2 + g * lam - g - d * g + d)
+    w[3, 2] = x[3] / x[2] * (d * g * lam2 - d * g * lam - d * g + g + d2 + d * lam - d)
+    w[3, 3:] = x[3] / x[3:] * (d * g * lam2 - 4 * d * g + g + d + d2 * g + g2 * d)
 
 
-def _case2a_vector(x, t, variant):
+def _case2a_vectors(w, x, t):
     d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3 = t
-    w = np.empty(x.shape)
-    if variant == 0:
-        w[0] = d * (lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2)
-        w[1] = (lam2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g2) / x[1]
-        w[2] = g * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
-        w[3] = (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
-    elif variant == 1:
-        w[0] = x[1] * (d * g * lam2 - 2 * lam * d * g + 1 + 2 * lam * g - 2 * g + g2)
-        w[1] = lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2
-        w[2] = x[1] / x[2] * g * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
-        w[3] = x[1] / x[3] * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
-    elif variant == 2:
-        w[0] = x[2] * d * (1 + lam * g - g) * (d + lam - 1)
-        w[1] = x[2] / x[1] * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g)
-        w[2] = g * (d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2)
-        w[3] = x[2] / x[3] * (2 * lam * d * g + d * lam2 - 2 * lam * d - 2 * d * g + g + d2 * g)
-    else:
-        w[0] = x[3] * d * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
-        w[1] = x[3] / x[1] * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g)
-        w[2] = x[3] / x[2] * (2 * lam * d + d * g * lam2 - 2 * lam * d * g - 2 * d + 1 + d2)
-        w[3] = d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2
-    return w
+    w[0, 0] = d * (lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2)
+    w[0, 1] = (lam2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g2) / x[1]
+    w[0, 2] = g * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
+    w[0, 3] = (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
+    w[1, 0] = x[1] * (d * g * lam2 - 2 * lam * d * g + 1 + 2 * lam * g - 2 * g + g2)
+    w[1, 1] = lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2
+    w[1, 2] = x[1] / x[2] * g * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
+    w[1, 3] = x[1] / x[3] * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
+    w[2, 0] = x[2] * d * (1 + lam * g - g) * (d + lam - 1)
+    w[2, 1] = x[2] / x[1] * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g)
+    w[2, 2] = g * (d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2)
+    w[2, 3] = x[2] / x[3] * (2 * lam * d * g + d * lam2 - 2 * lam * d - 2 * d * g + g + d2 * g)
+    w[3, 0] = x[3] * d * (lam * g + lam2 - 2 * lam - g + 1 + lam * d - d + d * g)
+    w[3, 1] = x[3] / x[1] * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g)
+    w[3, 2] = x[3] / x[2] * (2 * lam * d + d * g * lam2 - 2 * lam * d * g - 2 * d + 1 + d2)
+    w[3, 3] = d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2
 
 
-def _case2b_vector(x, t, variant):
+def _case2b_vectors(w, x, t):
     n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
-    w = np.empty(x.shape)
-    if variant == 0:
-        w[0] = d * lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * (g2 - 2 * g + 1))
-        w[1] = (lam3 * g - (n - 2) * lam2 * g + (n - 2) * d * g * lam2
-                + (lam * d + (n - 4) * (d - 1)) * (g2 - 2 * g + 1)) / x[1]
-        w[2] = g * lam * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
-        w[3] = lam * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
-        tail = (g2 - 2 * g + lam2 * g + 1 + lam * d - d * g * lam2 - 2 * lam * d * g
-                + lam * g2 * d + lam3 * d * g - d + 2 * d * g - d * g2)
-        for i in range(4, n):
-            w[i] = tail / x[i]
-    elif variant == 1:
-        w[0] = x[1] * (lam3 * d * g - (n - 2) * d * g * lam2 - (n - 4) * d * gm1_2
-                       + lam + (n - 2) * lam2 * g - 2 * lam * g + lam * g2
-                       + (n - 4) * gm1_2)
-        w[1] = lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * gm1_2)
-        w[2] = x[1] / x[2] * g * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
-        w[3] = x[1] / x[3] * lam * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
-        tail = (lam * g2 - 2 * lam * g + lam3 * g + lam - g2 + 2 * g - lam2 * g - 1
-                + d - 2 * d * g + d * g2 + d * g * lam2)
-        for i in range(4, n):
-            w[i] = x[1] / x[i] * tail
-    elif variant == 2:
-        w[0] = x[2] * d * lam * (1 + lam * g - g) * (d + lam - 1)
-        w[1] = x[2] / x[1] * lam * (1 + lam * g - g) * (1 + d * lam - d)
-        w[2] = g * lam * (lam3 * d - (n - 1) * d * lam2 - (n - 3) * dm1_2)
-        w[3] = x[2] / x[3] * (d * lam3 - (n - 2) * d * lam2 * (1 - g) - 2 * lam * d * g
-                              + 2 * (n - 4) * d * (1 - g) + lam * g + d2 * lam * g
-                              + (n - 4) * (-1 + g - d2 + d2 * g))
-        tail = (1 + lam * g - g) * (d * lam2 + 1 - 2 * d + d2)
-        for i in range(4, n):
-            w[i] = x[2] / x[i] * tail
-    elif variant == 3:
-        w[0] = x[3] * d * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
-        w[1] = x[3] / x[1] * lam * (g + lam - 1) * (1 + d * lam - d)
-        w[2] = x[3] / x[2] * (lam3 * d * g - (n - 2) * d * lam2 * (g - 1) - 2 * d * lam
-                              + 2 * (n - 4) * d * (g - 1) + lam + d2 * lam
-                              + (n - 4) * (1 - g + d2 - d2 * g))
-        w[3] = lam * (d * lam3 - (n - 1) * d * lam2 - (n - 3) * dm1_2)
-        tail = (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam - 2 * d * g + 2 * d
-                - 1 + g + lam + d2 * lam - d2 + d2 * g)
-        for i in range(4, n):
-            w[i] = x[3] / x[i] * tail
-    else:
-        w[0] = x[4] * d * lam * (g2 - 2 * g + lam2 * g + 1) * (d + lam - 1)
-        w[1] = x[4] / x[1] * lam * (g2 - 2 * g + lam2 * g + 1) * (1 + d * lam - d)
-        w[2] = x[4] / x[2] * g * lam * (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam
-                                        - 2 * d * g + 2 * d - 1 + g + lam + d2 * lam
-                                        - d2 + d2 * g)
-        w[3] = x[4] / x[3] * lam * (d * lam2 + lam3 * d * g - d * g * lam2 - 2 * lam * d * g
-                                    - 2 * d + 2 * d * g - g + 1 + lam * g + d2
-                                    + d2 * lam * g - d2 * g)
-        tail = (g2 - 2 * g + lam2 * g + 1) * (d * lam2 + 1 - 2 * d + d2)
-        for i in range(4, n):
-            w[i] = x[4] / x[i] * tail
-    return w
+    w[0, 0] = d * lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * (g2 - 2 * g + 1))
+    w[0, 1] = (lam3 * g - (n - 2) * lam2 * g + (n - 2) * d * g * lam2
+               + (lam * d + (n - 4) * (d - 1)) * (g2 - 2 * g + 1)) / x[1]
+    w[0, 2] = g * lam * (g + lam - 1 + d * lam2 - 2 * lam * d + d + lam * d * g - d * g) / x[2]
+    w[0, 3] = lam * (1 + lam * g - g + lam * d - d + d * g * lam2 - 2 * lam * d * g + d * g) / x[3]
+    w[0, 4:] = (g2 - 2 * g + lam2 * g + 1 + lam * d - d * g * lam2 - 2 * lam * d * g
+                + lam * g2 * d + lam3 * d * g - d + 2 * d * g - d * g2) / x[4:]
+    w[1, 0] = x[1] * (lam3 * d * g - (n - 2) * d * g * lam2 - (n - 4) * d * gm1_2
+                      + lam + (n - 2) * lam2 * g - 2 * lam * g + lam * g2
+                      + (n - 4) * gm1_2)
+    w[1, 1] = lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * gm1_2)
+    w[1, 2] = x[1] / x[2] * g * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
+    w[1, 3] = x[1] / x[3] * lam * (lam + lam2 * g - 2 * lam * g - 1 + g + d + lam * d * g - d * g)
+    w[1, 4:] = x[1] / x[4:] * (lam * g2 - 2 * lam * g + lam3 * g + lam - g2 + 2 * g - lam2 * g - 1
+                               + d - 2 * d * g + d * g2 + d * g * lam2)
+    w[2, 0] = x[2] * d * lam * (1 + lam * g - g) * (d + lam - 1)
+    w[2, 1] = x[2] / x[1] * lam * (1 + lam * g - g) * (1 + d * lam - d)
+    w[2, 2] = g * lam * (lam3 * d - (n - 1) * d * lam2 - (n - 3) * dm1_2)
+    w[2, 3] = x[2] / x[3] * (d * lam3 - (n - 2) * d * lam2 * (1 - g) - 2 * lam * d * g
+                             + 2 * (n - 4) * d * (1 - g) + lam * g + d2 * lam * g
+                             + (n - 4) * (-1 + g - d2 + d2 * g))
+    w[2, 4:] = x[2] / x[4:] * ((1 + lam * g - g) * (d * lam2 + 1 - 2 * d + d2))
+    w[3, 0] = x[3] * d * lam * (lam * g + lam2 - 2 * lam - g + 1 + d * lam - d + d * g)
+    w[3, 1] = x[3] / x[1] * lam * (g + lam - 1) * (1 + d * lam - d)
+    w[3, 2] = x[3] / x[2] * (lam3 * d * g - (n - 2) * d * lam2 * (g - 1) - 2 * d * lam
+                             + 2 * (n - 4) * d * (g - 1) + lam + d2 * lam
+                             + (n - 4) * (1 - g + d2 - d2 * g))
+    w[3, 3] = lam * (d * lam3 - (n - 1) * d * lam2 - (n - 3) * dm1_2)
+    w[3, 4:] = x[3] / x[4:] * (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam - 2 * d * g + 2 * d
+                               - 1 + g + lam + d2 * lam - d2 + d2 * g)
+    w[4, 0] = x[4] * d * lam * (g2 - 2 * g + lam2 * g + 1) * (d + lam - 1)
+    w[4, 1] = x[4] / x[1] * lam * (g2 - 2 * g + lam2 * g + 1) * (1 + d * lam - d)
+    w[4, 2] = x[4] / x[2] * g * lam * (d * g * lam2 + lam3 * d - d * lam2 - 2 * d * lam
+                                       - 2 * d * g + 2 * d - 1 + g + lam + d2 * lam
+                                       - d2 + d2 * g)
+    w[4, 3] = x[4] / x[3] * lam * (d * lam2 + lam3 * d * g - d * g * lam2 - 2 * lam * d * g
+                                   - 2 * d + 2 * d * g - g + 1 + lam * g + d2
+                                   + d2 * lam * g - d2 * g)
+    w[4, 4:] = x[4] / x[4:] * ((g2 - 2 * g + lam2 * g + 1) * (d * lam2 + 1 - 2 * d + d2))
 
 
 def _checked_base(structure: PerturbationStructure) -> np.ndarray:
@@ -360,13 +323,28 @@ def _checked_base(structure: PerturbationStructure) -> np.ndarray:
     return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
 
 
-_FORMS = {PerturbationKind.CASE1: _case1_vector, PerturbationKind.CASE2A: _case2a_vector,
-          PerturbationKind.CASE2B: _case2b_vector}
+_FORMS = {PerturbationKind.CASE1: _case1_vectors, PerturbationKind.CASE2A: _case2a_vectors,
+          PerturbationKind.CASE2B: _case2b_vectors}
+
+
+def variant_vectors(kind: PerturbationKind, x: np.ndarray, terms) -> np.ndarray:
+    """Every eigenvector form of ``kind``, unnormalized, shape (variants,) + x.shape.
+
+    ``x`` is (1, base) with the :func:`form_terms` tuple, or (n, B) with
+    column ``k`` (1, base) of the ``k``-th sample and a (9, B) array of
+    terms whose column ``k`` holds that sample's :func:`form_terms`.  One
+    evaluator call fills every row, and each column gets the bits of the
+    one-dimensional call on its own parameters.  The caller has checked
+    that the closed forms apply.
+    """
+    w = np.empty((variant_count(kind),) + x.shape)
+    _FORMS[kind](w, x, terms)
+    return w
 
 
 def raw_variant_vector(structure: PerturbationStructure, variant: int,
                        lam: float) -> np.ndarray:
-    """Evaluate one eigenvector form at ``lam``, without normalization.
+    """Row ``variant`` of :func:`variant_vectors` on ``structure``, evaluated at ``lam``.
 
     At the dominant root of the closed-form polynomial all components are
     strictly positive.
@@ -375,20 +353,8 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    return _FORMS[structure.kind](x, form_terms(structure.delta, structure.gamma, lam), variant)
-
-
-def variant_vectors(kind: PerturbationKind, x: np.ndarray, terms) -> np.ndarray:
-    """Every :func:`raw_variant_vector` form of ``kind``, shape (variants,) + x.shape.
-
-    ``x`` is (1, base) with the :func:`form_terms` tuple, or (n, B) with
-    column ``k`` (1, base) of the ``k``-th sample and a (9, B) array of
-    terms whose column ``k`` holds that sample's :func:`form_terms`.  Each
-    column gets the bits of the one-dimensional call on its own parameters.
-    The caller has checked that the closed forms apply.
-    """
-    form = _FORMS[kind]
-    return np.array([form(x, terms, v) for v in range(variant_count(kind))])
+    terms = form_terms(structure.delta, structure.gamma, lam)
+    return variant_vectors(structure.kind, x, terms)[variant]
 
 
 @dataclass(frozen=True)
@@ -403,13 +369,16 @@ class ClosedFormResult:
 def closed_form_eigenvector(structure: PerturbationStructure) -> ClosedFormResult:
     """Principal eigenvector of a canonical double-perturbed matrix.
 
-    All forms of a case agree up to a positive scalar; the best-conditioned
-    one is picked (largest leading component before normalization) and
-    recorded in the result.
+    All forms of a case agree up to a positive scalar; among those positive
+    and finite in floats, the best-conditioned one is picked (largest leading
+    component before normalization) and recorded in the result.  With none,
+    :class:`PotentialRangeError` names the kind.
     """
-    x = _checked_base(structure)
-    lam = lambda_max_closed_form(structure)
-    candidates = variant_vectors(structure.kind, x,
-                                 form_terms(structure.delta, structure.gamma, lam))
-    variant = int(np.argmax(np.abs(candidates[:, 0])))
+    kind, x, lam = structure.kind, _checked_base(structure), lambda_max_closed_form(structure)
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidates = variant_vectors(kind, x, form_terms(structure.delta, structure.gamma, lam))
+    usable = np.all((0.0 < candidates) & (candidates < np.inf), axis=1)
+    if not usable.any():
+        raise PotentialRangeError(f"no {kind.value} closed-form eigenvector fits in floats")
+    variant = int(np.argmax(np.where(usable, candidates[:, 0], -1.0)))
     return ClosedFormResult(lam, normalize_weights(candidates[variant]), variant)

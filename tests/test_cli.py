@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -225,6 +226,45 @@ def test_analyze_exits_2_on_an_undecodable_file(tmp_path, capsys):
     assert out == ""
     assert err == ("parse error: line 1, column 1: undecodable byte 0xff at offset 0;"
                    " expected UTF-8\n")
+
+
+def analyze_without_warnings(path, entries):
+    """``analyze PATH --json`` on ``entries`` written to ``path``, with warnings as errors."""
+    path.write_text(format_matrix(entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli("analyze", str(path), "--json")
+
+
+def test_analyze_takes_a_closed_form_that_fits_in_floats(tmp_path):
+    # at base (1, 1, 1e306) form 3 of case1 overflows, and form 2 is the largest that fits
+    a = apply_perturbation(PerturbationStructure(kind=PerturbationKind.CASE1, n=4,
+                                                 base=(1.0, 1.0, 1e306), delta=50.0,
+                                                 gamma=0.02)).entries
+    for b in (a, a.T):
+        proc = analyze_without_warnings(tmp_path / "m.txt", b)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        closed = report["weights"]["closed_form"]
+        assert closed["variant"] == 2
+        w, lam = np.array(closed["w"]), closed["lambda_max"]
+        assert np.all(np.abs(b @ w - lam * w) <= 1e-12 * lam * w)    # entry by entry
+        if b is a:    # in the transpose, power iteration stops before its tiny entries settle
+            assert np.allclose(w, report["weights"]["power_iteration"], rtol=1e-8, atol=0)
+
+
+def test_analyze_names_a_repair_beyond_the_float_range(tmp_path):
+    # the potentials fit, but the simple repair at (1, 2) puts node 1 first, and its
+    # base then needs t_2 / t_1 = 1e-360 (1e360 in the transpose)
+    a = np.ones((4, 4))
+    for (i, j), v in {(0, 1): 1e200, (0, 2): 1e-160, (0, 3): 1e20, (1, 2): 1.0,
+                      (1, 3): 1e-180, (2, 3): 1e180}.items():
+        a[i, j], a[j, i] = v, 1.0 / v
+    for b, log10 in [(a, -360.0), (a.T, 360.0)]:
+        proc = analyze_without_warnings(tmp_path / "m.txt", b)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: the simple repair at ((1, 2),) needs base ratio x_1 = "
+                               f"10^{log10}, beyond the float range\n")
 
 
 def test_analyze_validation_error_exit_code(tmp_path):

@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
+import json
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from pcmeff import (
     InvalidCaseError,
     NoConvergenceError,
     PerturbationKind,
+    PotentialRangeError,
     PerturbationStructure,
     Pcm,
     RootNotBracketedError,
@@ -474,6 +479,16 @@ def test_default_variant_has_largest_leading_component():
     assert closed_form_eigenvector(st).variant == int(np.argmax(leading))
 
 
+def test_closed_form_without_a_fitting_form_names_the_kind():
+    st = PerturbationStructure(kind=PerturbationKind.CASE2A, n=4, base=(1e300, 1e300, 1e-300),
+                               delta=1000.0, gamma=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PotentialRangeError,
+                           match="^no case2a closed-form eigenvector fits in floats$"):
+            closed_form_eigenvector(st)
+
+
 def _drawn_until(rng, holds):
     """The first log-uniform draw from [1/81, 81] for which ``holds`` is true."""
     while True:
@@ -506,3 +521,41 @@ def test_stacked_variant_vectors_keep_the_one_base_bits():
                     st = PerturbationStructure(kind, n, tuple(xs[1:, k]), d, g)
                     for v in range(variant_count(kind)):
                         assert raw_variant_vector(st, v, lam).tobytes() == one[v].tobytes()
+
+
+VARIANT_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "variant_vectors_golden.json"
+
+
+def _variant_vector_digests():
+    """SHA-256 of the little-endian variant vectors of every (kind, n) up to order 9.
+
+    Each (kind, n) evaluates 16 seeded cells, with delta, gamma and the base
+    log-uniform in [e^-18, e^18] and lam their closed-form root, and the two
+    power-rounding cells of the stacked-bits test, once as one stacked call
+    and once base by base.
+    """
+    rng = np.random.default_rng(23)
+    square = _drawn_until(rng, lambda v: v**2 != v * v)
+    shifted = _drawn_until(rng, lambda v: (v - 1) ** 2 != (v - 1) * (v - 1))
+    digests = {}
+    for kind in DOUBLE_KINDS:
+        for n in filter(CANONICAL_FORMS[kind].allows, range(4, 10)):
+            factors = np.exp(rng.uniform(-18.0, 18.0, (16, 2))).tolist()
+            roots = spectral.lambda_max_closed_forms([(kind, n, d, g) for d, g in factors])
+            cells = [(d, g, lam) for (d, g), lam in zip(factors, roots.tolist())]
+            cells += [(square, square, square), (shifted, shifted, square)]
+            xs = np.exp(rng.uniform(-18.0, 18.0, (n, len(cells))))
+            xs[0] = 1.0
+            terms = [spectral.form_terms(*cell) for cell in cells]
+            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms))
+            one_base = [spectral.variant_vectors(kind, xs[:, k].copy(), terms[k])
+                        for k in range(len(cells))]
+            digests[f"{kind.value}/{n}"] = {
+                name: hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
+                for name, v in (("stacked", stacked), ("one_base", np.array(one_base)))}
+    return digests
+
+
+def test_variant_vectors_keep_their_pinned_bits():
+    # the forms, stacked and one base at a time, against digests of their bits
+    assert _variant_vector_digests() == json.loads(VARIANT_GOLDEN_PATH.read_text())
