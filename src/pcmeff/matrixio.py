@@ -7,6 +7,17 @@ matrix quoted with entries like 1/7 survives a round trip without
 transcription rounding).  CSV: one row per line, comma-separated, order
 inferred from the first row; the same value syntax applies.  Files are
 UTF-8, with or without a byte-order mark.
+
+The rows of both formats are read by one call to numpy's C text reader
+(``np.loadtxt``) when it takes them all: the reader gets the content lines
+the line parser sees (``str.splitlines``, comments cut off) and splits them
+on the whitespace or commas ``str.split`` splits on.  It converts each value
+with ``PyOS_string_to_double``, the core of ``float()``, and rejects a value
+it does not consume whole, so it reads a subset of ``float()``'s syntax (no
+``1_000``, no non-ASCII digits) and its values are bit-identical to the
+line parser's.  Where it rejects a value or a row's length, the line parser
+reads the rows: ``p/q`` values, other spellings and every
+:class:`ParseError`, with its line and column, come from there.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ def _parse_value(token: str, line_no: int, column: int) -> float:
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(line_no, content) of the lines that are not blank or a comment."""
-    lines = [(line_no, raw.split("#", 1)[0]) for line_no, raw in enumerate(text.splitlines(), 1)]
+    lines = [(line_no, raw.partition("#")[0]) for line_no, raw in enumerate(text.splitlines(), 1)]
     if not (lines := [line for line in lines if line[1].strip()]):
         raise ParseError("empty input", 1)
     return lines
@@ -73,17 +84,18 @@ def _parse_csv_row(content: str, line_no: int, n: int) -> list[float]:
     return row
 
 
-def _row_values(lines, n: int, sep: str | None, parse_row) -> list[float]:
-    """Flat row values: one ``map(float, ...)`` per row, ``parse_row`` for the rest (p/q,
-    errors).  ``float`` strips no whitespace ``str.strip`` keeps, so CSV padding reads alike."""
-    values = []
-    for line_no, content in lines:
-        try:
-            row = list(map(float, content.split(sep)))
-        except ValueError:
-            row = []
-        values += row if len(row) == n else parse_row(content, line_no, n)
-    return values
+def _read_rows(lines, n: int, delimiter: str | None, parse_row) -> np.ndarray:
+    """Rows of n values from content lines: one call to numpy's C reader, or, where it
+    rejects a value or a row's length, ``parse_row`` on each line (p/q, errors)."""
+    try:
+        rows = np.loadtxt([content for _, content in lines], dtype=float, comments=None,
+                          delimiter=delimiter, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != n:
+        rows = np.array([parse_row(content, line_no, n) for line_no, content in lines],
+                        dtype=float)
+    return rows
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -101,18 +113,18 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ParseError(f"matrix order must be positive, got {n}", line_no, 1)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}", line_no)
-    return np.array(_row_values(lines[1:], n, None, _parse_row), dtype=float).reshape(n, n)
+    return _read_rows(lines[1:], n, None, _parse_row)
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
     """Parse the CSV format into a float array (unvalidated)."""
     lines = _content_lines(text)
     n = lines[0][1].count(",") + 1
-    values = _row_values(lines, n, ",", _parse_csv_row)
+    rows = _read_rows(lines, n, ",", _parse_csv_row)
     if len(lines) != n:
         raise ParseError(f"expected {n} rows for a square matrix, found {len(lines)}",
                          lines[-1][0])
-    return np.array(values, dtype=float).reshape(n, n)
+    return rows
 
 
 def load_matrix(path: str, fmt: str = "txt") -> np.ndarray:

@@ -138,7 +138,10 @@ def _bracket_coeffs(kind: PerturbationKind, n: int, d: float, g: float) -> tuple
         b1 = (g / d + d / g) + (n - 3) * (g + d + 1.0 / g + 1.0 / d) - 4.0 * n + 10.0
         return 1.0, -n, 0.0, -b1
     e = g + d + 1.0 / g + 1.0 / d - 4.0
-    c = (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
+    try:
+        c = (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
+    except OverflowError:    # float ** raises where numpy gives inf, which fails the bracket
+        c = np.inf
     if kind == PerturbationKind.CASE2A:
         return 1.0, -4.0, 0.0, -2.0 * e, -c
     return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
@@ -161,9 +164,10 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
     """Unique real root above n of the bracket of each (kind, n, delta, gamma) cell, by Newton.
 
     With delta = gamma = 1 the matrix is consistent and exactly n is
-    returned.  Otherwise p(n) < 0 < p(b) must hold at the Cauchy root bound
-    b = 1 + max |coefficient|, or :class:`RootNotBracketedError` names the
-    first cell where it fails, and Newton starts at b.  The roots are
+    returned.  Otherwise p(n) < 0 < p(b) < inf must hold at the Cauchy root
+    bound b = 1 + max |coefficient|, or :class:`RootNotBracketedError` names
+    the first cell where it fails (p(b) overflows once delta or gamma is far
+    from 1), and Newton starts at b.  The roots are
     eigenvalues of a positive matrix, so all but the Perron root are strictly
     smaller in modulus, and by Gauss-Lucas p is increasing and convex above
     it: the iterates descend monotonically onto it.  A cell stops at the
@@ -175,8 +179,10 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
     columns = list(np.array([(0.0,) * (width - len(c)) + c for c in coeffs]).T.copy())
     n = np.array([float(cell[1]) for cell in cells])
     x = np.array([1.0 + max(map(abs, c)) for c in coeffs])
-    f_n, f_bound = _horner(columns, np.array([n, x]))[0]
-    unbracketed = ~((f_n < 0.0) & (0.0 < f_bound)) & (f_n != 0.0)    # NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_n, f_bound = _horner(columns, np.array([n, x]))[0]
+    # NaN fails too
+    unbracketed = ~((f_n < 0.0) & (0.0 < f_bound) & (f_bound < np.inf)) & (f_n != 0.0)
     if unbracketed.any():
         k = int(np.argmax(unbracketed))
         raise RootNotBracketedError(f"bracket failed: p({float(n[k])}) = {f_n[k]:.3e}, "

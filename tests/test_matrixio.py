@@ -1,12 +1,16 @@
+import math
 import os
+import random
+import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmeff import ParseError, consistent_pcm
+from pcmeff import ParseError, consistent_pcm, matrixio
 from pcmeff.matrixio import format_matrix, load_matrix, parse_matrix, parse_matrix_csv
 
 EXAMPLE1_TEXT = """\
@@ -198,74 +202,180 @@ def load_outcome(text, parse):
         os.remove(path)
 
 
-# Numbers float() reads, rationals, and tokens that fail in either branch.
-GOOD_TOKENS = ["1", "0.5", "2.25e-3", "1e308", "1e400", "-0", "nan", "inf", "-inf",
-               "1_000", "+3", ".5", "0.1428571428571428", "\u0663", "7"]
-RATIONAL_TOKENS = ["1/7", "3/2", "-1/4", "1_0/3", "1e3/7", "inf/2"]
-BAD_TOKENS = ["oops", "1/0", "0/0", "1/x", "/", "1//2", "1__0", "0x10", "1/", "--1", "1e"]
-good_token = st.one_of(st.sampled_from(GOOD_TOKENS), st.sampled_from(RATIONAL_TOKENS),
-                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
-token = st.one_of(good_token, st.sampled_from(BAD_TOKENS))
-gap = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0"])
+# Numbers numpy's reader and float() both read; numbers only float() reads;
+# rationals; and tokens that fail in every reader.
+PLAIN_TOKENS = ["1", "0.5", "2.25e-3", "1e308", "1e400", "-0", "nan", "inf", "-inf", "+3",
+                ".5", "0.1428571428571428", "7", "Infinity", "-nan", "5e-324", "1E5"]
+LINE_PARSER_TOKENS = ["1_000", "\u0663", "1/7", "3/2", "-1/4", "1_0/3", "1e3/7", "inf/2"]
+BAD_TOKENS = ["oops", "1/0", "0/0", "1/x", "/", "1//2", "1__0", "0x10", "1/", "--1", "1e",
+              "2#c", "#"]
+# Where str.split, str.splitlines and numpy's reader could part ways: NUL, the
+# ASCII separators \x1c-\x1f, and the line breaks beyond \r and \n.
+ODD_CHARS = ["\x00", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028"]
+GAPS = [" ", "  ", "\t", " \t ", "\u00a0", "\x1f"]
+COMMENTS = ["# note 1/0", "#1 2", "# façade, 1/0", "#\u00a0ü 2"]
+FILLERS = ["", "   ", "\t", "# between rows", "#", "# ñandú"]
 newline = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
+def texts_around_an_order(draw):
+    """An order n, a row count, and a seeded source of the file's characters.
+
+    Most files have n rows, some one too few or too many, some none (a body
+    of comments and blank lines); most rows are n values wide, in some files
+    all are one narrower or wider.  ``hit()`` is true at a spot with the file's
+    defect rate, zero in half of the files; ``value()`` draws numbers, and in
+    half of the files now and then a rational or a number only float() reads.
+    Drawing the characters from one seed keeps an example of order 12 cheap.
+    """
+    n = draw(st.sampled_from(range(1, 13)))
+    rows = draw(st.sampled_from([n] * 7 + [n - 1, n + 1, 0]))
+    width = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
+    rate = draw(st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.05, 0.3]))
+    mixed = draw(st.booleans())
+    r = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value():
+        source = r.randrange(4 if mixed else 3)
+        if source == 0:
+            return r.choice(PLAIN_TOKENS)
+        if source == 1:
+            return repr(math.exp(r.uniform(-5.0, 5.0)))
+        if source == 2:
+            v = struct.unpack("<d", r.getrandbits(64).to_bytes(8, "little"))[0]
+            return repr(v) if math.isfinite(v) else "0.25"
+        return r.choice(LINE_PARSER_TOKENS)
+
+    return n, max(rows, 0), max(width, 1), r, lambda: r.random() < rate, value
+
+
+def joined(r, hit, lines, nl, odd):
+    """``lines`` ended by ``nl``, or at a hit by ``odd``, now and then without a last end."""
+    ends = [odd if hit() else nl for _ in lines]
+    if ends and r.random() < 0.5:
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@st.composite
 def matrix_texts(draw):
-    """Plain-text files around an order n: mostly well formed, with comments,
-    blank lines and CRLF, and now and then a row of the wrong length, a
-    missing or extra row, or a bad token before or after an extra value."""
-    n = draw(st.integers(1, 5))
-    rows = draw(st.integers(max(n - 1, 0), n + 1)) if draw(st.booleans()) else n
-    nl = draw(newline)
+    """Plain-text files around an order n: mostly well formed, with comments
+    (glued to a value or not, some non-ASCII), blank lines, CRLF, and at a
+    defect a bad token, a row of the wrong length, or an odd character as a
+    gap or a line end."""
+    n, rows, width, r, hit, value = draw(texts_around_an_order())
+    odd, nl = draw(st.sampled_from(ODD_CHARS)), draw(newline)
     lines = []
-    if draw(st.booleans()):
-        lines.append("# a comment line")
-    lines.append(f"{n}" + draw(st.sampled_from(["", "  # order", "\t"])))
+    if r.random() < 0.5:
+        lines.append(r.choice(["# a comment line", "# matrice n° 1 — ü"]))
+    lines.append(f"{n}" + r.choice(["", "  # order", "\t", "#ordre"]))
+    if not rows or r.random() < 0.2:
+        lines.append(r.choice(FILLERS))
     for _ in range(rows):
-        count = draw(st.sampled_from([n, n, n, n, n - 1, n + 1]))
-        tokens = [draw(good_token if draw(st.integers(0, 9)) else token) for _ in range(count)]
-        line = draw(st.sampled_from(["", " ", "\t"])) + "".join(
-            t + draw(gap) for t in tokens[:-1]) + (tokens[-1] if tokens else "")
-        if draw(st.booleans()):
-            line += draw(st.sampled_from(["", " "])) + "# note 1/0"
+        tokens = [r.choice(BAD_TOKENS) if hit() else value()
+                  for _ in range(r.choice([n - 1, n + 1]) if hit() else width)]
+        line = r.choice(["", " ", "\t"]) + "".join(
+            t + (odd if hit() else r.choice(GAPS)) for t in tokens[:-1]) + "".join(tokens[-1:])
+        if r.random() < 0.5:
+            line += r.choice(["", " "]) + r.choice(COMMENTS) + (odd + "1" if hit() else "")
         lines.append(line)
-        if not draw(st.integers(0, 4)):
-            lines.append(draw(st.sampled_from(["", "   ", "# between rows"])))
-    return nl.join(lines) + draw(st.sampled_from(["", nl]))
+        if r.random() < 0.2:
+            lines.append(r.choice(FILLERS))
+    return joined(r, hit, lines, nl, odd)
 
 
 @st.composite
 def csv_texts(draw):
-    """CSV files: padded cells (including a pad ``float`` keeps but
-    ``str.strip`` drops), empty cells, rationals, bad cells, cells holding
-    two numbers, wrong counts."""
-    n = draw(st.integers(1, 4))
-    rows = draw(st.integers(max(n - 1, 1), n + 1)) if draw(st.booleans()) else n
-    pad = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1f"])
-    cell = st.one_of(st.sampled_from(GOOD_TOKENS), st.sampled_from(RATIONAL_TOKENS),
-                     st.sampled_from(BAD_TOKENS + ["", " ", "1 2", "3\t1/4"]))
-    lines = []
+    """CSV files: padded cells (including pads ``float`` keeps but
+    ``str.strip`` drops), rationals, comments and blank lines, and at a
+    defect an empty, bad or two-number cell, a row of the wrong length, or
+    an odd character as a pad or a line end."""
+    n, rows, width, r, hit, value = draw(texts_around_an_order())
+    odd, nl = draw(st.sampled_from(ODD_CHARS)), draw(newline)
+    bad_cells = BAD_TOKENS + ["", " ", "1 2", "3\t1/4"]
+
+    def pad():
+        return odd if hit() else r.choice(["", "", " ", "  ", "\t", "\u00a0", "\x1f"])
+
+    lines = [r.choice(FILLERS) for _ in range(r.randrange(3))] if not rows else []
     for _ in range(rows):
-        count = draw(st.sampled_from([n, n, n, n - 1, n + 1])) or 1
-        lines.append(",".join(draw(pad) + draw(cell) + draw(pad) for _ in range(count)))
-    return draw(newline).join(lines) + "\n"
+        count = max(r.choice([n - 1, n + 1]) if hit() else width, 1)
+        line = ",".join(pad() + (r.choice(bad_cells) if hit() else value()) + pad()
+                        for _ in range(count))
+        if r.random() < 0.25:
+            line += r.choice(COMMENTS) + (odd + "1" if hit() else "")
+        lines.append(line)
+        if r.random() < 0.2:
+            lines.append(r.choice(FILLERS))
+    return joined(r, hit, lines, nl, odd)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+def assert_readers_agree(text, parse, reference):
+    """``parse`` and ``load_matrix`` on ``text`` give the reference's outcome, with
+    every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = outcome(reference, text)
+        assert outcome(parse, text) == expected
+        assert load_outcome(text, parse) == expected
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(matrix_texts())
 def test_row_parser_equals_the_per_token_parser(text):
-    expected = outcome(reference_parse_matrix, text)
-    assert outcome(parse_matrix, text) == expected
-    assert load_outcome(text, parse_matrix) == expected
+    assert_readers_agree(text, parse_matrix, reference_parse_matrix)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(csv_texts())
 def test_csv_row_parser_equals_the_per_cell_parser(text):
-    expected = outcome(reference_parse_matrix_csv, text)
-    assert outcome(parse_matrix_csv, text) == expected
-    assert load_outcome(text, parse_matrix_csv) == expected
+    assert_readers_agree(text, parse_matrix_csv, reference_parse_matrix_csv)
+
+
+@pytest.mark.parametrize("odd", ODD_CHARS)
+def test_odd_characters_read_as_the_reference_reads_them(odd):
+    for text in (f"2{odd}1 0.5{odd}2 1{odd}", f"2\n1{odd}0.5\n2 1\n", f"2\n1 0.5\n2 1{odd}\n",
+                 f"2\n1 0.5 #{odd} 3\n2 1\n", f"2\n1{odd}\n0.5\n2 1\n"):
+        assert_readers_agree(text, parse_matrix, reference_parse_matrix)
+    for text in (f"1, 0.5{odd}2, 1{odd}", f"1,{odd}0.5{odd}\n2 ,1\n", f"1, 0.5 #{odd}3\n2, 1\n"):
+        assert_readers_agree(text, parse_matrix_csv, reference_parse_matrix_csv)
+
+
+@pytest.mark.parametrize("text", ["1\n1 2\n", "2\n1 2 3\n4 5 6\n", "2\n1\n2\n",
+                                  "3\n1 2\n1 2\n1 2\n"])
+def test_rows_all_of_a_wrong_width_are_an_error(text):
+    assert_readers_agree(text, parse_matrix, reference_parse_matrix)
+    with pytest.raises(ParseError, match="expected . values, found ."):
+        parse_matrix(text)
+    csv = text.split("\n", 1)[1].replace(" ", ",")
+    assert_readers_agree(csv, parse_matrix_csv, reference_parse_matrix_csv)
+
+
+@pytest.mark.parametrize("text, parse, message", [
+    ("3\n# c\n", parse_matrix, "line 1, column 1: expected 3 matrix rows, found 0"),
+    ("# c\n\n", parse_matrix_csv, "line 1, column 1: empty input"),
+])
+def test_a_body_without_rows_is_a_parse_error_without_a_warning(text, parse, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse(text)
+    assert_readers_agree(text, parse, reference_parse_matrix if parse is parse_matrix
+                         else reference_parse_matrix_csv)
+
+
+def test_plain_rows_are_read_without_the_line_parser(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line parser read a plain row")
+
+    monkeypatch.setattr(matrixio, "_parse_row", refuse)
+    monkeypatch.setattr(matrixio, "_parse_csv_row", refuse)
+    a = np.exp(np.random.default_rng(5).normal(size=(12, 12)))
+    text = "# order\r\n" + format_matrix(a).replace("\n", "  # row\r\n\n", 2)
+    assert parse_matrix(text).tobytes() == a.tobytes()
+    csv = "\n".join(" , ".join(repr(v) for v in row) for row in a.tolist())
+    assert parse_matrix_csv(csv).tobytes() == a.tobytes()
 
 
 def test_rational_mid_row_keeps_the_row_whole():

@@ -381,6 +381,27 @@ def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
     assert_roots_match_the_reference(cells[:3] + cells[4:5])
 
 
+@pytest.mark.parametrize("kind, n, d, g, message", [
+    # p(b) overflows: the root was the Cauchy bound 3e70, the Perron root is 3.107e23
+    (PerturbationKind.CASE2B, 5, 1e70, 0.5, "p(5.0) = -7.800e+71, p(3.0000000000000004e+70) = inf"),
+    # p(b) overflows: the eigenvector ended in OverflowError from form_terms
+    (PerturbationKind.CASE1, 4, 1e160, 0.5, "p(4.0) = -3.000e+160, p(3e+160) = inf"),
+    # (gamma - 1)**2 overflows in the coefficients
+    (PerturbationKind.CASE2A, 4, 2.0, 1e155, "p(4.0) = -inf, p(inf) = nan"),
+])
+def test_root_beyond_the_float_range_is_unbracketed(kind, n, d, g, message):
+    st = PerturbationStructure(kind, n, (1.0,) * (n - 1), d, g)
+    in_range = (kind, n, 2.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda_max_closed_form, closed_form_eigenvector,
+                      lambda s: spectral.lambda_max_closed_forms([in_range, (kind, n, d, g)])):
+            with pytest.raises(RootNotBracketedError) as exc:
+                solve(st)
+            assert str(exc.value) == f"bracket failed: {message}"
+        assert_roots_match_the_reference([in_range])
+
+
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
 def test_polynomial_needs_positive_finite_factors(d, g):
     with pytest.raises(InvalidCaseError, match="positive finite"):
