@@ -320,12 +320,15 @@ def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
       kept cells (0, k) and (0, j) set.
 
     The second test is the size-0 check cell by cell, so the table is
-    empty exactly when the unedited matrix passes.
+    empty exactly when the unedited matrix passes.  Both the triads, in
+    lexicographic order, and the cell numbers come from one upper-triangle
+    mask: a triad is a nonzero of ``upper[:, :, None] & upper[None]``, and
+    the running count of ``upper`` in row-major order numbers the cells.
     """
     n = a.shape[0]
     idx = np.arange(n)
-    i, k, j = np.nonzero((idx[:, None, None] < idx[None, :, None])
-                         & (idx[None, :, None] < idx[None, None, :]))
+    upper = idx[:, None] < idx
+    i, k, j = np.nonzero(upper[:, :, None] & upper[None])
     root = i == 0
     bad = np.zeros(len(i), dtype=bool)
     bad[root] = _misfit(a, _potentials(a), tol)[k[root], j[root]]
@@ -336,9 +339,9 @@ def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
         lik, lkj, lij = logs[i, k], logs[k, j], logs[i, j]
         slack = 8.0 * _EPS * (np.abs(lik) + np.abs(lkj) + np.abs(lij) + 3.0 * bound + 1.0)
         bad |= np.abs(lik + lkj - lij) > 3.0 * bound + slack
-    cell = np.zeros((n, n), dtype=np.intp)
-    cell[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
-    return np.stack((cell[i, k], cell[k, j], cell[i, j]), axis=1)[bad]
+    cell = np.cumsum(upper).reshape(n, n) - 1    # row-major number of each upper cell
+    i, k, j = i[bad], k[bad], j[bad]
+    return np.stack((cell[i, k], cell[k, j], cell[i, j]), axis=1)
 
 
 def _common_cells(triads: np.ndarray, cells: int) -> np.ndarray:

@@ -10,6 +10,7 @@ directly.  A plain determinant ties the two routes together in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +148,40 @@ def _bracket_coeffs(kind: PerturbationKind, n: int, d: float, g: float) -> tuple
     return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
 
 
-def _horner(columns: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(x) and p'(x) by Horner's scheme, one coefficient array per degree, highest first.
+def _horner(columns, x):
+    """p(x) and p'(x) by Horner's scheme, one coefficient per degree, highest first.
 
-    Entry ``k`` of each array belongs to column ``k`` of ``x``.  Leading zeros keep
-    p = p' = 0 exactly, so a zero-padded polynomial gets the unpadded one's bits.
+    The coefficients and x are Python floats, or arrays whose entry ``k``
+    belongs to column ``k`` of ``x``.  Leading zeros keep p = p' = 0 exactly,
+    so a zero-padded polynomial gets the unpadded one's bits.
     """
-    p = dp = np.zeros(x.shape)
+    p = dp = 0.0
     for c in columns:
         dp = dp * x + p
         p = p * x + c
     return p, dp
+
+
+# Lists shorter than this are solved cell by cell on Python floats, longer ones stacked:
+# on random cells of every kind the two loops cost the same near 96 cells.
+_STACK_MIN_CELLS = 96
+
+
+def _scalar_root(coeffs: tuple[float, ...], n: float) -> float:
+    """The stacked loop of :func:`lambda_max_closed_forms` on one cell's Python floats."""
+    f_n = _horner(coeffs, n)[0]
+    if f_n == 0.0:
+        return n
+    x = 1.0 + max(map(abs, coeffs))
+    f_bound = _horner(coeffs, x)[0]
+    if not f_n < 0.0 < f_bound < math.inf:    # NaN fails too
+        raise RootNotBracketedError(f"bracket failed: p({n}) = {f_n:.3e}, p({x}) = {f_bound:.3e}")
+    while True:
+        f, df = _horner(coeffs, x)
+        below = x - f / df
+        if not n <= below < x:
+            return x
+        x = below
 
 
 def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, float]]) -> np.ndarray:
@@ -173,8 +197,20 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
     it: the iterates descend monotonically onto it.  A cell stops at the
     first iterate not strictly below its last or below n, and gets the bits
     of a Newton loop on its own Python floats.
+
+    A list of fewer than ``_STACK_MIN_CELLS`` cells runs that loop cell by
+    cell on Python floats (:func:`_scalar_root`), about 13 us a cell; a
+    longer one runs it on numpy arrays, every live cell in one step, which
+    costs about 0.3 ms for one cell but about 5 us for each further cell
+    (x86-64, Python 3.11, numpy 2.4).  :func:`lambda_max_closed_form`, and
+    through it ``analyze``, :func:`closed_form_eigenvector` and
+    ``check_lemma``, solves lists of one; the lemma sweep solves its 640
+    cells as one stacked list.  Both loops do the same float operations in
+    the same order, so they give the same bits and the same error.
     """
     coeffs = [_bracket_coeffs(*cell) for cell in cells]
+    if len(cells) < _STACK_MIN_CELLS:
+        return np.array([_scalar_root(c, float(cell[1])) for c, cell in zip(coeffs, cells)])
     width = max(map(len, coeffs), default=0)
     columns = list(np.array([(0.0,) * (width - len(c)) + c for c in coeffs]).T.copy())
     n = np.array([float(cell[1]) for cell in cells])

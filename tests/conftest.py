@@ -5,6 +5,8 @@ from pcmeff import EfficiencyDigraph, HypothesisViolatedError, Pcm, Perturbation
 from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
 from pcmeff.verification import _CYCLES
 
+pytest_plugins = ["pytester"]
+
 # 4x4 matrix whose principal eigenvector is inefficient; its reference
 # eigenvector (8 digits, truncated) and the dominating second coordinate
 EXAMPLE1_ENTRIES = [

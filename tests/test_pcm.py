@@ -676,6 +676,41 @@ def test_completion_equals_the_bfs_on_every_removal_set(n, kind, data):
     assert_completion_equals_bfs(m.entries, ORACLE_TOLS)
 
 
+def reference_bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
+    """``pcm._bad_triads`` one triad of ``itertools.combinations`` at a time, scalar tests."""
+    n, eps = a.shape[0], np.finfo(float).eps
+    number = {cell: c for c, cell in enumerate(itertools.combinations(range(n), 2))}
+    logs = np.log(a)
+    cell_tol = tol * (1.0 + 2.0 * eps)
+    bound = -np.log1p(-cell_tol) if cell_tol < 1.0 else None
+    rows = []
+    for i, k, j in itertools.combinations(range(n), 3):
+        # row 0 sets the potentials t_k = a_0k and t_j = a_0j
+        bad = i == 0 and not abs(a[k, j] - a[0, j] / a[0, k]) <= tol * a[k, j]
+        if bound is not None:
+            lik, lkj, lij = logs[i, k], logs[k, j], logs[i, j]
+            slack = 8.0 * eps * (abs(lik) + abs(lkj) + abs(lij) + 3.0 * bound + 1.0)
+            bad = bad or abs(lik + lkj - lij) > 3.0 * bound + slack
+        if bad:
+            rows.append((number[i, k], number[k, j], number[i, j]))
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def test_bad_triads_match_the_combinations_reference_at_every_analyzed_order():
+    # orders up to 16, as analyze classifies, with noise from none to far beyond every tol
+    rng = np.random.default_rng(16)
+    counts = collections.Counter()
+    for n in range(2, 17):
+        for noise in (0.0, 1e-10, 1e-4, 0.3):
+            a = _skewed(consistent_pcm(log_uniform(rng, size=n - 1)).entries, rng, noise)
+            for tol in ORACLE_TOLS + (1.5,):
+                got, expected = pcm._bad_triads(a, tol), reference_bad_triads(a, tol)
+                assert got.dtype == np.intp and got.shape == expected.shape, (n, noise, tol)
+                assert np.array_equal(got, expected), (n, noise, tol)
+                counts[len(got) > 0] += 1
+    assert counts[True] and counts[False]    # tables both empty and not
+
+
 def test_potentials_beyond_the_float_range_raise_no_warning():
     # removing (0, 2) fits every other cell exactly in log space, but
     # t_2 = 1e-160 * 1e-180 underflows to 0 (overflows in the transpose),

@@ -340,14 +340,29 @@ def reference_root(kind, n, d, g):
 
 
 def assert_roots_match_the_reference(cells):
+    # the whole list in one call, and each cell in a list of its own
+    expected = [reference_root(*cell).hex() for cell in cells]
     roots = spectral.lambda_max_closed_forms(cells)
     assert roots.shape == (len(cells),)
-    assert [r.hex() for r in roots.tolist()] == \
-        [reference_root(*cell).hex() for cell in cells]
+    assert [r.hex() for r in roots.tolist()] == expected
+    ones = [spectral.lambda_max_closed_forms([cell]) for cell in cells]
+    assert all(one.shape == (1,) for one in ones)
+    assert [one[0].item().hex() for one in ones] == expected
+
+
+def random_cells(rng, per_kind):
+    """``per_kind`` cells of each kind, factors log-uniform in [e^-18, e^18], orders up to 32."""
+    cells = []
+    for kind in DOUBLE_KINDS:
+        form = CANONICAL_FORMS[kind]
+        orders = rng.integers(form.min_order, (form.max_order or 32) + 1, per_kind)
+        factors = np.exp(rng.uniform(-18.0, 18.0, (per_kind, 2)))
+        cells += [(kind, int(n), d, g) for n, (d, g) in zip(orders, factors.tolist())]
+    return cells
 
 
 def test_stacked_roots_match_the_scalar_loop_on_the_sweep_grid():
-    # every sweep-grid cell, the factors of ROOT_FACTORS and unit factors, in one call
+    # every sweep-grid cell, the factors of ROOT_FACTORS and unit factors, as one list
     factors = ROOT_FACTORS + (1.0,)
     assert_roots_match_the_reference([(kind, n, d, g) for kind in DOUBLE_KINDS
                                       for n in SuiteGrid.orders(kind)
@@ -355,19 +370,29 @@ def test_stacked_roots_match_the_scalar_loop_on_the_sweep_grid():
 
 
 def test_stacked_roots_match_the_scalar_loop_on_random_cells():
-    # factors log-uniform in [e^-18, e^18] and orders up to 32, every kind in one call
-    rng = np.random.default_rng(29)
-    cells = []
-    for kind in DOUBLE_KINDS:
-        form = CANONICAL_FORMS[kind]
-        orders = rng.integers(form.min_order, (form.max_order or 32) + 1, 2000)
-        factors = np.exp(rng.uniform(-18.0, 18.0, (2000, 2)))
-        cells += [(kind, int(n), d, g) for n, (d, g) in zip(orders, factors.tolist())]
-    assert_roots_match_the_reference(cells)
+    # every kind, as one list
+    assert_roots_match_the_reference(random_cells(np.random.default_rng(29), 2000))
+
+
+@pytest.mark.parametrize("count", [spectral._STACK_MIN_CELLS - 1, spectral._STACK_MIN_CELLS])
+def test_lists_on_either_side_of_the_crossover_match_the_reference(monkeypatch, count):
+    rng = np.random.default_rng(31)
+    cells = random_cells(rng, count)
+    cells = [cells[k] for k in rng.permutation(len(cells))[:count]]
+    scalar_root, scalar_calls = spectral._scalar_root, []
+    monkeypatch.setattr(spectral, "_scalar_root",
+                        lambda *args: scalar_calls.append(args) or scalar_root(*args))
+    roots = spectral.lambda_max_closed_forms(cells)
+    # a list shorter than the crossover is solved cell by cell, a longer one stacked
+    assert len(scalar_calls) == (count if count < spectral._STACK_MIN_CELLS else 0)
+    assert [r.hex() for r in roots.tolist()] == [reference_root(*cell).hex() for cell in cells]
 
 
 def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
     cells = [(PerturbationKind.CASE1, n, 2.0, 3.0) for n in range(4, 11)]
+    # padded past the crossover, so that the list is solved stacked
+    padded = cells + [(PerturbationKind.CASE1, n, 2.0, 3.0)
+                      for n in range(11, 11 + spectral._STACK_MIN_CELLS)]
     coeffs = spectral._bracket_coeffs
     bad = {7: (-1.0, 1.0), 9: (1.0, 0.0)}    # p(bound) < 0 at n = 7, p(n) > 0 at n = 9
     monkeypatch.setattr(spectral, "_bracket_coeffs",
@@ -375,8 +400,10 @@ def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
     with pytest.raises(RootNotBracketedError) as scalar:
         reference_root(*cells[3])
     with pytest.raises(RootNotBracketedError) as stacked:
+        spectral.lambda_max_closed_forms(padded)
+    with pytest.raises(RootNotBracketedError) as short:
         spectral.lambda_max_closed_forms(cells)
-    assert str(stacked.value) == str(scalar.value) == \
+    assert str(stacked.value) == str(short.value) == str(scalar.value) == \
         "bracket failed: p(7.0) = -6.000e+00, p(2.0) = -1.000e+00"
     assert_roots_match_the_reference(cells[:3] + cells[4:5])
 
@@ -394,12 +421,16 @@ def test_root_beyond_the_float_range_is_unbracketed(kind, n, d, g, message):
     in_range = (kind, n, 2.0, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # a list of one, a short list and a list solved stacked
         for solve in (lambda_max_closed_form, closed_form_eigenvector,
-                      lambda s: spectral.lambda_max_closed_forms([in_range, (kind, n, d, g)])):
+                      lambda s: spectral.lambda_max_closed_forms([in_range, (kind, n, d, g)]),
+                      lambda s: spectral.lambda_max_closed_forms(
+                          [in_range] * (spectral._STACK_MIN_CELLS - 1) + [(kind, n, d, g)])):
             with pytest.raises(RootNotBracketedError) as exc:
                 solve(st)
             assert str(exc.value) == f"bracket failed: {message}"
-        assert_roots_match_the_reference([in_range])
+        # the in-range cell stacked, and in a list of one
+        assert_roots_match_the_reference([in_range] * spectral._STACK_MIN_CELLS)
 
 
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
