@@ -51,16 +51,13 @@ from .spectral import (
     variant_count,
 )
 from .verification import (
-    LemmaCheck,
     LemmaReport,
     SuiteGrid,
     TheoremReport,
     check_lemma,
     run_lemma_suite,
-    verify_double_perturbed_efficiency,
-    verify_main_theorem,
-    verify_parametric_inefficiency,
-    verify_simple_perturbed_efficiency,
+    theorem_sweep,
+    verify_theorem,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -40,14 +40,7 @@ from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
 from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, Pcm, classify_perturbation
 from .spectral import DEFAULT_POWER_TOL, closed_form_eigenvector, power_iteration
-from .verification import (
-    ALL_CHECK_IDS,
-    SuiteGrid,
-    run_lemma_suite,
-    verify_main_theorem,
-    verify_parametric_inefficiency,
-    verify_simple_perturbed_efficiency,
-)
+from .verification import ALL_CHECK_IDS, THEOREMS, SuiteGrid, run_lemma_suite, verify_theorem
 
 SCHEMA_VERSION = 1
 
@@ -315,12 +308,7 @@ def _cmd_verify(args) -> int:
         lines = [f"{chk['id']}: {chk['samples']} samples, min_margin {chk['min_margin']} "
                  f"{'pass' if chk['violations'] == 0 else 'FAIL'}" for chk in payload["checks"]]
     else:
-        if args.theorem == "main":
-            reports = verify_main_theorem(args.samples, args.seed)
-        elif args.theorem == "simple":
-            reports = [verify_simple_perturbed_efficiency(args.samples, args.seed)]
-        else:
-            reports = [verify_parametric_inefficiency(args.samples, args.seed)]
+        reports = verify_theorem(args.theorem, args.samples, args.seed)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "mode": "theorem",
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the inequality suite or theorem sweeps")
     p_ver.add_argument("--lemmas", metavar="IDS",
                        help="'all' or a comma-separated list of check ids")
-    p_ver.add_argument("--theorem", choices=("main", "simple", "apq"))
+    p_ver.add_argument("--theorem", choices=tuple(THEOREMS))
     p_ver.add_argument("--samples", type=int_at_least(1), default=1000)
     p_ver.add_argument("--seed", type=int_at_least(0), default=42)
     p_ver.add_argument("--json", action="store_true")

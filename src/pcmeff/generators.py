@@ -65,8 +65,8 @@ def parametric_inefficient(n: int, p: float, q: float) -> Pcm:
     """
     if n < 4:
         raise IncompatibleOrderError(f"parametric family requires n >= 4, got {n}")
-    if p <= 0 or q <= 0:
-        raise IncompatibleOrderError("p and q must be positive")
+    if not (0 < p < np.inf and 0 < q < np.inf):
+        raise IncompatibleOrderError("p and q must be positive finite reals")
     a = np.ones((n, n))
     a[0, 1:] = p
     a[1:, 0] = 1.0 / p
@@ -134,6 +134,9 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     lo, hi = DEFAULT_BASE_RANGE
     if family == "apq":
         p = spec.p if spec.p is not None else sample_ratio(rng, lo, hi)
+        # q = 1 gives the consistent matrix, whose eigenvector is efficient: not apq
+        if spec.q is not None and _degenerate(spec.q):
+            raise IncompatibleOrderError(f"q must differ from 1 for family {family!r}")
         q = spec.q if spec.q is not None else sample_ratio(rng, lo, hi, exclude_one=True)
         return parametric_inefficient(n, p, q), None
 

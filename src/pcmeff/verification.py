@@ -46,13 +46,6 @@ POSITIVITY_CHECK = "positivity"
 CYCLE_CHECK = "cycle"
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
-    lemma_id: str
-    passed: bool
-    margin: float
-
-
 @dataclass
 class LemmaReport:
     """Aggregate outcome of one check over many samples."""
@@ -262,8 +255,8 @@ def _holds(check_id: str, kind: PerturbationKind, n: int, delta, gamma):
     return held & (lemma.kind == kind) & lemma.hypothesis(delta, gamma, n)
 
 
-def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
-    """Evaluate one check on one sample; margin > 0 means the claim held.
+def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
+    """Evaluate one check on one sample: a report of one sample, min_margin > 0 if it held.
 
     The sweep on one grid cell with one base.  ``ValueError`` for an unknown
     check id, then :class:`HypothesisViolatedError` naming the check and the
@@ -282,7 +275,7 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaCheck:
     _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
                  np.array([(1.0,) + tuple(sample.base)]), np.array([True]),
                  [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])
-    return LemmaCheck(lemma_id, report.passed, report.min_margin)
+    return report
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,7 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Count of samples conforming to a predicted verdict."""
+    """How many of a sweep's samples got the verdict its row of :data:`SWEEPS` expects."""
 
     name: str
     expected: str
@@ -438,26 +431,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return self.samples > 0 and self.conforming == self.samples
-
-
-def _theorem_sweep(name: str, efficient: bool, draw: Callable[[np.random.Generator], Pcm],
-                   samples: int, seed: int) -> TheoremReport:
-    """Judge the eigenvectors of ``samples`` matrices ``draw`` builds from one seeded RNG.
-
-    Matrices are drawn in stacks of at most ``_STACK_CAP``, and each stack's
-    eigenvectors are solved by order; power iteration draws nothing, so the
-    matrices are those of a one-at-a-time sweep.
-    """
-    rng = np.random.default_rng(seed)
-    conforming = 0
-    for start in range(0, samples, _STACK_CAP):
-        ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
-        for n in {m.n for m in ms}:
-            stack = [m for m in ms if m.n == n]
-            w = power_iteration_batch(np.array([m.entries for m in stack])).w
-            conforming += sum(is_efficient(m, wm).efficient == efficient
-                              for m, wm in zip(stack, w))
-    return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
 
 
 def _random_double_matrix(rng: np.random.Generator) -> Pcm:
@@ -482,27 +455,37 @@ def _random_apq_matrix(rng: np.random.Generator) -> Pcm:
     return parametric_inefficient(n, p, sample_ratio(rng, 1 / 9, 9, exclude_one=True))
 
 
-def verify_double_perturbed_efficiency(samples: int = 1000, seed: int = 0) -> TheoremReport:
-    """Eigenvectors of random double-perturbed matrices must all be efficient."""
-    return _theorem_sweep("double-perturbed efficiency", True, _random_double_matrix,
-                          samples, seed)
+# sweep -> (report name, whether every eigenvector must be efficient, matrix drawer)
+SWEEPS: dict[str, tuple[str, bool, Callable[[np.random.Generator], Pcm]]] = {
+    "double": ("double-perturbed efficiency", True, _random_double_matrix),
+    "simple": ("simple-perturbed efficiency", True, _random_simple_matrix),
+    "apq": ("parametric family inefficiency", False, _random_apq_matrix),
+}
+# `verify --theorem` choice -> its sweeps; sweep k runs max(1, samples // 2**k) samples at seed + k
+THEOREMS = {"main": ("double", "simple"), "simple": ("simple",), "apq": ("apq",)}
 
 
-def verify_simple_perturbed_efficiency(samples: int = 500, seed: int = 0) -> TheoremReport:
-    """Eigenvectors of random one-cell-perturbed matrices must all be efficient."""
-    return _theorem_sweep("simple-perturbed efficiency", True, _random_simple_matrix,
-                          samples, seed)
+def theorem_sweep(sweep: str, samples: int, seed: int) -> TheoremReport:
+    """Judge the eigenvectors of ``samples`` matrices a sweep draws from one seeded RNG.
+
+    Matrices are drawn in stacks of at most ``_STACK_CAP``, and each stack's
+    eigenvectors are solved by order; power iteration draws nothing, so the
+    matrices are those of a one-at-a-time sweep.
+    """
+    name, efficient, draw = SWEEPS[sweep]
+    rng = np.random.default_rng(seed)
+    conforming = 0
+    for start in range(0, samples, _STACK_CAP):
+        ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
+        for n in {m.n for m in ms}:
+            stack = [m for m in ms if m.n == n]
+            w = power_iteration_batch(np.array([m.entries for m in stack])).w
+            conforming += sum(is_efficient(m, wm).efficient == efficient
+                              for m, wm in zip(stack, w))
+    return TheoremReport(name, "efficient" if efficient else "inefficient", samples, conforming)
 
 
-def verify_parametric_inefficiency(samples: int = 100, seed: int = 0) -> TheoremReport:
-    """Eigenvectors of the parametric family must all be inefficient."""
-    return _theorem_sweep("parametric family inefficiency", False, _random_apq_matrix,
-                          samples, seed)
-
-
-def verify_main_theorem(samples: int = 1000, seed: int = 0) -> list[TheoremReport]:
-    """Efficiency of double-perturbed eigenvectors, plus the simple-perturbed case."""
-    return [
-        verify_double_perturbed_efficiency(samples, seed),
-        verify_simple_perturbed_efficiency(max(1, samples // 2), seed + 1),
-    ]
+def verify_theorem(theorem: str, samples: int, seed: int) -> list[TheoremReport]:
+    """The reports of the sweeps :data:`THEOREMS` lists for ``theorem``, in its order."""
+    return [theorem_sweep(sweep, max(1, samples // 2**k), seed + k)
+            for k, sweep in enumerate(THEOREMS[theorem])]

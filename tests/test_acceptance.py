@@ -26,9 +26,8 @@ from pcmeff import (
     reachability_oracle,
     run_lemma_suite,
     strongly_connected_components,
+    theorem_sweep,
     variant_count,
-    verify_double_perturbed_efficiency,
-    verify_simple_perturbed_efficiency,
 )
 from pcmeff.verification import CYCLE_CHECK, LEMMA_IDS, POSITIVITY_CHECK
 
@@ -112,7 +111,7 @@ def test_criterion_1_example1_golden():
 
 def test_criterion_2_double_perturbed_efficiency():
     t0 = time.perf_counter()
-    result = verify_double_perturbed_efficiency(samples=1000, seed=101)
+    result = theorem_sweep("double", 1000, 101)
     elapsed = time.perf_counter() - t0
     report(2, result.passed and elapsed < 30.0,
            f"double-perturbed: {result.conforming}/{result.samples} efficient "
@@ -120,7 +119,7 @@ def test_criterion_2_double_perturbed_efficiency():
 
 
 def test_criterion_3_simple_perturbed_efficiency():
-    result = verify_simple_perturbed_efficiency(samples=500, seed=102)
+    result = theorem_sweep("simple", 500, 102)
     report(3, result.passed,
            f"simple-perturbed: {result.conforming}/{result.samples} efficient")
 

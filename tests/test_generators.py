@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_incompatible_orders_rejected(family, n):
 @pytest.mark.parametrize("family, n, factors", [
     ("simple", 5, {"delta": 1.0}), ("case1", 5, {"delta": 1.0, "gamma": 2.0}),
     ("case1", 6, {"gamma": 1.0}), ("case2a", 4, {"delta": 3.0, "gamma": 1.0}),
-    ("case2b", 5, {"delta": 1.0}),
+    ("case2b", 5, {"delta": 1.0}), ("apq", 5, {"p": 2.0, "q": 1.0}),
 ])
 def test_unit_factor_of_a_cell_rejected(family, n, factors):
     # a factor within the degeneracy gap of 1 leaves its cell as good as unperturbed,
@@ -130,6 +132,16 @@ def test_unit_factor_of_a_cell_rejected(family, n, factors):
     for unit in (1.0, 1 + 1e-13, 0.9995):
         with pytest.raises(IncompatibleOrderError, match=f"^{name} must differ from 1 for family"):
             generate(GeneratorSpec(family=family, n=n, **{**factors, name: unit}))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["p", "q"])
+def test_parametric_family_rejects_a_non_positive_or_non_finite_factor(name, bad):
+    factors = {"p": 2.0, "q": 3.0, name: bad}
+    with pytest.raises(IncompatibleOrderError, match="^p and q must be positive finite reals$"):
+        parametric_inefficient(5, **factors)
+    with pytest.raises(IncompatibleOrderError, match="^p and q must be positive finite reals$"):
+        generate(GeneratorSpec(family="apq", n=5, **factors))
 
 
 def test_unit_factor_outside_the_form_is_not_read():

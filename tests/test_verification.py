@@ -18,12 +18,10 @@ from pcmeff import (
     power_iteration,
     run_lemma_suite,
     strongly_connected_components,
-    verify_double_perturbed_efficiency,
-    verify_main_theorem,
-    verify_parametric_inefficiency,
-    verify_simple_perturbed_efficiency,
+    theorem_sweep,
+    verify_theorem,
 )
-from pcmeff import spectral, verification
+from pcmeff import cli, spectral, verification
 from pcmeff.pcm import DOUBLE_KINDS
 from pcmeff.verification import (
     ALL_CHECK_IDS,
@@ -34,6 +32,7 @@ from pcmeff.verification import (
     LEMMA_IDS,
     LEMMAS,
     POSITIVITY_CHECK,
+    THEOREMS,
     expand_cycle_arcs,
 )
 
@@ -53,7 +52,7 @@ def test_registry_has_every_statement():
 def test_shared_row_upper_bound_on_first_ratio():
     sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 3.0, 2.0)
     check = check_lemma("1a", sample)
-    assert check.passed and check.margin > 0
+    assert check.passed and check.min_margin > 0
     # conclusion is w1/w2 < delta * x1
     w = power_iteration(apply_perturbation(sample)).w
     assert w[0] / w[1] < 3.0
@@ -388,16 +387,44 @@ def test_equality_checks_hold_tightly():
 
 
 def test_main_theorem_sweep():
-    double, simple = verify_main_theorem(samples=60, seed=2)
+    double, simple = verify_theorem("main", samples=60, seed=2)
     assert double.passed and double.samples == 60
     assert simple.passed and simple.samples == 30
 
 
 def test_individual_sweeps():
-    assert verify_double_perturbed_efficiency(40, seed=11).passed
-    assert verify_simple_perturbed_efficiency(40, seed=12).passed
-    report = verify_parametric_inefficiency(40, seed=13)
+    assert theorem_sweep("double", 40, seed=11).passed
+    assert theorem_sweep("simple", 40, seed=12).passed
+    report = theorem_sweep("apq", 40, seed=13)
     assert report.passed and report.expected == "inefficient"
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 41])
+def test_each_theorem_choice_runs_its_written_plan(monkeypatch, samples, seed):
+    calls = []
+
+    def recording_sweep(sweep, samples, seed):
+        calls.append((sweep, samples, seed))
+        return sweep
+
+    monkeypatch.setattr(verification, "theorem_sweep", recording_sweep)
+    plans = {
+        "main": [("double", samples, seed), ("simple", max(1, samples // 2), seed + 1)],
+        "simple": [("simple", samples, seed)],
+        "apq": [("apq", samples, seed)],
+    }
+    for theorem, plan in plans.items():
+        calls.clear()
+        assert verify_theorem(theorem, samples, seed) == [sweep for sweep, _, _ in plan]
+        assert calls == plan, theorem
+    assert tuple(plans) == tuple(THEOREMS)
+
+
+def test_the_theorem_option_offers_every_theorem():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    option = next(a for a in commands.choices["verify"]._actions if a.dest == "theorem")
+    assert option.choices == tuple(THEOREMS)
 
 
 # ------------------------------------------------------------ stacked solves
@@ -472,7 +499,7 @@ def test_suite_rejects_unknown_check_ids():
 
 
 def test_theorem_sweeps_solve_one_stack_per_order(monkeypatch):
-    # verify_main_theorem(60, 2) runs the double sweep, then 30 simple samples at seed 3
+    # verify_theorem("main", 60, 2) runs the double sweep, then 30 simple samples at seed 3
     sweeps = [(verification._random_double_matrix, 60, 2, True),
               (verification._random_simple_matrix, 30, 3, True),
               (verification._random_apq_matrix, 20, 1, False)]
@@ -484,6 +511,6 @@ def test_theorem_sweeps_solve_one_stack_per_order(monkeypatch):
         expected.append(sum(is_efficient(m, power_iteration(m).w).efficient == efficient
                             for m in ms))
     sizes = count_solves(monkeypatch)
-    reports = verify_main_theorem(samples=60, seed=2) + [verify_parametric_inefficiency(20, 1)]
+    reports = verify_theorem("main", samples=60, seed=2) + [theorem_sweep("apq", 20, 1)]
     assert [r.conforming for r in reports] == expected
     assert len(sizes) == orders and sum(sizes) == 110

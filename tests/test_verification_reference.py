@@ -188,7 +188,7 @@ def test_check_lemma_equals_the_per_sample_path(kind, n, delta, gamma):
         for check_id in held:
             check = check_lemma(check_id, sample)
             passed, margin = reference_check(check_id, sample, m, w, lam)
-            assert (check.passed, float(check.margin).hex()) == (passed, margin.hex()), check_id
+            assert (check.passed, float(check.min_margin).hex()) == (passed, margin.hex()), check_id
 
 
 def test_tied_ratios_keep_the_sign_of_zero():
