@@ -35,7 +35,6 @@ from .pcm import (
     Pcm,
     apply_perturbation,
     classify_perturbation,
-    consistent_pcm,
     reconstruct,
 )
 from .spectral import (

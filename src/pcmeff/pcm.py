@@ -241,12 +241,6 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
                                  structure.gamma))
 
 
-def consistent_pcm(base) -> Pcm:
-    """Build the consistent PCM generated by base ratios x_1..x_{n-1}."""
-    return apply_perturbation(PerturbationStructure(PerturbationKind.CONSISTENT, len(base) + 1,
-                                                    tuple(base)))
-
-
 def _upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pcmeff import EfficiencyDigraph, HypothesisViolatedError, Pcm, PerturbationKind, spectral
+from pcmeff import (
+    EfficiencyDigraph,
+    HypothesisViolatedError,
+    Pcm,
+    PerturbationKind,
+    PerturbationStructure,
+    apply_perturbation,
+    spectral,
+)
 from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
 from pcmeff.verification import _CYCLES
 
@@ -44,6 +52,12 @@ def digraph_from_arcs(n: int, arcs) -> EfficiencyDigraph:
 
 
 # ----------------------------------------------------- oracles shared by tests
+
+def consistent_pcm(base) -> Pcm:
+    """The consistent PCM generated by base ratios x_1..x_{n-1}: a_ij = y_j / y_i, y = (1, base)."""
+    return apply_perturbation(PerturbationStructure(PerturbationKind.CONSISTENT, len(base) + 1,
+                                                    tuple(base)))
+
 
 def is_consistent(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> bool:
     """Check cardinal transitivity a_ik * a_kj = a_ij for all triples."""

@@ -7,7 +7,6 @@ from pcmeff import (
     EfficiencyDigraph,
     Pcm,
     build_digraph,
-    consistent_pcm,
     dominates,
     find_sink_improvement,
     is_efficient,
@@ -20,7 +19,12 @@ from pcmeff import (
 from pcmeff.efficiency import DEFAULT_TIE_TOL
 from pcmeff.pcm import RECIPROCITY_TOL
 
-from conftest import EXAMPLE1_ARCS_1BASED, EXAMPLE1_IMPROVED_W2, digraph_from_arcs
+from conftest import (
+    EXAMPLE1_ARCS_1BASED,
+    EXAMPLE1_IMPROVED_W2,
+    consistent_pcm,
+    digraph_from_arcs,
+)
 
 
 @pytest.fixture
@@ -88,11 +92,29 @@ def test_digraph_needs_an_arc_on_every_pair():
         digraph_from_arcs(3, [(0, 1), (2, 1)])
 
 
-@pytest.mark.parametrize("tie_tol", [-1e-9, np.nan, 1.0, 5.0])
+@pytest.mark.parametrize("tie_tol", [-1e-9, np.nan, 1.0, 5.0, -1.0])
 def test_tie_tolerance_must_be_non_negative(tie_tol):
     # from 1 up, 1 - tie_tol <= 0 gives every pair both arcs: every verdict would be efficient
-    with pytest.raises(ValueError, match="tie_tol must be non-negative"):
+    message = f"^tie_tol must be non-negative and below 1, got {tie_tol}$"
+    with pytest.raises(ValueError, match=message):
         build_digraph(consistent_pcm([2.0]), [2.0, 1.0], tie_tol)
+    with pytest.raises(ValueError, match=message):    # checked before w
+        build_digraph(consistent_pcm([2.0]), [np.nan, 1.0], tie_tol)
+    with pytest.raises(ValueError, match=message):    # the digraph type checks it too
+        EfficiencyDigraph(np.ones((2, 2), dtype=bool), tie_tol)
+
+
+def test_digraph_needs_a_node():
+    message = r"^adjacency must be a square matrix on at least one node, got shape \(0, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        EfficiencyDigraph(np.zeros((0, 0), dtype=bool), 0.0)
+
+
+def test_one_node_digraph_is_one_component():
+    g = EfficiencyDigraph(np.ones((1, 1), dtype=bool), 0.0)
+    assert strongly_connected_components(g) == [[0]]
+    assert g.arcs.shape == (0, 2) and reachability_oracle(g)
+    assert to_dot(g) == "digraph efficiency {\n    1;\n}\n"
 
 
 # ------------------------------------------------------------ strong connectivity
@@ -135,21 +157,23 @@ def tarjan_components(n: int, arcs) -> list[list[int]]:
     succ = [[] for _ in range(n)]
     for i, j in sorted(arcs):
         succ[i].append(j)
-    index, low, stack, comps = {}, {}, [], []
+    index, low, stack, on_stack, comps = {}, {}, [], set(), []
 
     def strongconnect(v):
         index[v] = low[v] = len(index)
         stack.append(v)
+        on_stack.add(v)
         for u in succ[v]:
             if u not in index:
                 strongconnect(u)
                 low[v] = min(low[v], low[u])
-            elif u in stack:
+            elif u in on_stack:
                 low[v] = min(low[v], index[u])
         if low[v] == index[v]:
             comp = []
             while not comp or comp[-1] != v:
                 comp.append(stack.pop())
+                on_stack.discard(comp[-1])
             comps.append(sorted(comp))
 
     for v in range(n):
@@ -158,15 +182,16 @@ def tarjan_components(n: int, arcs) -> list[list[int]]:
     return comps
 
 
-def random_ranked_digraph(rng, n: int) -> EfficiencyDigraph:
+def random_ranked_digraph(rng, n: int, upward: float = 0.5) -> EfficiencyDigraph:
     """A pair-complete digraph whose arcs mostly point down a hidden ranking.
 
-    Each pair points down only, up only, or both ways; rare upward arcs
-    leave many components.
+    Each pair points down only, up only, or both ways, the last two with
+    probabilities of at most ``upward``; rare upward arcs leave many
+    components.
     """
     rank = rng.permutation(n)
     down = rank[:, None] > rank[None, :]
-    up_only, both = rng.uniform(0.0, 1.0, 2) ** 3 / 2
+    up_only, both = rng.uniform(0.0, 1.0, 2) ** 3 * upward
     r = np.triu(rng.random((n, n)), 1)
     r = r + r.T    # one draw per pair
     return EfficiencyDigraph((down & (r >= up_only)) | (~down & (r < up_only + both)), 0.0)
@@ -181,6 +206,13 @@ def test_out_degree_scan_equals_tarjan():
         assert comps == tarjan_components(g.n, g.sorted_arcs())
         several += len(comps) >= 3
     assert several >= 400    # 444 with this seed
+    several = 0
+    for n in (64, 128, 256) * 3:    # about two upward arcs per node
+        g = random_ranked_digraph(rng, n, upward=2 / n)
+        comps = strongly_connected_components(g)
+        assert comps == tarjan_components(n, g.sorted_arcs())
+        several += len(comps) >= 3
+    assert several >= 3    # 4 with this seed
 
 
 def test_tarjan_agrees_with_bfs_oracle():
@@ -226,6 +258,22 @@ def random_pcm_with_ties(rng, n: int) -> Pcm:
     return Pcm(a)
 
 
+def assert_frozenset_verdict(m: Pcm, w, tie_tol: float):
+    """Check is_efficient against :func:`frozenset_verdict`; return its verdict and arcs."""
+    arcs, sccs, sink, dot = frozenset_verdict(m, w, tie_tol)
+    v = is_efficient(m, w, tie_tol)
+    g = v.digraph
+    assert g.sorted_arcs() == sorted(arcs)
+    assert all(type(i) is int and type(j) is int for i, j in g.sorted_arcs())
+    assert len(g.arcs) == len(arcs)
+    assert (v.sccs, v.sink) == (sccs, sink)
+    assert to_dot(g) == dot
+    for array in (g.adjacency, g.arcs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    return v, arcs
+
+
 def test_adjacency_digraph_equals_the_frozenset_digraph():
     rng = np.random.default_rng(2024)
     inefficient = ties = several = 0
@@ -235,21 +283,32 @@ def test_adjacency_digraph_equals_the_frozenset_digraph():
         if k % 2:    # off the eigenvector, sinks and several components are common
             w = w * np.exp(rng.normal(0.0, 0.3, m.n))
         tie_tol = float(rng.choice([DEFAULT_TIE_TOL, 0.0]))
-        arcs, sccs, sink, dot = frozenset_verdict(m, w, tie_tol)
-        v = is_efficient(m, w, tie_tol)
-        g = v.digraph
-        assert g.sorted_arcs() == sorted(arcs)
-        assert all(type(i) is int and type(j) is int for i, j in g.sorted_arcs())
-        assert len(g.arcs) == len(arcs)
-        assert (v.sccs, v.sink) == (sccs, sink)
-        assert to_dot(g) == dot
-        for array in (g.adjacency, g.arcs):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1
+        v, arcs = assert_frozenset_verdict(m, w, tie_tol)
         inefficient += not v.efficient
         ties += any((j, i) in arcs for i, j in arcs)
-        several += len(sccs) > 2
+        several += len(v.sccs) > 2
     assert inefficient > 50 and ties > 25 and several > 25
+    inefficient = several = 0
+    for n in (32, 64, 128):
+        # a noisy w, and a consistent matrix whose tied blocks of w are scaled apart
+        m = random_pcm_with_ties(rng, n)
+        w = power_iteration(m).w * np.exp(rng.normal(0.0, 0.3, n))
+        c = consistent_pcm(np.exp(rng.uniform(np.log(1 / 9), np.log(9), n - 1)))
+        for m, w in ((m, w), (c, power_iteration(c).w * 1.5 ** rng.integers(0, 4, n))):
+            v, _ = assert_frozenset_verdict(m, w, float(rng.choice([DEFAULT_TIE_TOL, 0.0])))
+            inefficient += not v.efficient
+            several += len(v.sccs) > 2
+    assert inefficient >= 4 and several >= 3    # 5 and 4 with this seed
+
+
+def test_arc_array_is_the_argwhere_of_the_adjacency():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 7, 31, 64, 129, 200):
+        for upward in (0.0, 2 / n, 0.5, 1.0):    # 0 gives a transitive tournament
+            g = random_ranked_digraph(rng, n, upward)
+            expected = np.argwhere(g.adjacency)
+            assert g.arcs.dtype == expected.dtype and g.arcs.shape == expected.shape
+            assert np.array_equal(g.arcs, expected)
 
 
 # ----------------------------------------------------------------- verdicts

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmeff import ParseError, consistent_pcm, matrixio
+from pcmeff import ParseError, matrixio
 from pcmeff.matrixio import format_matrix, load_matrix, parse_matrix, parse_matrix_csv
+
+from conftest import consistent_pcm
 
 EXAMPLE1_TEXT = """\
 # 4x4 with an inefficient eigenvector

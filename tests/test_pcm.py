@@ -25,7 +25,6 @@ from pcmeff import (
     SuiteGrid,
     apply_perturbation,
     classify_perturbation,
-    consistent_pcm,
     generate,
     lambda_max_closed_form,
     pcm,
@@ -33,7 +32,7 @@ from pcmeff import (
 )
 from pcmeff.generators import FAMILIES
 
-from conftest import is_consistent
+from conftest import consistent_pcm, is_consistent
 
 ratio = st.floats(min_value=1 / 9, max_value=9.0)
 

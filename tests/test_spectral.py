@@ -20,7 +20,6 @@ from pcmeff import (
     SuiteGrid,
     apply_perturbation,
     closed_form_eigenvector,
-    consistent_pcm,
     lambda_max_closed_form,
     normalize_weights,
     power_iteration,
@@ -31,7 +30,7 @@ from pcmeff import (
 )
 from pcmeff.pcm import CANONICAL_FORMS, DOUBLE_KINDS
 
-from conftest import EXAMPLE1_W, charpoly_oracle, eval_charpoly
+from conftest import EXAMPLE1_W, charpoly_oracle, consistent_pcm, eval_charpoly
 
 ORACLE_LAMBDAS = [-2.0, 1.0, 2.5]   # provably away from every bracket root
 # the sweep's ratio grid plus factors near 0, near 1 and very large
