@@ -35,7 +35,6 @@ from .pcm import (
     Pcm,
     apply_perturbation,
     classify_perturbation,
-    reconstruct,
 )
 from .spectral import (
     BatchSpectralResult,

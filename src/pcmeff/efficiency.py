@@ -22,11 +22,6 @@ from .pcm import Pcm
 DEFAULT_TIE_TOL = 1e-9
 
 
-def _check_tie_tol(tie_tol: float) -> None:
-    if not 0.0 <= tie_tol < 1.0:    # NaN fails too; from 1 up every pair is a tie
-        raise ValueError(f"tie_tol must be non-negative and below 1, got {tie_tol}")
-
-
 @dataclass(frozen=True, eq=False)
 class EfficiencyDigraph:
     """The weight-ratio dominance digraph as a boolean adjacency matrix.
@@ -34,18 +29,15 @@ class EfficiencyDigraph:
     ``adjacency[i, j]`` is True when the digraph has the arc i -> j; the
     diagonal is False.  The array is a read-only copy of what the caller
     passed, on at least one node, and ``arcs`` is ``np.argwhere(adjacency)``,
-    its (k, 2) arcs in lexicographic order, built once here.  ``tie_tol`` is
-    the relative margin under which w_i / w_j counts as reaching a_ij (see
-    :func:`build_digraph`).  Every pair of distinct nodes must have an arc in
-    at least one direction; :func:`strongly_connected_components` relies on it.
+    its (k, 2) arcs in lexicographic order, built once here.  Every pair of
+    distinct nodes must have an arc in at least one direction;
+    :func:`strongly_connected_components` relies on it.
     """
 
     adjacency: np.ndarray
-    tie_tol: float
     arcs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_tie_tol(self.tie_tol)
         adjacency = np.array(self.adjacency, dtype=bool)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1] or not adjacency.size:
             raise ValueError(f"adjacency must be a square matrix on at least one node, "
@@ -69,9 +61,6 @@ class EfficiencyDigraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in self.arcs.tolist()]
-
 
 def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigraph:
     """Arc i -> j (i != j) iff w_i / w_j >= a_ij (1 - tie_tol) or w_j / w_i < a_ji (1 - tie_tol).
@@ -80,12 +69,13 @@ def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigr
     only within ``RECIPROCITY_TOL``, a pair that neither direction improves
     in both cells counts as a tie.
     """
-    _check_tie_tol(tie_tol)
+    if not 0.0 <= tie_tol < 1.0:    # NaN fails too; from 1 up every pair is a tie
+        raise ValueError(f"tie_tol must be non-negative and below 1, got {tie_tol}")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive finite vector of length n")
     hit = w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol)
-    return EfficiencyDigraph(hit | ~hit.T, tie_tol)
+    return EfficiencyDigraph(hit | ~hit.T)
 
 
 def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:
@@ -208,7 +198,7 @@ def to_dot(g: EfficiencyDigraph) -> str:
     lines = ["digraph efficiency {"]
     for i in range(g.n):
         lines.append(f"    {i + 1};")
-    for i, j in g.sorted_arcs():
+    for i, j in g.arcs.tolist():
         lines.append(f"    {i + 1} -> {j + 1};")
     lines.append("}")
     return "\n".join(lines) + "\n"

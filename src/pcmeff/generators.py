@@ -83,13 +83,13 @@ def _degenerate(f: float) -> bool:
     return abs(f - 1.0) < DEGENERACY_GAP
 
 
-def sample_ratio(rng: np.random.Generator, lo: float, hi: float,
-                 exclude_one: bool = False) -> float:
-    """Log-uniform draw from [lo, hi]; multiplicative scales sample evenly.
+def sample_ratio(rng: np.random.Generator, exclude_one: bool = False) -> float:
+    """Log-uniform draw from ``DEFAULT_BASE_RANGE``; multiplicative scales sample evenly.
 
     With ``exclude_one`` the draw is repeated until it is not
     :func:`_degenerate`.
     """
+    lo, hi = DEFAULT_BASE_RANGE
     while True:
         v = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
         if not exclude_one or not _degenerate(v):
@@ -131,13 +131,12 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     if spec.n is None:
         raise IncompatibleOrderError(f"family {family!r} requires an order n")
     n = spec.n
-    lo, hi = DEFAULT_BASE_RANGE
     if family == "apq":
-        p = spec.p if spec.p is not None else sample_ratio(rng, lo, hi)
+        p = spec.p if spec.p is not None else sample_ratio(rng)
         # q = 1 gives the consistent matrix, whose eigenvector is efficient: not apq
         if spec.q is not None and _degenerate(spec.q):
             raise IncompatibleOrderError(f"q must differ from 1 for family {family!r}")
-        q = spec.q if spec.q is not None else sample_ratio(rng, lo, hi, exclude_one=True)
+        q = spec.q if spec.q is not None else sample_ratio(rng, exclude_one=True)
         return parametric_inefficient(n, p, q), None
 
     # every other family is a kind of the table, built from its canonical form
@@ -151,6 +150,6 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
         # a degenerate factor leaves its cell as good as unperturbed: not of this kind
         if (f := getattr(spec, name)) is not None and _degenerate(f):
             raise IncompatibleOrderError(f"{name} must differ from 1 for family {family!r}")
-        factors.append(f if f is not None else sample_ratio(rng, lo, hi, exclude_one=True))
+        factors.append(f if f is not None else sample_ratio(rng, exclude_one=True))
     structure = PerturbationStructure(kind, n, tuple(base), *factors)
     return apply_perturbation(structure), structure

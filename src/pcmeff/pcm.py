@@ -209,7 +209,8 @@ def canonical_entries(kind: PerturbationKind, base, delta=None, gamma=None) -> n
     multiplies the form's first cell and gamma its second, and each
     reciprocal cell follows.  A factor is one number or one per base.  The
     bases must be positive finite ratios, as a structure checks them; the
-    entries are not validated (:func:`validate_entries` does that).
+    entries are not validated: a factor that pushes a cell to inf or 0
+    warns of nothing here, and :func:`validate_entries` rejects the cell.
     """
     x = np.asarray(base, dtype=float)
     y = np.concatenate((np.ones(x.shape[:-1] + (1,)), x), axis=-1)
@@ -221,9 +222,10 @@ def canonical_entries(kind: PerturbationKind, base, delta=None, gamma=None) -> n
         raise InvalidCaseError(f"base ratios {lo!r} and {hi!r} are too far apart: "
                                f"entry {hi!r}/{lo!r} or its reciprocal is not a normal float")
     a = y[..., None, :] / y[..., :, None]
-    for (i, j), f in zip(CANONICAL_FORMS[kind].cells, (delta, gamma)):
-        a[..., i, j] *= f
-        a[..., j, i] = 1.0 / a[..., i, j]
+    with np.errstate(over="ignore", divide="ignore"):
+        for (i, j), f in zip(CANONICAL_FORMS[kind].cells, (delta, gamma)):
+            a[..., i, j] *= f
+            a[..., j, i] = 1.0 / a[..., i, j]
     return a
 
 
@@ -447,20 +449,3 @@ def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
     return PerturbationStructure(kind=kind, n=n, base=tuple(base.tolist()),
                                  delta=delta, gamma=gamma, positions=positions,
                                  permutation=perm, alternatives=tuple(h[0] for h in others))
-
-
-def reconstruct(structure: PerturbationStructure) -> Pcm:
-    """Rebuild the matrix a classification describes, in original indices.
-
-    For a structure returned by :func:`classify_perturbation` this inverts
-    the canonical relabeling, so the result reproduces the classified
-    matrix entry by entry (up to the classification tolerance).
-    """
-    if structure.kind == PerturbationKind.OTHER:
-        raise InvalidCaseError("cannot reconstruct an unstructured matrix")
-    canonical = apply_perturbation(structure)
-    perm = structure.permutation or tuple(range(structure.n))
-    a = np.empty_like(canonical.entries)
-    idx = np.asarray(perm)
-    a[np.ix_(idx, idx)] = canonical.entries
-    return Pcm(a)

@@ -182,33 +182,30 @@ LEMMAS = _build_registry()
 LEMMA_IDS = tuple(LEMMAS)
 ALL_CHECK_IDS = LEMMA_IDS + (POSITIVITY_CHECK, CYCLE_CHECK)
 
-# Directed cycles certifying strong connectivity, one per parameter sign
-# region (1-based nodes; "i" stands for every contracted trailing node).
-# Each region's predicate is elementwise, like a lemma's hypothesis.
-CASE1_CYCLES = (
-    (lambda d, g: (d > 1) & (g > d), (1, "i", 2, 3, 1)),
-    (lambda d, g: (g > 1) & (g < d), (1, "i", 3, 2, 1)),
-    (lambda d, g: (d > 1) & (g < 1), (1, 3, "i", 2, 1)),
-    (lambda d, g: (d < 1) & (g < d), (1, 3, 2, "i", 1)),
-    (lambda d, g: (g < 1) & (g > d), (1, 2, 3, "i", 1)),
-    (lambda d, g: (d < 1) & (g > 1), (1, 2, "i", 3, 1)),
-)
-CASE2A_CYCLES = (
-    (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, 2, 1)),
-    (lambda d, g: (d > 1) & (g < 1), (1, 3, 4, 2, 1)),
-    (lambda d, g: (d < 1) & (g < 1), (1, 2, 3, 4, 1)),
-    (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, 1)),
-)
-CASE2B_CYCLES = (
-    (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, "i", 2, 1)),
-    (lambda d, g: (d > 1) & (g < 1), (1, "i", 3, 4, 2, 1)),
-    (lambda d, g: (d < 1) & (g < 1), (1, 2, "i", 3, 4, 1)),
-    (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, "i", 1)),
-)
-_CYCLES = {
-    PerturbationKind.CASE1: CASE1_CYCLES,
-    PerturbationKind.CASE2A: CASE2A_CYCLES,
-    PerturbationKind.CASE2B: CASE2B_CYCLES,
+# Per double-perturbed kind, a directed cycle certifying strong connectivity for
+# each parameter sign region (1-based nodes; "i" stands for every contracted
+# trailing node).  Each region's predicate is elementwise, like a lemma's hypothesis.
+CYCLES = {
+    PerturbationKind.CASE1: (
+        (lambda d, g: (d > 1) & (g > d), (1, "i", 2, 3, 1)),
+        (lambda d, g: (g > 1) & (g < d), (1, "i", 3, 2, 1)),
+        (lambda d, g: (d > 1) & (g < 1), (1, 3, "i", 2, 1)),
+        (lambda d, g: (d < 1) & (g < d), (1, 3, 2, "i", 1)),
+        (lambda d, g: (g < 1) & (g > d), (1, 2, 3, "i", 1)),
+        (lambda d, g: (d < 1) & (g > 1), (1, 2, "i", 3, 1)),
+    ),
+    PerturbationKind.CASE2A: (
+        (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, 2, 1)),
+        (lambda d, g: (d > 1) & (g < 1), (1, 3, 4, 2, 1)),
+        (lambda d, g: (d < 1) & (g < 1), (1, 2, 3, 4, 1)),
+        (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, 1)),
+    ),
+    PerturbationKind.CASE2B: (
+        (lambda d, g: (d > 1) & (g > 1), (1, 4, 3, "i", 2, 1)),
+        (lambda d, g: (d > 1) & (g < 1), (1, "i", 3, 4, 2, 1)),
+        (lambda d, g: (d < 1) & (g < 1), (1, 2, "i", 3, 4, 1)),
+        (lambda d, g: (d < 1) & (g > 1), (1, 2, 4, 3, "i", 1)),
+    ),
 }
 
 
@@ -232,7 +229,7 @@ def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
     A row that no region's predicate covers keeps a NaN margin: a violation.
     """
     margins = np.full(len(w), np.nan)
-    for predicate, cycle in _CYCLES[kind]:
+    for predicate, cycle in CYCLES[kind]:
         rows = np.flatnonzero(predicate(delta, gamma))
         u, v = np.array(expand_cycle_arcs(cycle, w.shape[1], kind)).T
         entries = a[rows][:, u, v]
@@ -248,7 +245,7 @@ def _holds(check_id: str, kind: PerturbationKind, n: int, delta, gamma):
     """
     held = (delta != 1.0) & (gamma != 1.0)
     if check_id == CYCLE_CHECK:
-        return held & np.logical_or.reduce([region(delta, gamma) for region, _ in _CYCLES[kind]])
+        return held & np.logical_or.reduce([region(delta, gamma) for region, _ in CYCLES[kind]])
     lemma = LEMMAS.get(check_id)
     if lemma is None:
         return held
@@ -437,8 +434,8 @@ def _random_double_matrix(rng: np.random.Generator) -> Pcm:
     n = int(rng.choice((4, 5, 6, 7, 8, 9)))
     shared_row, disjoint = (k for k in DOUBLE_KINDS if CANONICAL_FORMS[k].allows(n))
     kind = shared_row if rng.random() < 0.5 else disjoint
-    delta = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
-    gamma = sample_ratio(rng, 1 / 9, 9, exclude_one=True)
+    delta = sample_ratio(rng, exclude_one=True)
+    gamma = sample_ratio(rng, exclude_one=True)
     return apply_perturbation(PerturbationStructure(kind, n, sample_base(rng, n), delta, gamma))
 
 
@@ -446,13 +443,13 @@ def _random_simple_matrix(rng: np.random.Generator) -> Pcm:
     n = int(rng.choice((3, 4, 5, 6, 7, 8, 9)))
     return apply_perturbation(PerturbationStructure(
         kind=PerturbationKind.SIMPLE, n=n, base=sample_base(rng, n),
-        delta=sample_ratio(rng, 1 / 9, 9, exclude_one=True)))
+        delta=sample_ratio(rng, exclude_one=True)))
 
 
 def _random_apq_matrix(rng: np.random.Generator) -> Pcm:
     n = int(rng.choice((4, 5, 6, 7, 8)))
-    p = sample_ratio(rng, 1 / 9, 9)
-    return parametric_inefficient(n, p, sample_ratio(rng, 1 / 9, 9, exclude_one=True))
+    p = sample_ratio(rng)
+    return parametric_inefficient(n, p, sample_ratio(rng, exclude_one=True))
 
 
 # sweep -> (report name, whether every eigenvector must be efficient, matrix drawer)

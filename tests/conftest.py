@@ -11,7 +11,7 @@ from pcmeff import (
     spectral,
 )
 from pcmeff.pcm import DEFAULT_CONSISTENCY_TOL
-from pcmeff.verification import _CYCLES
+from pcmeff.verification import CYCLES
 
 pytest_plugins = ["pytester"]
 
@@ -44,11 +44,11 @@ def example1() -> Pcm:
 
 
 def digraph_from_arcs(n: int, arcs) -> EfficiencyDigraph:
-    """The digraph on nodes 0..n-1 with the given (i, j) arcs, tie_tol 0."""
+    """The digraph on nodes 0..n-1 with the given (i, j) arcs."""
     adjacency = np.zeros((n, n), dtype=bool)
     for i, j in arcs:
         adjacency[i, j] = True
-    return EfficiencyDigraph(adjacency, tie_tol=0.0)
+    return EfficiencyDigraph(adjacency)
 
 
 # ----------------------------------------------------- oracles shared by tests
@@ -57,6 +57,20 @@ def consistent_pcm(base) -> Pcm:
     """The consistent PCM generated by base ratios x_1..x_{n-1}: a_ij = y_j / y_i, y = (1, base)."""
     return apply_perturbation(PerturbationStructure(PerturbationKind.CONSISTENT, len(base) + 1,
                                                     tuple(base)))
+
+
+def reconstruct(structure: PerturbationStructure) -> Pcm:
+    """Rebuild the matrix a classification describes, in original indices.
+
+    For a structure returned by ``classify_perturbation`` this inverts the
+    canonical relabeling, so the result reproduces the classified matrix
+    entry by entry (up to the classification tolerance).
+    """
+    canonical = apply_perturbation(structure).entries
+    idx = np.asarray(structure.permutation or range(structure.n))
+    a = np.empty_like(canonical)
+    a[np.ix_(idx, idx)] = canonical
+    return Pcm(a)
 
 
 def is_consistent(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> bool:
@@ -90,7 +104,7 @@ def charpoly_oracle(m: Pcm, lam: float) -> float:
 
 def region_cycle(kind: PerturbationKind, delta: float, gamma: float) -> tuple:
     """The certifying cycle for the sample's sign region (1-based nodes)."""
-    for predicate, cycle in _CYCLES[kind]:
+    for predicate, cycle in CYCLES[kind]:
         if predicate(delta, gamma):
             return cycle
     raise HypothesisViolatedError(

@@ -485,6 +485,19 @@ def test_generate_names_a_bad_factor():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, cell", [
+    pytest.param(("--family", "simple", "--n", "3", "--delta", "5e-324"), (1, 0),
+                 id="tiny-delta"),
+    pytest.param(("--family", "case1", "--n", "4", "--delta", "1e308", "--seed", "0"), (0, 1),
+                 id="huge-delta"),
+])
+def test_generate_reports_an_overflowing_factor_in_one_line(args, cell):
+    # a new process prints any RuntimeWarning as the console would
+    proc = run_process("generate", *args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: entry {cell} = inf is not a positive finite real\n"
+
+
 @pytest.mark.parametrize("family, option", [("case1", "--delta"), ("case1", "--gamma"),
                                             ("case2b", "--gamma"), ("simple", "--delta")])
 def test_generate_rejects_a_unit_factor(tmp_path, capsys, family, option):

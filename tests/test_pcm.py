@@ -28,11 +28,10 @@ from pcmeff import (
     generate,
     lambda_max_closed_form,
     pcm,
-    reconstruct,
 )
 from pcmeff.generators import FAMILIES
 
-from conftest import consistent_pcm, is_consistent
+from conftest import consistent_pcm, is_consistent, reconstruct
 
 ratio = st.floats(min_value=1 / 9, max_value=9.0)
 
@@ -273,6 +272,23 @@ def test_a_bad_stack_member_fails_as_it_does_alone(build):
         pcm.validate_entries(stack)
     assert (stacked.value.i, stacked.value.j, str(stacked.value)) == \
         (alone.value.i, alone.value.j, str(alone.value))
+
+
+@pytest.mark.parametrize("build, cell", [
+    # 1 / 5e-324 overflows the reciprocal cell
+    pytest.param(lambda: generate(GeneratorSpec("simple", n=3, delta=5e-324)), (1, 0),
+                 id="generate-tiny-delta"),
+    # 1e308 times a base ratio above 1 overflows the perturbed cell
+    pytest.param(lambda: generate(GeneratorSpec("case1", n=4, delta=1e308, seed=0)), (0, 1),
+                 id="generate-huge-delta"),
+    pytest.param(lambda: apply_perturbation(PerturbationStructure(
+        PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 1e-320, 2.0)), (1, 0), id="subnormal-delta"),
+])
+def test_a_factor_that_overflows_a_cell_is_a_typed_error(build, cell):
+    # no RuntimeWarning first: Tier-1 runs with warnings as errors
+    with pytest.raises(NonPositiveEntryError) as raised:
+        build()
+    assert str(raised.value) == f"entry {cell} = inf is not a positive finite real"
 
 
 # the orders each canonical form exists at, as the paper states them
