@@ -14,10 +14,8 @@ from .efficiency import (
     to_dot,
 )
 from .errors import (
-    DegenerateParametersError,
     HypothesisViolatedError,
     ImprovementFailedError,
-    IncompatibleOrderError,
     InvalidCaseError,
     NoConvergenceError,
     NonPositiveEntryError,
@@ -42,7 +40,6 @@ from .spectral import (
     SpectralResult,
     closed_form_eigenvector,
     lambda_max_closed_form,
-    normalize_weights,
     power_iteration,
     power_iteration_batch,
     raw_variant_vector,

@@ -227,8 +227,7 @@ def _cmd_analyze(args) -> int:
         power_tol=args.tol_power,
     )
     if args.digraph_dot:
-        with open(args.digraph_dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(verdict.digraph))
+        _write_files({args.digraph_dot: to_dot(verdict.digraph)})
     _emit(report, _analysis_lines(report), args.json)
     return EXIT_OK if verdict.efficient else EXIT_INEFFICIENT
 
@@ -247,8 +246,8 @@ def _cmd_generate(args) -> int:
         "seed": args.seed,
         "ground_truth": _classification_dict(structure) if structure is not None else None,
     }
-    if args.p is not None or args.q is not None:
-        sidecar["p"], sidecar["q"] = args.p, args.q
+    if args.family == "apq":    # parametric_inefficient stores p and q verbatim in these cells
+        sidecar["p"], sidecar["q"] = float(m.entries[0, 1]), float(m.entries[1, 2])
 
     matrix = format_matrix(m.entries)
     sidecar_path = args.sidecar or (args.out and args.out + ".json")
@@ -269,14 +268,12 @@ def _write_files(texts: dict[str, str]) -> None:
     try:
         for path, text in texts.items():
             temps[path] = f"{path}.{os.getpid()}.tmp"
-            try:
-                fh = open(temps[path], "w", encoding="utf-8")
-            except OSError as exc:    # name the path asked for, not the temporary file
-                raise OSError(exc.errno, exc.strerror, path) from None
-            with fh:
+            with open(temps[path], "w", encoding="utf-8") as fh:
                 fh.write(text)
         for path, temp in temps.items():
             os.replace(temp, path)
+    except OSError as exc:    # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         for temp in temps.values():
             with contextlib.suppress(FileNotFoundError):

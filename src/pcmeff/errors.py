@@ -31,15 +31,7 @@ class ReciprocityViolationError(PcmError):
 
 
 class InvalidCaseError(PcmError):
-    """Perturbation structure incompatible with the matrix order."""
-
-
-class IncompatibleOrderError(InvalidCaseError):
-    """Generator family incompatible with the requested order."""
-
-
-class DegenerateParametersError(PcmError):
-    """delta or gamma equals 1; the closed forms do not apply."""
+    """A structure or generator spec that describes no valid case."""
 
 
 class PotentialRangeError(PcmError):

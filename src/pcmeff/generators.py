@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleOrderError
+from .errors import InvalidCaseError
 from .pcm import (
     CANONICAL_FORMS,
     PerturbationKind,
@@ -64,9 +64,9 @@ def parametric_inefficient(n: int, p: float, q: float) -> Pcm:
     consistent matrix with all base ratios p.
     """
     if n < 4:
-        raise IncompatibleOrderError(f"parametric family requires n >= 4, got {n}")
+        raise InvalidCaseError(f"parametric family requires n >= 4, got {n}")
     if not (0 < p < np.inf and 0 < q < np.inf):
-        raise IncompatibleOrderError("p and q must be positive finite reals")
+        raise InvalidCaseError("p and q must be positive finite reals")
     a = np.ones((n, n))
     a[0, 1:] = p
     a[1:, 0] = 1.0 / p
@@ -120,36 +120,34 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     """
     family = spec.family
     if family not in FAMILIES:
-        raise IncompatibleOrderError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise InvalidCaseError(f"unknown family {family!r}; expected one of {FAMILIES}")
     rng = np.random.default_rng(spec.seed)
 
     if family == "example1":
         if spec.n not in (None, 4):
-            raise IncompatibleOrderError("example1 is a fixed 4x4 matrix")
+            raise InvalidCaseError("example1 is a fixed 4x4 matrix")
         return example1_matrix(), None
 
     if spec.n is None:
-        raise IncompatibleOrderError(f"family {family!r} requires an order n")
+        raise InvalidCaseError(f"family {family!r} requires an order n")
     n = spec.n
     if family == "apq":
         p = spec.p if spec.p is not None else sample_ratio(rng)
         # q = 1 gives the consistent matrix, whose eigenvector is efficient: not apq
         if spec.q is not None and _degenerate(spec.q):
-            raise IncompatibleOrderError(f"q must differ from 1 for family {family!r}")
+            raise InvalidCaseError(f"q must differ from 1 for family {family!r}")
         q = spec.q if spec.q is not None else sample_ratio(rng, exclude_one=True)
         return parametric_inefficient(n, p, q), None
 
     # every other family is a kind of the table, built from its canonical form
     kind = PerturbationKind(family)
-    check_order(kind, n, IncompatibleOrderError)
+    check_order(kind, n)
     base = spec.base if spec.base is not None else sample_base(rng, n)
-    if len(base) != n - 1:
-        raise IncompatibleOrderError(f"base must have {n - 1} ratios, got {len(base)}")
     factors = []
     for name in ("delta", "gamma")[:len(CANONICAL_FORMS[kind].cells)]:
         # a degenerate factor leaves its cell as good as unperturbed: not of this kind
         if (f := getattr(spec, name)) is not None and _degenerate(f):
-            raise IncompatibleOrderError(f"{name} must differ from 1 for family {family!r}")
+            raise InvalidCaseError(f"{name} must differ from 1 for family {family!r}")
         factors.append(f if f is not None else sample_ratio(rng, exclude_one=True))
     structure = PerturbationStructure(kind, n, tuple(base), *factors)
     return apply_perturbation(structure), structure

@@ -138,14 +138,14 @@ CANONICAL_FORMS = {
 DOUBLE_KINDS = tuple(k for k, form in CANONICAL_FORMS.items() if len(form.cells) == 2)
 
 
-def check_order(kind: PerturbationKind, n: int, error: type = InvalidCaseError) -> None:
-    """Raise ``error`` unless the canonical form of ``kind`` exists at order ``n``."""
+def check_order(kind: PerturbationKind, n: int) -> None:
+    """Raise InvalidCaseError unless the canonical form of ``kind`` exists at order ``n``."""
     form = CANONICAL_FORMS[kind]
     if not form.allows(n):
         wanted = (f">= {form.min_order}" if form.max_order is None else
                   f"= {form.min_order}" if form.max_order == form.min_order else
                   f"in {form.min_order}..{form.max_order}")
-        raise error(f"kind {kind.value!r} requires n {wanted}, got {n}")
+        raise InvalidCaseError(f"kind {kind.value!r} requires n {wanted}, got {n}")
 
 
 def canonical_kind(cells: tuple[tuple[int, int], ...], n: int) -> PerturbationKind:

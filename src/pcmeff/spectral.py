@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateParametersError,
     InvalidCaseError,
     NoConvergenceError,
     PotentialRangeError,
@@ -36,14 +35,6 @@ class SpectralResult:
     w: np.ndarray
     residual: float
     iterations: int
-
-
-def normalize_weights(w) -> np.ndarray:
-    """Scale a positive vector to sum 1."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive finite reals")
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -359,7 +350,7 @@ def _checked_base(structure: PerturbationStructure) -> np.ndarray:
     if structure.base is None:
         raise InvalidCaseError("structure must carry a base vector")
     if structure.delta == 1.0 or structure.gamma == 1.0:
-        raise DegenerateParametersError(
+        raise InvalidCaseError(
             "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
             "or consistent case and the closed forms do not apply")
     return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
@@ -423,4 +414,6 @@ def closed_form_eigenvector(structure: PerturbationStructure) -> ClosedFormResul
     if not usable.any():
         raise PotentialRangeError(f"no {kind.value} closed-form eigenvector fits in floats")
     variant = int(np.argmax(np.where(usable, candidates[:, 0], -1.0)))
-    return ClosedFormResult(lam, normalize_weights(candidates[variant]), variant)
+    w = candidates[variant]
+    w /= w.sum()
+    return ClosedFormResult(lam, w, variant)

@@ -348,7 +348,24 @@ def test_generate_sidecar_is_the_indented_json_of_the_ground_truth(tmp_path, fam
     m, structure = generate(GeneratorSpec(family, n=n, seed=2))
     sidecar = {"schema_version": cli.SCHEMA_VERSION, "family": family, "n": m.n, "seed": 2,
                "ground_truth": cli._classification_dict(structure) if structure else None}
+    if family == "apq":
+        sidecar["p"], sidecar["q"] = float(m.entries[0, 1]), float(m.entries[1, 2])
     assert (tmp_path / "m.txt.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", [("apq", "--n", "4", "--seed", "3"),
+                                  ("apq", "--n", "4", "--p", "2"),
+                                  ("case1", "--n", "4", "--p", "2")])
+def test_generate_sidecar_records_the_p_and_q_that_built_the_matrix(tmp_path, args):
+    # drawn or given, apq's p and q are read back from the matrix; no other family reads them
+    out = tmp_path / "m.txt"
+    assert run_cli("generate", "--family", *args, "--out", str(out)).returncode == 0
+    sidecar = json.loads((tmp_path / "m.txt.json").read_text())
+    entries = load_matrix(str(out))
+    if args[0] == "apq":
+        assert (sidecar["p"], sidecar["q"]) == (entries[0, 1], entries[1, 2])
+    else:
+        assert "p" not in sidecar and "q" not in sidecar
 
 
 # ----------------------------------------------------------- the json writer
@@ -395,6 +412,19 @@ def test_text_and_json_values_agree(example1_file):
     assert float(lam_line.split(": ")[1]) == as_json["lambda_max"]
 
 
+def test_dot_export_failure_keeps_the_old_file(example1_file, tmp_path, monkeypatch):
+    dot = tmp_path / "g.dot"
+    dot.write_text("prior content\n")
+
+    def fail(digraph):
+        raise OSError("cannot render")
+
+    monkeypatch.setattr(cli, "to_dot", fail)
+    proc = run_cli("analyze", str(example1_file), "--digraph-dot", str(dot))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: cannot render\n")
+    assert dot.read_text() == "prior content\n"
+
+
 def test_dot_export_is_byte_deterministic(example1_file, tmp_path):
     d1, d2 = tmp_path / "a.dot", tmp_path / "b.dot"
     run_cli("analyze", str(example1_file), "--digraph-dot", str(d1))
@@ -426,6 +456,18 @@ def test_unwritable_output_is_an_error(example1_file, args):
     # a failed run changes no file: --out m.txt keeps what it held
     assert kept.read_text() == "prior content\n"
     assert sorted(p.name for p in example1_file.parent.iterdir()) == ["example1.txt", "m.txt"]
+
+
+@pytest.mark.parametrize("args", [("analyze", "{dir}/example1.txt", "--digraph-dot", "{dir}/d"),
+                                  ("generate", "--family", "example1", "--out", "{dir}/d")])
+def test_a_directory_as_output_is_named_in_the_error(example1_file, args):
+    # the error names the path asked for, not the temporary file written beside it
+    target = example1_file.parent / "d"
+    target.mkdir()
+    proc = run_cli(*(a.format(dir=example1_file.parent) for a in args))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert sorted(p.name for p in example1_file.parent.iterdir()) == ["d", "example1.txt"]
 
 
 def test_out_and_sidecar_on_one_file_is_a_usage_error(example1_file, capsys):

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pcmeff import (
     GeneratorSpec,
-    IncompatibleOrderError,
+    InvalidCaseError,
     PerturbationKind,
     Pcm,
     classify_perturbation,
@@ -13,6 +14,7 @@ from pcmeff import (
     generate,
     parametric_inefficient,
 )
+from pcmeff.generators import FAMILIES
 
 from conftest import EXAMPLE1_ENTRIES, is_consistent
 
@@ -107,17 +109,26 @@ def test_explicit_parameters_are_respected():
     assert m[0, 2] == pytest.approx(0.25 * 1.0)
 
 
-@pytest.mark.parametrize("family,n", [
-    ("case2a", 5), ("case2a", 6),
-    ("case2b", 4),
-    ("case1", 3),
-    ("apq", 3),
-    ("simple", 2),
-    ("consistent", None),
-])
+ORDER_REJECTIONS = {
+    ("case2a", 5): "kind 'case2a' requires n = 4, got 5",
+    ("case2a", 6): "kind 'case2a' requires n = 4, got 6",
+    ("case2b", 4): "kind 'case2b' requires n >= 5, got 4",
+    ("case1", 3): "kind 'case1' requires n >= 4, got 3",
+    ("apq", 3): "parametric family requires n >= 4, got 3",
+    ("simple", 2): "kind 'simple' requires n >= 3, got 2",
+    ("consistent", None): "family 'consistent' requires an order n",
+}
+
+
+@pytest.mark.parametrize("family,n", list(ORDER_REJECTIONS))
 def test_incompatible_orders_rejected(family, n):
-    with pytest.raises(IncompatibleOrderError):
+    with pytest.raises(InvalidCaseError, match=f"^{re.escape(ORDER_REJECTIONS[family, n])}$"):
         generate(GeneratorSpec(family=family, n=n))
+
+
+def test_base_of_the_wrong_length_is_rejected_by_the_structure():
+    with pytest.raises(InvalidCaseError, match=r"^order n = 5 needs 4 base ratios, got 1$"):
+        generate(GeneratorSpec(family="case1", n=5, base=(2.0,)))
 
 
 @pytest.mark.parametrize("family, n, factors", [
@@ -130,7 +141,7 @@ def test_unit_factor_of_a_cell_rejected(family, n, factors):
     # so the matrix is not of the family's kind
     name = next(name for name, f in factors.items() if f == 1.0)
     for unit in (1.0, 1 + 1e-13, 0.9995):
-        with pytest.raises(IncompatibleOrderError, match=f"^{name} must differ from 1 for family"):
+        with pytest.raises(InvalidCaseError, match=f"^{name} must differ from 1 for family"):
             generate(GeneratorSpec(family=family, n=n, **{**factors, name: unit}))
 
 
@@ -138,9 +149,9 @@ def test_unit_factor_of_a_cell_rejected(family, n, factors):
 @pytest.mark.parametrize("name", ["p", "q"])
 def test_parametric_family_rejects_a_non_positive_or_non_finite_factor(name, bad):
     factors = {"p": 2.0, "q": 3.0, name: bad}
-    with pytest.raises(IncompatibleOrderError, match="^p and q must be positive finite reals$"):
+    with pytest.raises(InvalidCaseError, match="^p and q must be positive finite reals$"):
         parametric_inefficient(5, **factors)
-    with pytest.raises(IncompatibleOrderError, match="^p and q must be positive finite reals$"):
+    with pytest.raises(InvalidCaseError, match="^p and q must be positive finite reals$"):
         generate(GeneratorSpec(family="apq", n=5, **factors))
 
 
@@ -150,5 +161,6 @@ def test_unit_factor_outside_the_form_is_not_read():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(IncompatibleOrderError):
+    expected = f"unknown family 'triple'; expected one of {FAMILIES}"
+    with pytest.raises(InvalidCaseError, match=f"^{re.escape(expected)}$"):
         generate(GeneratorSpec(family="triple", n=5))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pcmeff import (
     GeneratorSpec,
-    IncompatibleOrderError,
     InvalidCaseError,
     NonPositiveEntryError,
     NotSquareError,
@@ -300,10 +299,12 @@ PAPER_ORDERS = {
 }
 
 
-def _accepts(build, error) -> bool:
+def _accepts(build, error, match: str = "") -> bool:
+    """Whether ``build`` returns; a rejection must be ``error`` whose message matches ``match``."""
     try:
         build()
-    except error:
+    except error as exc:
+        assert re.match(match, str(exc)), exc
         return False
     return True
 
@@ -316,9 +317,11 @@ def test_every_layer_accepts_exactly_the_table_orders(kind, n):
     def structure(base=(2.0,) * (n - 1)):
         return PerturbationStructure(kind=kind, n=n, base=base, delta=2.0, gamma=3.0)
 
-    assert _accepts(lambda: apply_perturbation(structure()), InvalidCaseError) == allowed
+    order_error = f"^kind {kind.value!r} requires n .+, got {n}$"
+    built = _accepts(lambda: apply_perturbation(structure()), InvalidCaseError, order_error)
+    assert built == allowed
     spec = GeneratorSpec(family=kind.value, n=n, seed=1)
-    assert _accepts(lambda: generate(spec), IncompatibleOrderError) == allowed
+    assert _accepts(lambda: generate(spec), InvalidCaseError, order_error) == allowed
     closed_form = _accepts(lambda: lambda_max_closed_form(structure(None)), InvalidCaseError)
     assert closed_form == (allowed and kind != PerturbationKind.SIMPLE)
     if allowed:
@@ -762,7 +765,7 @@ def golden_matrices():
         for n in range(4, 10):
             try:
                 m, _ = generate(GeneratorSpec(family, n=n, seed=n))
-            except IncompatibleOrderError:
+            except InvalidCaseError:
                 continue
             cases.append((f"{family}-n{n}", m.entries, pcm.DEFAULT_CONSISTENCY_TOL))
     for k, (family, n, noise, tol) in enumerate([

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pcmeff import (
-    DegenerateParametersError,
     InvalidCaseError,
     NoConvergenceError,
     PerturbationKind,
@@ -21,7 +20,6 @@ from pcmeff import (
     apply_perturbation,
     closed_form_eigenvector,
     lambda_max_closed_form,
-    normalize_weights,
     power_iteration,
     power_iteration_batch,
     raw_variant_vector,
@@ -486,7 +484,7 @@ def test_variant_counts():
 def test_degenerate_parameters_rejected():
     st = PerturbationStructure(kind=PerturbationKind.CASE1, n=4, base=(1, 1, 1),
                                delta=1.0, gamma=2.0)
-    with pytest.raises(DegenerateParametersError):
+    with pytest.raises(InvalidCaseError, match="delta or gamma equals 1"):
         closed_form_eigenvector(st)
 
 
@@ -502,7 +500,7 @@ def test_variants_parallel_positive_and_eigen():
             for variant in range(variant_count(kind)):
                 raw = raw_variant_vector(st, variant, lam)
                 assert np.all(raw > 0)
-                w = normalize_weights(raw)
+                w = raw / raw.sum()
                 resid = np.max(np.abs(a @ w - lam * w)) / np.max(lam * w)
                 assert resid <= 1e-8
                 vecs.append(w)
