@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import __version__
 from .efficiency import DEFAULT_TIE_TOL, find_sink_improvement, is_efficient, to_dot
-from .errors import (ImprovementFailedError, NoConvergenceError, ParseError, PcmError,
-                     RootNotBracketedError)
+from .errors import ImprovementFailedError, NoConvergenceError, ParseError, RootNotBracketedError
 from .generators import FAMILIES, GeneratorSpec, generate
 from .matrixio import FORMATS, format_matrix, load_matrix
 from .pcm import DEFAULT_CONSISTENCY_TOL, DOUBLE_KINDS, Pcm, classify_perturbation
@@ -262,11 +262,14 @@ def _write_files(texts: dict[str, str]) -> None:
     """Write each path's text; unless every write succeeds, no path changes.
 
     Each text goes to a temporary file beside its path, and the temporary
-    files replace the paths only once all of them are written.
+    files replace the paths only once all of them are written and no path
+    is a directory, which ``os.replace`` would refuse.
     """
     temps = {}
     try:
         for path, text in texts.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             temps[path] = f"{path}.{os.getpid()}.tmp"
             with open(temps[path], "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -287,10 +290,6 @@ def _cmd_verify(args) -> int:
 
     if args.lemmas is not None:
         wanted = ALL_CHECK_IDS if args.lemmas == "all" else tuple(args.lemmas.split(","))
-        unknown = [lid for lid in wanted if lid not in ALL_CHECK_IDS]
-        if unknown:
-            print(f"error: unknown check ids {unknown}", file=sys.stderr)
-            return EXIT_ERROR
         reports = run_lemma_suite(SuiteGrid.for_samples(args.samples), args.seed, wanted)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, PcmError, NoConvergenceError, RootNotBracketedError,
+    except (OSError, ValueError, NoConvergenceError, RootNotBracketedError,
             ImprovementFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -270,7 +270,7 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
         raise InvalidCaseError("structure must carry a base vector")
     report = LemmaReport(lemma_id)
     _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
-                 np.array([(1.0,) + tuple(sample.base)]), np.array([True]),
+                 np.array([(1.0,) + tuple(sample.base)]),
                  [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])
     return report
 
@@ -324,50 +324,26 @@ class SuiteGrid:
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
-def _record(reports: dict[str, LemmaReport], check_ids: list[str], kind: PerturbationKind,
-            x: np.ndarray, delta: np.ndarray, gamma: np.ndarray, held: np.ndarray) -> None:
-    """Build, validate and solve a stack of matrices, then record each check on its samples.
-
-    Sample ``k`` has x = (1, base) in row ``k`` of ``x`` and factors
-    ``delta[k]`` and ``gamma[k]``; ``held[k, c]`` says whether
-    ``check_ids[c]``, a lemma or the cycle check, holds in its grid cell.
-    """
-    a = canonical_entries(kind, x[:, 1:], delta, gamma)
-    validate_entries(a)
-    w = power_iteration_batch(a).w
-    for check_id, rows in zip(check_ids, held.T):
-        k = np.flatnonzero(rows)
-        if not k.size:
-            continue
-        lemma = LEMMAS.get(check_id)
-        reports[check_id].record(kind, x[k], delta[k], gamma[k], (
-            lemma.margin(w[k], x[k], delta[k], gamma[k]) if lemma is not None
-            else _cycle_margins(kind, w[k], a[k], delta[k], gamma[k])))
-
-
 def _sweep_cells(reports: dict[str, LemmaReport], kind: PerturbationKind, delta: np.ndarray,
-                 gamma: np.ndarray, x: np.ndarray, positive: np.ndarray,
-                 roots: Sequence[float]) -> None:
+                 gamma: np.ndarray, x: np.ndarray, roots: Sequence[float]) -> None:
     """Record the requested checks on the samples of grid cells of one kind and order.
 
     Cell ``c`` has factors ``delta[c]`` and ``gamma[c]``, and row ``k`` of
     ``x``, (1, base) of sample ``k``, belongs to cell ``k // count`` for
-    ``count`` rows per cell.  Each hypothesis is one mask over the cells;
-    ``positive`` is that of positivity, if requested, and ``roots`` holds the
-    closed-form root of each cell in it.  Every check runs on stacks of at
-    most ``_STACK_CAP`` samples; positivity, the worst normalized entry of
-    the closed-form variant vectors, reads no matrix.
+    ``count`` rows per cell.  Positivity holds in every cell (no factor is 1),
+    and ``roots`` holds each cell's closed-form root if it is requested; each
+    other hypothesis is one mask over the cells.  Every check runs on stacks
+    of at most ``_STACK_CAP`` samples: positivity on the closed-form variant
+    vectors, reading no matrix, the others on one built and solved matrix stack.
     """
     n, cell = x.shape[1], np.arange(len(x)) // (len(x) // len(delta))
     row_delta, row_gamma = delta[cell], gamma[cell]
     if POSITIVITY_CHECK in reports:
-        # a (9, cells) table of form terms, filled in the held cells' columns
-        terms = np.zeros((9, len(delta)))
-        for c, lam in zip(np.flatnonzero(positive), roots):
-            terms[:, c] = form_terms(float(delta[c]), float(gamma[c]), float(lam))
-        rows = np.flatnonzero(positive[cell])
-        for start in range(0, len(rows), _STACK_CAP):
-            k = rows[start:start + _STACK_CAP]
+        # a (9, cells) table of form terms
+        terms = np.array([form_terms(d, g, lam) for d, g, lam
+                          in zip(delta.tolist(), gamma.tolist(), roots)]).T
+        for start in range(0, len(x), _STACK_CAP):
+            k = slice(start, start + _STACK_CAP)
             v = variant_vectors(kind, x[k].T, terms[:, cell[k]])
             margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
             reports[POSITIVITY_CHECK].record(kind, x[k], row_delta[k], row_gamma[k], margins)
@@ -377,8 +353,19 @@ def _sweep_cells(reports: dict[str, LemmaReport], kind: PerturbationKind, delta:
                     dtype=bool).reshape(len(matrix_ids), len(delta)).T[cell]
     rows = np.flatnonzero(held.any(axis=1))
     for start in range(0, len(rows), _STACK_CAP):
-        k = rows[start:start + _STACK_CAP]
-        _record(reports, matrix_ids, kind, x[k], row_delta[k], row_gamma[k], held[k])
+        chunk = rows[start:start + _STACK_CAP]
+        xs, ds, gs = x[chunk], row_delta[chunk], row_gamma[chunk]
+        a = canonical_entries(kind, xs[:, 1:], ds, gs)
+        validate_entries(a)
+        w = power_iteration_batch(a).w
+        for check_id, mask in zip(matrix_ids, held[chunk].T):
+            k = np.flatnonzero(mask)
+            if not k.size:
+                continue
+            lemma = LEMMAS.get(check_id)
+            reports[check_id].record(kind, xs[k], ds[k], gs[k], (
+                lemma.margin(w[k], xs[k], ds[k], gs[k]) if lemma is not None
+                else _cycle_margins(kind, w[k], a[k], ds[k], gs[k])))
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
@@ -403,16 +390,15 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
     delta = np.repeat(grid.ratio_values, len(grid.ratio_values))    # cells: delta outer,
     gamma = np.tile(grid.ratio_values, len(grid.ratio_values))      # gamma inner
     stacks = [(kind, n) for kind in DOUBLE_KINDS for n in grid.orders(kind)]
-    # each stack's positivity mask, and the roots of its cells from one stacked solve
-    positive = [_holds(POSITIVITY_CHECK, kind, n, delta, gamma) if POSITIVITY_CHECK in reports
-                else np.zeros(len(delta), dtype=bool) for kind, n in stacks]
-    solved = lambda_max_closed_forms([(kind, n, d, g) for (kind, n), held in zip(stacks, positive)
-                                      for d, g in zip(delta[held].tolist(), gamma[held].tolist())])
-    roots = np.split(solved, np.cumsum([np.count_nonzero(held) for held in positive])[:-1])
-    for (kind, n), held, lam in zip(stacks, positive, roots):
+    roots = [[]] * len(stacks)
+    if POSITIVITY_CHECK in reports:    # it holds in every cell: one solve covers every stack
+        roots = lambda_max_closed_forms([(kind, n, d, g) for kind, n in stacks for d, g
+                                         in zip(delta.tolist(), gamma.tolist())]
+                                        ).reshape(len(stacks), -1).tolist()
+    for (kind, n), lam in zip(stacks, roots):
         x = np.ones((len(delta) * grid.bases(kind), n))
         x[:, 1:] = sample_bases(rng, n, len(x))
-        _sweep_cells(reports, kind, delta, gamma, x, held, lam)
+        _sweep_cells(reports, kind, delta, gamma, x, lam)
     return list(reports.values())
 
 

@@ -403,13 +403,39 @@ def test_json_writer_equals_indented_json_dumps(tree):
 
 
 def test_text_and_json_values_agree(example1_file):
-    as_json = json.loads(run_cli("analyze", str(example1_file), "--json").stdout)
-    text = run_cli("analyze", str(example1_file)).stdout
-    w_line = next(line for line in text.splitlines() if line.startswith("w (power"))
-    w_text = ast.literal_eval(w_line.split(": ", 1)[1])
-    assert w_text == as_json["weights"]["power_iteration"]
-    lam_line = next(line for line in text.splitlines() if line.startswith("lambda_max:"))
-    assert float(lam_line.split(": ")[1]) == as_json["lambda_max"]
+    # example1, and a classified double-perturbed matrix, whose text shows both weight routes
+    double = example1_file.parent / "case2b.txt"
+    assert run_cli("generate", "--family", "case2b", "--n", "6", "--seed", "7",
+                   "--out", str(double)).returncode == 0
+    for path, labels in [
+        (example1_file, ("order", "lambda_max", "w (power iteration)", "efficient",
+                         "sink component (1-based)", "dominating vector")),
+        (double, ("order", "perturbed cells (1-based)", "delta", "gamma", "base", "lambda_max",
+                  "w (power iteration)", "w (closed form, variant 3)",
+                  "lambda_max (closed form)", "efficient")),
+    ]:
+        assert_text_agrees_with_json(path, labels)
+
+
+def assert_text_agrees_with_json(path, labels):
+    """``analyze``'s text shows exactly the ``labels`` lines, each with its ``--json`` value."""
+    report = json.loads(run_cli("analyze", str(path), "--json").stdout)
+    text = run_cli("analyze", str(path)).stdout
+    lines = dict(line.strip().split(": ", 1) for line in text.splitlines())
+    cls, weights, eff = report["classification"], report["weights"], report["efficiency"]
+    assert lines.pop("classification") == cls["kind"]
+    closed = weights["closed_form"] or {}
+    values = {
+        "order": report["n"], "perturbed cells (1-based)": cls["positions"],
+        "delta": cls["delta"], "gamma": cls["gamma"], "base": cls["base"],
+        "lambda_max": report["lambda_max"], "w (power iteration)": weights["power_iteration"],
+        f"w (closed form, variant {closed.get('variant')})": closed.get("w"),
+        "lambda_max (closed form)": closed.get("lambda_max"),
+        "efficient": eff["efficient"], "sink component (1-based)": eff["sink"],
+        "dominating vector": eff["improvement"],
+    }
+    assert {label: ast.literal_eval(text) for label, text in lines.items()} == {
+        label: values[label] for label in labels}
 
 
 def test_dot_export_failure_keeps_the_old_file(example1_file, tmp_path, monkeypatch):
@@ -468,6 +494,17 @@ def test_a_directory_as_output_is_named_in_the_error(example1_file, args):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
     assert sorted(p.name for p in example1_file.parent.iterdir()) == ["d", "example1.txt"]
+
+
+def test_a_directory_among_the_outputs_changes_no_file(example1_file):
+    kept, target = example1_file.parent / "m.txt", example1_file.parent / "d"
+    kept.write_text("old\n")
+    target.mkdir()
+    proc = run_cli("generate", "--family", "example1", "--out", str(kept), "--sidecar", str(target))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in example1_file.parent.iterdir()) == ["d", "example1.txt", "m.txt"]
 
 
 def test_out_and_sidecar_on_one_file_is_a_usage_error(example1_file, capsys):
@@ -606,8 +643,10 @@ def test_lemma_sweep_matches_the_saved_report(capsys):
 
 
 def test_verify_unknown_lemma_id():
-    proc = run_cli("verify", "--lemmas", "9z")
-    assert proc.returncode == 1
+    for ids in ("9z", "1a,9z,positivity"):
+        proc = run_cli("verify", "--lemmas", ids)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: unknown check ids ['9z']\n")
 
 
 def test_verify_theorem_sweeps():

@@ -413,3 +413,17 @@ def test_undecodable_bytes_are_a_parse_error(tmp_path, data, message, line, colu
             load_matrix(str(path), fmt)
         assert (str(exc.value), exc.value.line, exc.value.column) == (
             f"line {line}, column {column}: {message}; expected UTF-8", line, column)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: parse_matrix("0\n"), ParseError,
+     "line 1, column 1: matrix order must be positive, got 0"),
+    (lambda path: load_matrix(path, "xml"), ValueError,
+     "unknown format 'xml'; expected one of ('txt', 'csv')"),
+])
+def test_rejections_carry_their_exact_type_and_message(tmp_path, call, error, message):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 2\n1/2 1\n")
+    with pytest.raises(error) as exc:
+        call(str(path))
+    assert (type(exc.value), str(exc.value)) == (error, message)

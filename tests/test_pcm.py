@@ -231,6 +231,21 @@ def test_structure_rejects_a_base_ratio_that_is_no_positive_finite_real(bad):
             PerturbationStructure(PerturbationKind.CASE1, 4, (bad, 2.0, 3.0), 2.0, 3.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PerturbationStructure(PerturbationKind.CASE1, 4, (1.0,) * 3, 2.0),
+     "kind 'case1' needs one factor per cell (delta, gamma)"),
+    (lambda: apply_perturbation(PerturbationStructure(PerturbationKind.CASE1, 4, None, 2.0, 3.0)),
+     "structure must carry a base vector"),
+    (lambda: apply_perturbation(PerturbationStructure(PerturbationKind.OTHER, 4, (1.0,) * 3,
+                                                      2.0, 3.0)),
+     "kind 'other' has no canonical form"),
+])
+def test_a_structure_without_a_form_is_rejected_with_its_cause(build, message):
+    with pytest.raises(InvalidCaseError) as exc:
+        build()
+    assert (type(exc.value), str(exc.value)) == (InvalidCaseError, message)
+
+
 @pytest.mark.parametrize("kind", list(pcm.CANONICAL_FORMS))
 def test_stacked_build_equals_apply_perturbation_member_by_member(kind):
     rng = np.random.default_rng(31)

@@ -488,6 +488,24 @@ def test_degenerate_parameters_rejected():
         closed_form_eigenvector(st)
 
 
+CASE1_4 = PerturbationStructure(PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 2.0, 3.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closed_form_eigenvector(
+        PerturbationStructure(PerturbationKind.SIMPLE, 4, (1.0, 1.0, 1.0), 2.0)),
+     "closed forms exist only for double-perturbed matrices, got 'simple'"),
+    (lambda: closed_form_eigenvector(dataclasses.replace(CASE1_4, base=None)),
+     "structure must carry a base vector"),
+    (lambda: raw_variant_vector(CASE1_4, 4, 5.0), "variant must be in 0..3, got 4"),
+    (lambda: raw_variant_vector(CASE1_4, -1, 5.0), "variant must be in 0..3, got -1"),
+])
+def test_closed_forms_reject_what_they_do_not_cover(call, message):
+    with pytest.raises(InvalidCaseError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (InvalidCaseError, message)
+
+
 def test_variants_parallel_positive_and_eigen():
     rng = np.random.default_rng(5)
     for kind, orders in ALL_CASES:

@@ -8,6 +8,7 @@ import pytest
 
 from pcmeff import (
     HypothesisViolatedError,
+    InvalidCaseError,
     PerturbationKind,
     PerturbationStructure,
     Pcm,
@@ -109,6 +110,14 @@ def test_wrong_kind_for_positivity():
     sample = PerturbationStructure(PerturbationKind.SIMPLE, 5, (1.0,) * 4, 2.0, 2.0)
     with pytest.raises(HypothesisViolatedError):
         check_lemma("positivity", sample)
+
+
+def test_check_lemma_needs_a_base():
+    sample = PerturbationStructure(PerturbationKind.CASE1, 4, None, 2.0, 1.5)
+    with pytest.raises(InvalidCaseError) as exc:
+        check_lemma("1a", sample)
+    assert (type(exc.value), str(exc.value)) == (InvalidCaseError,
+                                                 "structure must carry a base vector")
 
 
 @pytest.mark.parametrize("sample", [
@@ -336,15 +345,26 @@ def test_hypotheses_are_evaluated_once_per_stack(monkeypatch, check_ids):
     monkeypatch.setattr(verification, "_holds", counting_holds)
     run_lemma_suite(SMALL_GRID, 1, check_ids)
     cells = (len(SMALL_GRID.ratio_values) ** 2,)
-    # one call per (kind, n) stack for each requested check, each on the stack's cell arrays
+    # one call per (kind, n) stack for each requested check but positivity, which
+    # holds in every cell, each on the stack's cell arrays
     assert Counter(held) == Counter(
         (check_id, kind, n, np.ndarray, cells, np.ndarray, cells)
         for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind) for check_id in check_ids
-        if check_id not in LEMMAS or LEMMAS[check_id].kind == kind)
+        if check_id != POSITIVITY_CHECK
+        and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind))
     assert Counter(hypotheses) == Counter(
         (check_id, n, np.ndarray, cells, np.ndarray, cells)
         for check_id in check_ids if check_id in LEMMAS
         for n in SMALL_GRID.orders(LEMMAS[check_id].kind))
+
+
+def test_positivity_holds_in_every_grid_cell():
+    # the sweep runs positivity on every sample without a mask: a grid with a
+    # factor of 1 would feed it degenerate forms
+    delta, gamma = np.meshgrid(SuiteGrid.ratio_values, SuiteGrid.ratio_values)
+    for kind in DOUBLE_KINDS:
+        for n in SuiteGrid.orders(kind):
+            assert np.all(verification._holds(POSITIVITY_CHECK, kind, n, delta, gamma))
 
 
 @pytest.mark.parametrize("samples, bases", [
