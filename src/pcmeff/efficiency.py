@@ -28,10 +28,11 @@ class EfficiencyDigraph:
 
     ``adjacency[i, j]`` is True when the digraph has the arc i -> j; the
     diagonal is False.  The array is a read-only copy of what the caller
-    passed, on at least one node, and ``arcs`` is ``np.argwhere(adjacency)``,
-    its (k, 2) arcs in lexicographic order, built once here.  Every pair of
-    distinct nodes must have an arc in at least one direction;
-    :func:`strongly_connected_components` relies on it.
+    passed, on at least one node, with the tie rule applied: a pair of
+    distinct nodes with an arc in neither direction gets both, so every pair
+    has an arc, as :func:`strongly_connected_components` relies on.  ``arcs``
+    is ``np.argwhere(adjacency)``, its (k, 2) arcs in lexicographic order,
+    built once here.
     """
 
     adjacency: np.ndarray
@@ -42,12 +43,8 @@ class EfficiencyDigraph:
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1] or not adjacency.size:
             raise ValueError(f"adjacency must be a square matrix on at least one node, "
                              f"got shape {adjacency.shape}")
+        adjacency |= ~adjacency.T    # a pair with neither arc is a tie
         np.fill_diagonal(adjacency, False)
-        missing = ~(adjacency | adjacency.T)
-        np.fill_diagonal(missing, False)
-        if missing.any():
-            i, j = divmod(int(np.argmax(missing)), len(adjacency))
-            raise ValueError(f"nodes {i} and {j} have no arc between them")
         adjacency.setflags(write=False)
         flat = np.flatnonzero(adjacency)    # np.argwhere's 2-D index loop is ~3x slower at n = 128
         arcs = np.empty((len(flat), 2), dtype=np.intp)
@@ -63,19 +60,18 @@ class EfficiencyDigraph:
 
 
 def build_digraph(m: Pcm, w, tie_tol: float = DEFAULT_TIE_TOL) -> EfficiencyDigraph:
-    """Arc i -> j (i != j) iff w_i / w_j >= a_ij (1 - tie_tol) or w_j / w_i < a_ji (1 - tie_tol).
+    """Arc i -> j (i != j) where w_i / w_j >= a_ij (1 - tie_tol), plus the digraph's tie rule.
 
-    The second test gives an arc on every pair: where entries are reciprocal
-    only within ``RECIPROCITY_TOL``, a pair that neither direction improves
-    in both cells counts as a tie.
+    Where entries are reciprocal only within ``RECIPROCITY_TOL``, a pair may
+    pass the test in neither direction; :class:`EfficiencyDigraph` counts it
+    as a tie and gives it both arcs.
     """
     if not 0.0 <= tie_tol < 1.0:    # NaN fails too; from 1 up every pair is a tie
         raise ValueError(f"tie_tol must be non-negative and below 1, got {tie_tol}")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive finite vector of length n")
-    hit = w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol)
-    return EfficiencyDigraph(hit | ~hit.T)
+    return EfficiencyDigraph(w[:, None] / w[None, :] >= m.entries * (1.0 - tie_tol))
 
 
 def strongly_connected_components(g: EfficiencyDigraph) -> list[list[int]]:

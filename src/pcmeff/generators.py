@@ -39,7 +39,11 @@ EXAMPLE1_ROWS = (
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate; unspecified parameters are sampled from the seed."""
+    """What to generate; unspecified parameters are sampled from the seed.
+
+    A canonical-form family always draws its base ratios from the seed,
+    before any factor the spec leaves open.
+    """
 
     family: str
     n: int | None = None
@@ -47,7 +51,6 @@ class GeneratorSpec:
     gamma: float | None = None
     p: float | None = None
     q: float | None = None
-    base: tuple[float, ...] | None = None
     seed: int = 0
 
 
@@ -142,12 +145,12 @@ def generate(spec: GeneratorSpec) -> tuple[Pcm, PerturbationStructure | None]:
     # every other family is a kind of the table, built from its canonical form
     kind = PerturbationKind(family)
     check_order(kind, n)
-    base = spec.base if spec.base is not None else sample_base(rng, n)
+    base = sample_base(rng, n)
     factors = []
     for name in ("delta", "gamma")[:len(CANONICAL_FORMS[kind].cells)]:
         # a degenerate factor leaves its cell as good as unperturbed: not of this kind
         if (f := getattr(spec, name)) is not None and _degenerate(f):
             raise InvalidCaseError(f"{name} must differ from 1 for family {family!r}")
         factors.append(f if f is not None else sample_ratio(rng, exclude_one=True))
-    structure = PerturbationStructure(kind, n, tuple(base), *factors)
+    structure = PerturbationStructure(kind, n, base, *factors)
     return apply_perturbation(structure), structure

@@ -83,15 +83,6 @@ class Pcm:
         """Read-only view of the matrix."""
         return self._a
 
-    def __getitem__(self, idx):
-        return self._a[idx]
-
-    def __eq__(self, other):
-        return isinstance(other, Pcm) and np.array_equal(self._a, other._a)
-
-    def __repr__(self):
-        return f"Pcm(n={self.n})"
-
 
 class PerturbationKind(str, Enum):
     """How far a PCM is from consistency, measured in entry edits.

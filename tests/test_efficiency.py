@@ -87,9 +87,9 @@ def test_pair_completeness(n, seed, tie_tol, lower_scale, tied):
             assert g.adjacency[i, j] or g.adjacency[j, i]
 
 
-def test_digraph_needs_an_arc_on_every_pair():
-    with pytest.raises(ValueError, match="^nodes 0 and 2 have no arc between them$"):
-        digraph_from_arcs(3, [(0, 1), (2, 1)])
+def test_a_pair_with_no_arc_gets_both():
+    g = digraph_from_arcs(3, [(0, 1), (2, 1)])
+    assert g.arcs.tolist() == [[0, 1], [0, 2], [2, 0], [2, 1]]
 
 
 @pytest.mark.parametrize("tie_tol", [-1e-9, np.nan, 1.0, 5.0, -1.0])
@@ -180,19 +180,22 @@ def tarjan_components(n: int, arcs) -> list[list[int]]:
     return comps
 
 
-def random_ranked_digraph(rng, n: int, upward: float = 0.5) -> EfficiencyDigraph:
-    """A pair-complete digraph whose arcs mostly point down a hidden ranking.
+def random_ranked_digraph(rng, n: int, upward: float = 0.5,
+                          empty: float = 0.0) -> EfficiencyDigraph:
+    """A digraph whose arcs mostly point down a hidden ranking.
 
-    Each pair points down only, up only, or both ways, the last two with
-    probabilities of at most ``upward``; rare upward arcs leave many
-    components.
+    Each pair points down only, up only, both ways or, with probability
+    ``empty``, neither way, which the digraph's tie rule turns into both;
+    up only and both have probabilities of at most ``upward``.  Rare upward
+    arcs leave many components.
     """
     rank = rng.permutation(n)
     down = rank[:, None] > rank[None, :]
     up_only, both = rng.uniform(0.0, 1.0, 2) ** 3 * upward
     r = np.triu(rng.random((n, n)), 1)
     r = r + r.T    # one draw per pair
-    return EfficiencyDigraph((down & (r >= up_only)) | (~down & (r < up_only + both)))
+    some = r < 1.0 - empty
+    return EfficiencyDigraph(some & ((down & (r >= up_only)) | (~down & (r < up_only + both))))
 
 
 def test_out_degree_scan_equals_tarjan():
@@ -211,6 +214,15 @@ def test_out_degree_scan_equals_tarjan():
         assert comps == tarjan_components(n, g.arcs.tolist())
         several += len(comps) >= 3
     assert several >= 3    # 4 with this seed
+    several = 0
+    for _ in range(500):    # pairs with no arc, which get both from the tie rule
+        n = int(rng.integers(2, 41))
+        g = random_ranked_digraph(rng, n, upward=float(rng.choice([2 / n, 0.5])),
+                                  empty=float(rng.uniform(0.0, 0.2) ** 2))
+        comps = strongly_connected_components(g)
+        assert comps == tarjan_components(n, g.arcs.tolist())
+        several += len(comps) >= 3
+    assert several >= 100    # 136 with this seed
 
 
 def test_tarjan_agrees_with_bfs_oracle():
@@ -374,7 +386,7 @@ def test_sink_improvement_stays_in_slack_range(example1_pair):
     w_prime = find_sink_improvement(m, w, v)
     assert dominates(m, w, w_prime)
     # only the sink coordinate moved, into the non-overshooting interval
-    upper = min(m[1, j] * w[j] for j in (0, 2, 3))
+    upper = min(m.entries[1, j] * w[j] for j in (0, 2, 3))
     assert w[1] < w_prime[1] <= upper
     assert np.array_equal(w_prime[[0, 2, 3]], w[[0, 2, 3]])
 

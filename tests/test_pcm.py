@@ -28,7 +28,7 @@ from pcmeff import (
     lambda_max_closed_form,
     pcm,
 )
-from pcmeff.generators import FAMILIES
+from pcmeff.generators import FAMILIES, sample_ratio
 
 from conftest import consistent_pcm, is_consistent, reconstruct
 
@@ -49,7 +49,7 @@ def test_all_ones_matrix_is_valid():
 
 def test_example1_is_valid(example1):
     assert example1.n == 4
-    assert example1[1, 3] == 7.0
+    assert example1.entries[1, 3] == 7.0
 
 
 def test_reciprocity_violation_reports_position():
@@ -154,11 +154,11 @@ def test_consistent_pcm_matches_ratio_layout():
 
 def test_equal_base_ratios_give_unit_entry():
     m = consistent_pcm([5.0, 5.0])
-    assert m[1, 2] == 1.0
+    assert m.entries[1, 2] == 1.0
 
 
 def test_base_beyond_the_float_range_names_its_ratios():
-    assert consistent_pcm([1e150, 1e-150])[2, 1] == pytest.approx(1e300)
+    assert consistent_pcm([1e150, 1e-150]).entries[2, 1] == pytest.approx(1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidCaseError, match=r"base ratios 1e-200 and 1e\+200"):
@@ -176,7 +176,7 @@ def test_shared_row_perturbation_layout():
                                 delta=2.0, gamma=3.0)
     m = apply_perturbation(st_)
     assert list(m.entries[0]) == [1.0, 2.0, 3.0, 1.0]
-    assert m[1, 0] == 0.5 and m[2, 0] == pytest.approx(1 / 3)
+    assert m.entries[1, 0] == 0.5 and m.entries[2, 0] == pytest.approx(1 / 3)
     assert not is_consistent(m)
 
 
@@ -184,10 +184,10 @@ def test_disjoint_row_perturbation_layout():
     st_ = PerturbationStructure(kind=PerturbationKind.CASE2A, n=4, base=(1, 1, 1),
                                 delta=2.0, gamma=5.0)
     m = apply_perturbation(st_)
-    assert m[0, 1] == 2.0 and m[2, 3] == 5.0 and m[3, 2] == 0.2
+    assert m.entries[0, 1] == 2.0 and m.entries[2, 3] == 5.0 and m.entries[3, 2] == 0.2
     untouched = [(i, j) for i in range(4) for j in range(4)
                  if (i, j) not in {(0, 1), (1, 0), (2, 3), (3, 2)}]
-    assert all(m[i, j] == 1.0 for i, j in untouched)
+    assert all(m.entries[i, j] == 1.0 for i, j in untouched)
 
 
 @pytest.mark.parametrize("name,value", [("delta", 0.0), ("gamma", -2.0), ("delta", np.inf),
@@ -790,8 +790,13 @@ def golden_matrices():
         cases.append((f"{family}-n{n}-noise{noise}", _skewed(m.entries, rng, noise), tol))
     for k, (family, n) in enumerate([("case1", 5), ("case2b", 8), ("simple", 9),
                                      ("consistent", 6)]):
+        kind = PerturbationKind(family)
         base = tuple(np.exp(rng.uniform(-92.0, 92.0, n - 1)).tolist())
-        m, _ = generate(GeneratorSpec(family, n=n, base=base, seed=200 + k))
+        # the factors generate drew for this base at seed 200 + k, in its order
+        factor_rng = np.random.default_rng(200 + k)
+        factors = [sample_ratio(factor_rng, exclude_one=True)
+                   for _ in pcm.CANONICAL_FORMS[kind].cells]
+        m = apply_perturbation(PerturbationStructure(kind, n, base, *factors))
         cases.append((f"{family}-n{n}-wide", m.entries, ORACLE_TOLS[k + 1]))
     relabeled = []
     for k, (label, a, tol) in enumerate(cases):

@@ -1,0 +1,88 @@
+"""Relations that hold exactly in real arithmetic, checked by calling the library twice.
+
+Each needs no second implementation: the geometric-mean vector is efficient
+for every PCM, and transposing or relabeling a canonical matrix moves its
+classification in a known way.
+"""
+
+import numpy as np
+import pytest
+
+from pcmeff import (
+    GeneratorSpec,
+    Pcm,
+    PerturbationKind,
+    classify_perturbation,
+    generate,
+    is_efficient,
+)
+from pcmeff.pcm import CANONICAL_FORMS
+
+from conftest import consistent_pcm
+
+SAATY_VALUES = np.array([*range(1, 10), *(1.0 / k for k in range(2, 10))])
+PERTURBED_KINDS = [kind for kind, form in CANONICAL_FORMS.items() if form.cells]
+
+
+def pcm_from_upper(n: int, values) -> Pcm:
+    upper = np.triu_indices(n, 1)
+    a = np.ones((n, n))
+    a[upper] = values
+    a.T[upper] = 1.0 / a[upper]
+    return Pcm(a)
+
+
+def test_geometric_mean_vector_is_efficient():
+    # Blanquero, Carrizosa & Conde (2006): the row geometric means are efficient
+    # for every PCM, whatever its eigenvector does
+    rng = np.random.default_rng(2006)
+    for k in range(1200):
+        n = int(rng.integers(3, 13))
+        style = k % 3
+        if style == 0:    # noisy consistent, log-sigma 0.05-2
+            x = np.exp(rng.uniform(np.log(1 / 9), np.log(9), n))
+            sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
+            i, j = np.triu_indices(n, 1)
+            m = pcm_from_upper(n, x[j] / x[i] * np.exp(rng.normal(0.0, sigma, len(i))))
+        elif style == 1:    # Saaty's integer scale and its reciprocals
+            m = pcm_from_upper(n, rng.choice(SAATY_VALUES, n * (n - 1) // 2))
+        else:    # exactly consistent: every pair is a tie
+            m = consistent_pcm(np.exp(rng.uniform(np.log(1 / 9), np.log(9), n - 1)))
+        verdict = is_efficient(m, np.exp(np.log(m.entries).mean(axis=1)))
+        assert verdict.efficient, (k, m.entries.tolist())
+        if style == 2:
+            assert len(verdict.digraph.arcs) == n * (n - 1)
+
+
+def canonical_draws(kind: PerturbationKind, count: int):
+    """``count`` generated canonical matrices of ``kind`` at orders up to 10, with their recipes."""
+    form = CANONICAL_FORMS[kind]
+    orders = range(form.min_order, (form.max_order or 10) + 1)
+    rng = np.random.default_rng(PERTURBED_KINDS.index(kind))
+    for seed in range(count):
+        yield generate(GeneratorSpec(kind.value, n=int(rng.choice(orders)), seed=seed))
+
+
+@pytest.mark.parametrize("kind", PERTURBED_KINDS, ids=lambda k: k.value)
+def test_transpose_keeps_the_kind_and_inverts_the_factors(kind):
+    # A^T is the entrywise reciprocal: the same cells, perturbed by 1/delta and 1/gamma
+    cells = CANONICAL_FORMS[kind].cells
+    for m, truth in canonical_draws(kind, 250):
+        c = classify_perturbation(Pcm(m.entries.T))
+        assert c.kind == kind, truth
+        assert cells in (c.positions, *c.alternatives), truth
+        inverted = [1.0 / f for f in (truth.delta, truth.gamma)[:len(cells)]]
+        assert [c.delta, c.gamma][:len(cells)] == pytest.approx(inverted, rel=1e-9), truth
+
+
+@pytest.mark.parametrize("kind", PERTURBED_KINDS, ids=lambda k: k.value)
+def test_relabeling_keeps_the_kind_and_moves_the_cells(kind):
+    rng = np.random.default_rng(10 + PERTURBED_KINDS.index(kind))
+    for m, truth in canonical_draws(kind, 250):
+        perm = rng.permutation(m.n)
+        c = classify_perturbation(Pcm(m.entries[np.ix_(perm, perm)]))
+        where = np.argsort(perm)    # canonical alternative v is now where[v]
+        moved = tuple(sorted(tuple(sorted((int(where[i]), int(where[j]))))
+                             for i, j in CANONICAL_FORMS[kind].cells))
+        assert c.kind == kind, truth
+        assert moved in (c.positions, *c.alternatives), (truth, perm)
