@@ -184,8 +184,8 @@ def find_sink_improvement(m: Pcm, w, verdict: EfficiencyVerdict):
     w_prime[inside] *= t
     if not dominates(m, w, w_prime):
         raise ImprovementFailedError(
-            f"sink {verdict.sink} has slack {t_max - 1.0:.3g}, too little for scaling it "
-            f"by {t} to dominate w in float arithmetic")
+            f"sink (1-based) {tuple(i + 1 for i in verdict.sink)} has slack {t_max - 1.0:.3g}, "
+            f"too little for scaling it by {t} to dominate w in float arithmetic")
     return w_prime
 
 

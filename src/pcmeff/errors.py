@@ -10,24 +10,25 @@ class NotSquareError(PcmError):
 
 
 class NonPositiveEntryError(PcmError):
-    """Entry (i, j) is not a positive finite real."""
+    """Entry (i, j) is not a positive finite real; i and j are 0-based, the message 1-based."""
 
     def __init__(self, i: int, j: int, value: float):
         self.i = i
         self.j = j
         self.value = value
-        super().__init__(f"entry ({i}, {j}) = {value!r} is not a positive finite real")
+        super().__init__(f"entry (1-based) ({i + 1}, {j + 1}) = {value!r} "
+                         "is not a positive finite real")
 
 
 class ReciprocityViolationError(PcmError):
-    """a_ij * a_ji deviates from 1 beyond tolerance."""
+    """a_ij * a_ji deviates from 1 beyond tolerance; i and j are 0-based, the message 1-based."""
 
     def __init__(self, i: int, j: int, product: float):
         self.i = i
         self.j = j
         self.product = product
-        super().__init__(f"entries ({i}, {j}) and ({j}, {i}) multiply to {product!r}, expected 1;"
-                         " write exact ratios as p/q (1/7, not 0.1429)")
+        super().__init__(f"entries (1-based) ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) multiply "
+                         f"to {product!r}, expected 1; write exact ratios as p/q (1/7, not 0.1429)")
 
 
 class InvalidCaseError(PcmError):

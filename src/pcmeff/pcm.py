@@ -160,10 +160,10 @@ class PerturbationStructure:
     matrix admits (the primary one is the lexicographically smallest).
 
     Building one validates it, and nothing else checks these fields again:
-    a base holds n - 1 positive finite ratios, a kind with a canonical form
-    exists at order n and has a factor for each of its cells, and every
-    factor given is a positive finite real.  The base may be None where a
-    consumer needs only (kind, n, delta, gamma), as the closed-form root does.
+    a kind with a canonical form exists at order n and carries a base and a
+    factor for each of its cells, a base holds n - 1 positive finite ratios,
+    and every factor given is a positive finite real.  Only ``OTHER``, which
+    has no form, is built without a base.
     """
 
     kind: PerturbationKind
@@ -185,6 +185,9 @@ class PerturbationStructure:
         form = CANONICAL_FORMS.get(self.kind)
         if form is not None:
             check_order(self.kind, self.n)
+            if self.base is None:
+                raise InvalidCaseError(f"structure must carry a base vector: kind "
+                                       f"{self.kind.value!r} needs {self.n - 1} ratios")
             if None in (self.delta, self.gamma)[:len(form.cells)]:
                 raise InvalidCaseError(
                     f"kind {self.kind.value!r} needs one factor per cell (delta, gamma)")
@@ -225,9 +228,9 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
 
     delta multiplies cell (0, 1); gamma multiplies (0, 2) when both
     perturbations share the first row, or (2, 3) when they are disjoint.
+    A structure with a canonical form carries its base; ``OTHER`` has no
+    form and is rejected.
     """
-    if structure.base is None:
-        raise InvalidCaseError("structure must carry a base vector")
     if structure.kind not in CANONICAL_FORMS:
         raise InvalidCaseError(f"kind {structure.kind.value!r} has no canonical form")
     return Pcm(canonical_entries(structure.kind, structure.base, structure.delta,
@@ -258,7 +261,8 @@ def _potentials(a: np.ndarray, removed: tuple[tuple[int, int], ...] = ()) -> np.
     two cells at n >= 4, at most one at n = 3 (where removing (1, 2) leaves
     a tree, which always passes).  If t_u * a_uv underflows to 0 or
     overflows, no float potential fits the repair at ``removed``:
-    :class:`PotentialRangeError` names it, its kind and log10 t_v.
+    :class:`PotentialRangeError` names its cells (1-based), its kind and
+    log10 t_v.
     """
     t = a[0].copy()
     t[0] = 1.0
@@ -269,9 +273,10 @@ def _potentials(a: np.ndarray, removed: tuple[tuple[int, int], ...] = ()) -> np.
             t[v] = tv = float(t[u]) * float(a[u, v])    # Python floats: overflow gives no warning
             if not 0.0 < tv < math.inf:
                 raise PotentialRangeError(
-                    f"the {_repair_kind(a.shape[0], removed).value} repair at {removed} needs a "
-                    f"potential of 10^{math.log10(t[u]) + math.log10(a[u, v]):.1f} relative "
-                    "to node 0, beyond the float range")
+                    f"the {_repair_kind(a.shape[0], removed).value} repair at cells (1-based) "
+                    f"{tuple((i + 1, j + 1) for i, j in removed)} needs a potential of "
+                    f"10^{math.log10(t[u]) + math.log10(a[u, v]):.1f} relative to node 1, "
+                    "beyond the float range")
     return t
 
 
@@ -416,7 +421,7 @@ def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
     """The structure of the smallest repairs ``hits``: (removed cells, potentials) pairs.
 
     A base ratio or factor of the primary repair that overflows or underflows
-    to 0 raises :class:`PotentialRangeError` naming the repair and its log10.
+    to 0 raises :class:`PotentialRangeError` naming the repair (1-based) and its log10.
     """
     n = a.shape[0]
     (positions, t), *others = sorted(hits, key=lambda h: h[0])
@@ -434,8 +439,9 @@ def _repair_structure(a: np.ndarray, hits) -> PerturbationStructure:
         logs = np.append(lt[1:] - lt[0], [np.log10(a[perm[i], perm[j]]) + lt[i] - lt[j]
                                           for i, j in cells])
         name = ([f"base ratio x_{v}" for v in range(1, n)] + ["delta", "gamma"])[k]
-        raise PotentialRangeError(f"the {kind.value} repair at {positions} needs {name} = "
-                                  f"10^{logs[k]:.1f}, beyond the float range")
+        raise PotentialRangeError(f"the {kind.value} repair at cells (1-based) "
+                                  f"{tuple((i + 1, j + 1) for i, j in positions)} needs "
+                                  f"{name} = 10^{logs[k]:.1f}, beyond the float range")
     delta, gamma = (factors + [None, None])[:2]
     return PerturbationStructure(kind=kind, n=n, base=tuple(base.tolist()),
                                  delta=delta, gamma=gamma, positions=positions,

@@ -228,7 +228,7 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
 
 
 def lambda_max_closed_form(structure: PerturbationStructure) -> float:
-    """:func:`lambda_max_closed_forms` on the one cell of ``structure``, whose base may be None."""
+    """:func:`lambda_max_closed_forms` on the one cell of ``structure``."""
     return float(lambda_max_closed_forms(
         [(structure.kind, structure.n, structure.delta, structure.gamma)])[0])
 
@@ -342,20 +342,6 @@ def _case2b_vectors(w, x, t):
     w[4, 4:] = x[4] / x[4:] * ((g2 - 2 * g + lam2 * g + 1) * (d * lam2 + 1 - 2 * d + d2))
 
 
-def _checked_base(structure: PerturbationStructure) -> np.ndarray:
-    """x = (1, base) of a structure the closed forms apply to."""
-    if structure.kind not in DOUBLE_KINDS:
-        raise InvalidCaseError(
-            f"closed forms exist only for double-perturbed matrices, got {structure.kind.value!r}")
-    if structure.base is None:
-        raise InvalidCaseError("structure must carry a base vector")
-    if structure.delta == 1.0 or structure.gamma == 1.0:
-        raise InvalidCaseError(
-            "delta or gamma equals 1; the matrix degrades to the simple-perturbed "
-            "or consistent case and the closed forms do not apply")
-    return np.concatenate(([1.0], np.asarray(structure.base, dtype=float)))
-
-
 _FORMS = {PerturbationKind.CASE1: _case1_vectors, PerturbationKind.CASE2A: _case2a_vectors,
           PerturbationKind.CASE2B: _case2b_vectors}
 
@@ -380,14 +366,14 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     """Row ``variant`` of :func:`variant_vectors` on ``structure``, evaluated at ``lam``.
 
     At the dominant root of the closed-form polynomial all components are
-    strictly positive.
+    strictly positive.  :func:`variant_count` rejects a kind that is not
+    double perturbed.
     """
-    x = _checked_base(structure)
     count = variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
     terms = form_terms(structure.delta, structure.gamma, lam)
-    return variant_vectors(structure.kind, x, terms)[variant]
+    return variant_vectors(structure.kind, np.array([1.0, *structure.base]), terms)[variant]
 
 
 @dataclass(frozen=True)
@@ -405,9 +391,13 @@ def closed_form_eigenvector(structure: PerturbationStructure) -> ClosedFormResul
     All forms of a case agree up to a positive scalar; among those positive
     and finite in floats, the best-conditioned one is picked (largest leading
     component before normalization) and recorded in the result.  With none,
-    :class:`PotentialRangeError` names the kind.
+    :class:`PotentialRangeError` names the kind.  The root,
+    :func:`lambda_max_closed_form`, rejects a kind that is not double
+    perturbed.  A factor of 1 needs no special case: the forms are exact
+    there too, and at delta = gamma = 1 the root is n.
     """
-    kind, x, lam = structure.kind, _checked_base(structure), lambda_max_closed_form(structure)
+    kind, lam = structure.kind, lambda_max_closed_form(structure)
+    x = np.array([1.0, *structure.base])
     with np.errstate(over="ignore", invalid="ignore"):
         candidates = variant_vectors(kind, x, form_terms(structure.delta, structure.gamma, lam))
     usable = np.all((0.0 < candidates) & (candidates < np.inf), axis=1)

@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .efficiency import is_efficient
-from .errors import HypothesisViolatedError, InvalidCaseError
+from .errors import HypothesisViolatedError
 from .generators import parametric_inefficient, sample_base, sample_bases, sample_ratio
 from .pcm import (
     CANONICAL_FORMS,
@@ -255,7 +255,8 @@ def _holds(check_id: str, kind: PerturbationKind, n: int, delta, gamma):
 def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
     """Evaluate one check on one sample: a report of one sample, min_margin > 0 if it held.
 
-    The sweep on one grid cell with one base.  ``ValueError`` for an unknown
+    The sweep on one grid cell with the sample's base, which every canonical
+    structure carries.  ``ValueError`` for an unknown
     check id, then :class:`HypothesisViolatedError` naming the check and the
     sample's kind, n, delta and gamma unless the kind is double-perturbed and
     :func:`_holds` is true there (never where delta or gamma equals 1).
@@ -266,8 +267,6 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
     if kind not in DOUBLE_KINDS or not _holds(lemma_id, kind, n, delta, gamma):
         raise HypothesisViolatedError(f"check {lemma_id} does not apply to kind {kind.value!r}, "
                                       f"n = {n}, delta = {delta}, gamma = {gamma}")
-    if sample.base is None:
-        raise InvalidCaseError("structure must carry a base vector")
     report = LemmaReport(lemma_id)
     _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
                  np.array([(1.0,) + tuple(sample.base)]),

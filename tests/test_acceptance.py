@@ -29,6 +29,7 @@ from pcmeff import (
     theorem_sweep,
     variant_count,
 )
+from pcmeff.spectral import lambda_max_closed_forms
 from pcmeff.verification import CYCLE_CHECK, LEMMA_IDS, POSITIVITY_CHECK
 
 from conftest import (
@@ -191,7 +192,7 @@ def test_criterion_7_lambda_cross_method(case_samples):
     consistent_ok = True
     for kind, orders in CASES:
         for n in orders:
-            lam = lambda_max_closed_form(PerturbationStructure(kind, n, delta=1.0, gamma=1.0))
+            lam = float(lambda_max_closed_forms([(kind, n, 1.0, 1.0)])[0])
             consistent_ok &= abs(lam - n) <= 1e-10
     report(7, worst_rel <= 1e-9 and strict_ok and consistent_ok,
            f"dominant root: worst cross-method rel err {worst_rel:.2e}, "

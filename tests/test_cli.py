@@ -178,7 +178,7 @@ def test_sink_too_tight_to_improve_is_an_error(tmp_path, capsys):
     assert cli.main(["analyze", str(path), "--tol-tie", "0"]) == cli.EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: sink (3,) has slack ")
+    assert err.startswith("error: sink (1-based) (4,) has slack ")
     assert err.endswith(" to dominate w in float arithmetic\n")
 
 
@@ -263,8 +263,8 @@ def test_analyze_names_a_repair_beyond_the_float_range(tmp_path):
     for b, log10 in [(a, -360.0), (a.T, 360.0)]:
         proc = analyze_without_warnings(tmp_path / "m.txt", b)
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == (f"error: the simple repair at ((1, 2),) needs base ratio x_1 = "
-                               f"10^{log10}, beyond the float range\n")
+        assert proc.stderr == (f"error: the simple repair at cells (1-based) ((2, 3),) needs "
+                               f"base ratio x_1 = 10^{log10}, beyond the float range\n")
 
 
 def test_analyze_validation_error_exit_code(tmp_path):
@@ -279,8 +279,17 @@ def test_rounded_reciprocal_suggests_exact_ratios(tmp_path):
     path.write_text("3\n1 2 7\n1/2 1 3\n0.1429 1/3 1\n")
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: entries (0, 2) and (2, 0) multiply to 1.0003")
+    assert proc.stderr.startswith("error: entries (1-based) (1, 3) and (3, 1) multiply to 1.0003")
     assert "p/q" in proc.stderr
+
+
+def test_analyze_names_a_bad_entry_1_based(tmp_path):
+    # as the report labels its cells: row 1, column 2 of the file is (1, 2)
+    path = tmp_path / "negative.txt"
+    path.write_text("3\n1 -2 1\n-1/2 1 1\n1 1 1\n")
+    proc = run_cli("analyze", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: entry (1-based) (1, 2) = -2.0 is not a positive finite real\n")
 
 
 def test_analyze_missing_file_exit_code(tmp_path):
@@ -565,16 +574,16 @@ def test_generate_names_a_bad_factor():
 
 
 @pytest.mark.parametrize("args, cell", [
-    pytest.param(("--family", "simple", "--n", "3", "--delta", "5e-324"), (1, 0),
+    pytest.param(("--family", "simple", "--n", "3", "--delta", "5e-324"), (2, 1),
                  id="tiny-delta"),
-    pytest.param(("--family", "case1", "--n", "4", "--delta", "1e308", "--seed", "0"), (0, 1),
+    pytest.param(("--family", "case1", "--n", "4", "--delta", "1e308", "--seed", "0"), (1, 2),
                  id="huge-delta"),
 ])
 def test_generate_reports_an_overflowing_factor_in_one_line(args, cell):
     # a new process prints any RuntimeWarning as the console would
     proc = run_process("generate", *args)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: entry {cell} = inf is not a positive finite real\n"
+    assert proc.stderr == f"error: entry (1-based) {cell} = inf is not a positive finite real\n"
 
 
 @pytest.mark.parametrize("family, option", [("case1", "--delta"), ("case1", "--gamma"),

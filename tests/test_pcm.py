@@ -235,7 +235,7 @@ def test_structure_rejects_a_base_ratio_that_is_no_positive_finite_real(bad):
     (lambda: PerturbationStructure(PerturbationKind.CASE1, 4, (1.0,) * 3, 2.0),
      "kind 'case1' needs one factor per cell (delta, gamma)"),
     (lambda: apply_perturbation(PerturbationStructure(PerturbationKind.CASE1, 4, None, 2.0, 3.0)),
-     "structure must carry a base vector"),
+     "structure must carry a base vector: kind 'case1' needs 3 ratios"),
     (lambda: apply_perturbation(PerturbationStructure(PerturbationKind.OTHER, 4, (1.0,) * 3,
                                                       2.0, 3.0)),
      "kind 'other' has no canonical form"),
@@ -244,6 +244,17 @@ def test_a_structure_without_a_form_is_rejected_with_its_cause(build, message):
     with pytest.raises(InvalidCaseError) as exc:
         build()
     assert (type(exc.value), str(exc.value)) == (InvalidCaseError, message)
+
+
+def test_a_canonical_kind_needs_its_base():
+    # so apply_perturbation, check_lemma and the closed forms never meet a missing base
+    for kind, form in pcm.CANONICAL_FORMS.items():
+        for factors in ((), (2.0, 3.0)[:len(form.cells)]):
+            with pytest.raises(InvalidCaseError) as exc:
+                PerturbationStructure(kind, form.min_order, None, *factors)
+            assert str(exc.value) == (f"structure must carry a base vector: kind "
+                                      f"{kind.value!r} needs {form.min_order - 1} ratios")
+    assert PerturbationStructure(PerturbationKind.OTHER, 4).base is None    # no form, no base
 
 
 @pytest.mark.parametrize("kind", list(pcm.CANONICAL_FORMS))
@@ -290,19 +301,20 @@ def test_a_bad_stack_member_fails_as_it_does_alone(build):
 
 @pytest.mark.parametrize("build, cell", [
     # 1 / 5e-324 overflows the reciprocal cell
-    pytest.param(lambda: generate(GeneratorSpec("simple", n=3, delta=5e-324)), (1, 0),
+    pytest.param(lambda: generate(GeneratorSpec("simple", n=3, delta=5e-324)), (2, 1),
                  id="generate-tiny-delta"),
     # 1e308 times a base ratio above 1 overflows the perturbed cell
-    pytest.param(lambda: generate(GeneratorSpec("case1", n=4, delta=1e308, seed=0)), (0, 1),
+    pytest.param(lambda: generate(GeneratorSpec("case1", n=4, delta=1e308, seed=0)), (1, 2),
                  id="generate-huge-delta"),
     pytest.param(lambda: apply_perturbation(PerturbationStructure(
-        PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 1e-320, 2.0)), (1, 0), id="subnormal-delta"),
+        PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 1e-320, 2.0)), (2, 1), id="subnormal-delta"),
 ])
 def test_a_factor_that_overflows_a_cell_is_a_typed_error(build, cell):
     # no RuntimeWarning first: Tier-1 runs with warnings as errors
     with pytest.raises(NonPositiveEntryError) as raised:
         build()
-    assert str(raised.value) == f"entry {cell} = inf is not a positive finite real"
+    assert str(raised.value) == f"entry (1-based) {cell} = inf is not a positive finite real"
+    assert (raised.value.i + 1, raised.value.j + 1) == cell    # the attributes stay 0-based
 
 
 # the orders each canonical form exists at, as the paper states them
@@ -329,15 +341,15 @@ def _accepts(build, error, match: str = "") -> bool:
 def test_every_layer_accepts_exactly_the_table_orders(kind, n):
     allowed = PAPER_ORDERS[kind](n)
 
-    def structure(base=(2.0,) * (n - 1)):
-        return PerturbationStructure(kind=kind, n=n, base=base, delta=2.0, gamma=3.0)
+    def structure():
+        return PerturbationStructure(kind=kind, n=n, base=(2.0,) * (n - 1), delta=2.0, gamma=3.0)
 
     order_error = f"^kind {kind.value!r} requires n .+, got {n}$"
     built = _accepts(lambda: apply_perturbation(structure()), InvalidCaseError, order_error)
     assert built == allowed
     spec = GeneratorSpec(family=kind.value, n=n, seed=1)
     assert _accepts(lambda: generate(spec), InvalidCaseError, order_error) == allowed
-    closed_form = _accepts(lambda: lambda_max_closed_form(structure(None)), InvalidCaseError)
+    closed_form = _accepts(lambda: lambda_max_closed_form(structure()), InvalidCaseError)
     assert closed_form == (allowed and kind != PerturbationKind.SIMPLE)
     if allowed:
         # so the disjoint-row form classifies as case2a at n = 4 only
@@ -631,7 +643,7 @@ def assert_completion_equals_bfs(a: np.ndarray, tols) -> None:
     """Same decision and potential bits on every removal set the search can reach.
 
     Where a BFS potential is 0 or inf, the completion must raise
-    ``PotentialRangeError`` naming the set instead.
+    ``PotentialRangeError`` naming the set (1-based) instead.
     """
     n = a.shape[0]
     pairs = pcm._upper_pairs(n)
@@ -640,8 +652,10 @@ def assert_completion_equals_bfs(a: np.ndarray, tols) -> None:
         for removed in itertools.combinations(pairs, size):
             t, kept = bfs_potentials(a, removed)
             if not np.all((t > 0.0) & (t < np.inf)):
+                cells = tuple((i + 1, j + 1) for i, j in removed)
                 for tol in tols:
-                    with pytest.raises(PotentialRangeError, match=re.escape(f"at {removed} ")):
+                    with pytest.raises(PotentialRangeError,
+                                       match=re.escape(f"at cells (1-based) {cells} ")):
                         pcm._consistent_completion(a, removed, tol)
                 continue
             misses = bfs_misses(a, t, kept)
@@ -756,8 +770,8 @@ def test_potentials_beyond_the_float_range_raise_no_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PotentialRangeError, match=re.escape(
-                    f"the simple repair at ((0, 2),) needs a potential of 10^{log10} "
-                    "relative to node 0")):
+                    f"the simple repair at cells (1-based) ((1, 3),) needs a potential of "
+                    f"10^{log10} relative to node 1")):
                 classify_perturbation(Pcm(b))
             assert_completion_equals_bfs(b, ORACLE_TOLS)
 

@@ -1,8 +1,9 @@
 """Relations that hold exactly in real arithmetic, checked by calling the library twice.
 
 Each needs no second implementation: the geometric-mean vector is efficient
-for every PCM, and transposing or relabeling a canonical matrix moves its
-classification in a known way.
+for every PCM, transposing or relabeling a canonical matrix moves its
+classification in a known way, and relabeling any PCM permutes its
+eigenvector and its efficiency certificate.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from pcmeff import (
     classify_perturbation,
     generate,
     is_efficient,
+    power_iteration,
 )
 from pcmeff.pcm import CANONICAL_FORMS
 
@@ -32,6 +34,17 @@ def pcm_from_upper(n: int, values) -> Pcm:
     return Pcm(a)
 
 
+def noisy_consistent(rng, n: int) -> Pcm:
+    """A consistent PCM on a log-uniform base, each upper cell times e^N(0, sigma).
+
+    log sigma is uniform over log 0.05 to log 2.
+    """
+    x = np.exp(rng.uniform(np.log(1 / 9), np.log(9), n))
+    sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
+    i, j = np.triu_indices(n, 1)
+    return pcm_from_upper(n, x[j] / x[i] * np.exp(rng.normal(0.0, sigma, len(i))))
+
+
 def test_geometric_mean_vector_is_efficient():
     # Blanquero, Carrizosa & Conde (2006): the row geometric means are efficient
     # for every PCM, whatever its eigenvector does
@@ -39,11 +52,8 @@ def test_geometric_mean_vector_is_efficient():
     for k in range(1200):
         n = int(rng.integers(3, 13))
         style = k % 3
-        if style == 0:    # noisy consistent, log-sigma 0.05-2
-            x = np.exp(rng.uniform(np.log(1 / 9), np.log(9), n))
-            sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-            i, j = np.triu_indices(n, 1)
-            m = pcm_from_upper(n, x[j] / x[i] * np.exp(rng.normal(0.0, sigma, len(i))))
+        if style == 0:
+            m = noisy_consistent(rng, n)
         elif style == 1:    # Saaty's integer scale and its reciprocals
             m = pcm_from_upper(n, rng.choice(SAATY_VALUES, n * (n - 1) // 2))
         else:    # exactly consistent: every pair is a tie
@@ -86,3 +96,29 @@ def test_relabeling_keeps_the_kind_and_moves_the_cells(kind):
                              for i, j in CANONICAL_FORMS[kind].cells))
         assert c.kind == kind, truth
         assert moved in (c.positions, *c.alternatives), (truth, perm)
+
+
+def test_relabeling_permutes_w_and_the_certificate():
+    # P A P^T, b_ij = a_{perm[i], perm[j]}, has the eigenvector w[perm] and A's digraph
+    # relabeled: the same verdict, and the same components in the same chain order
+    rng = np.random.default_rng(15)
+    inefficient = 0
+    for k in range(1000):
+        if k % 2:
+            m, _ = generate(GeneratorSpec("apq", n=int(rng.integers(4, 13)), seed=k))
+        else:
+            m = noisy_consistent(rng, int(rng.integers(3, 13)))
+        perm = rng.permutation(m.n)
+        b = Pcm(m.entries[np.ix_(perm, perm)])
+        w_a, w_b = power_iteration(m).w, power_iteration(b).w
+        assert np.all(np.abs(w_b - w_a[perm]) <= 1e-12 * w_a[perm]), (k, perm)
+        va, vb = is_efficient(m, w_a), is_efficient(b, w_b)
+
+        def relabeled(nodes):
+            return tuple(sorted(int(perm[v]) for v in nodes))
+
+        assert vb.efficient == va.efficient, (k, perm)
+        assert tuple(map(relabeled, vb.sccs)) == va.sccs, (k, perm)
+        assert (vb.sink and relabeled(vb.sink)) == va.sink, (k, perm)
+        inefficient += not va.efficient
+    assert inefficient >= 300    # so the sink and the chain order are exercised

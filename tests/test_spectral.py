@@ -217,13 +217,13 @@ def test_members_converging_at_every_step_match_the_reference_loop(max_iter):
 def test_consistent_parameters_make_order_a_root():
     for kind, n in [(PerturbationKind.CASE1, 4), (PerturbationKind.CASE1, 7),
                     (PerturbationKind.CASE2B, 5), (PerturbationKind.CASE2B, 8)]:
-        params = PerturbationStructure(kind, n, delta=1.0, gamma=1.0)
+        params = PerturbationStructure(kind, n, (1.0,) * (n - 1), 1.0, 1.0)
         assert eval_charpoly(params, float(n)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_disjoint_4x4_consistent_parameters_polynomial():
     # with delta = gamma = 1 the quartic collapses to l^4 - 4 l^3
-    params = PerturbationStructure(PerturbationKind.CASE2A, 4, delta=1.0, gamma=1.0)
+    params = PerturbationStructure(PerturbationKind.CASE2A, 4, (1.0,) * 3, 1.0, 1.0)
     for lam in (0.0, 4.0):
         assert eval_charpoly(params, lam) == 0.0
     assert eval_charpoly(params, 2.0) == pytest.approx(2.0**4 - 4 * 2.0**3)
@@ -267,9 +267,9 @@ def test_oracle_on_rank_one_matrix():
 
 def test_consistent_parameters_return_exact_order():
     assert lambda_max_closed_form(
-        PerturbationStructure(PerturbationKind.CASE1, 6, delta=1.0, gamma=1.0)) == 6.0
+        PerturbationStructure(PerturbationKind.CASE1, 6, (1.0,) * 5, 1.0, 1.0)) == 6.0
     assert lambda_max_closed_form(
-        PerturbationStructure(PerturbationKind.CASE2A, 4, delta=1.0, gamma=1.0)) == 4.0
+        PerturbationStructure(PerturbationKind.CASE2A, 4, (1.0,) * 3, 1.0, 1.0)) == 4.0
 
 
 def bisection_root(params):
@@ -303,8 +303,8 @@ def test_newton_root_matches_bisection_and_eigenvalues(kind):
 def test_unbracketed_root_is_an_error(monkeypatch, coeffs):
     monkeypatch.setattr(spectral, "_bracket_coeffs", lambda *cell: coeffs)
     with pytest.raises(RootNotBracketedError):
-        lambda_max_closed_form(PerturbationStructure(PerturbationKind.CASE1, 5, delta=2.0,
-                                                     gamma=3.0))
+        lambda_max_closed_form(PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4,
+                                                     2.0, 3.0))
 
 
 def reference_horner(coeffs, x):
@@ -433,7 +433,7 @@ def test_root_beyond_the_float_range_is_unbracketed(kind, n, d, g, message):
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
 def test_polynomial_needs_positive_finite_factors(d, g):
     with pytest.raises(InvalidCaseError, match="positive finite"):
-        PerturbationStructure(PerturbationKind.CASE1, 5, delta=d, gamma=g)
+        PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, d, g)
 
 
 def test_root_is_polynomial_zero_and_matches_power_iteration():
@@ -444,7 +444,7 @@ def test_root_is_polynomial_zero_and_matches_power_iteration():
             st = random_structure(rng, kind, n)
             lam = lambda_max_closed_form(st)
             # the root reads kind, n, delta and gamma only
-            assert lambda_max_closed_form(dataclasses.replace(st, base=None)) == lam
+            assert spectral.lambda_max_closed_forms([(kind, n, st.delta, st.gamma)])[0] == lam
             assert lam > n
             assert abs(eval_charpoly(st, lam)) <= 1e-9 * max(1.0, lam**n)
             pr = power_iteration(apply_perturbation(st))
@@ -481,11 +481,22 @@ def test_variant_counts():
         variant_count(PerturbationKind.SIMPLE)
 
 
-def test_degenerate_parameters_rejected():
-    st = PerturbationStructure(kind=PerturbationKind.CASE1, n=4, base=(1, 1, 1),
-                               delta=1.0, gamma=2.0)
-    with pytest.raises(InvalidCaseError, match="delta or gamma equals 1"):
-        closed_form_eigenvector(st)
+def test_closed_forms_are_exact_at_a_factor_of_one():
+    # a unit factor leaves the simple-perturbed or the consistent matrix, and the
+    # double-perturbed forms still solve it: A w = lambda w entry by entry, lambda = n at (1, 1)
+    rng = np.random.default_rng(41)
+    for kind in DOUBLE_KINDS:
+        for n in filter(CANONICAL_FORMS[kind].allows, range(4, 17)):
+            for _ in range(4):
+                base = tuple(np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n - 1)))
+                f = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+                for d, g in [(1.0, f), (f, 1.0), (1.0, 1.0)]:
+                    st = PerturbationStructure(kind, n, base, d, g)
+                    a = apply_perturbation(st).entries
+                    result = closed_form_eigenvector(st)
+                    lam, w = result.lambda_max, result.w
+                    assert np.all(np.abs(a @ w - lam * w) <= 1e-13 * lam * w), (kind, n, d, g)
+                    assert lam == n if d == g == 1.0 else lam > n, (kind, n, d, g)
 
 
 CASE1_4 = PerturbationStructure(PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 2.0, 3.0)
@@ -494,9 +505,9 @@ CASE1_4 = PerturbationStructure(PerturbationKind.CASE1, 4, (1.0, 1.0, 1.0), 2.0,
 @pytest.mark.parametrize("call, message", [
     (lambda: closed_form_eigenvector(
         PerturbationStructure(PerturbationKind.SIMPLE, 4, (1.0, 1.0, 1.0), 2.0)),
-     "closed forms exist only for double-perturbed matrices, got 'simple'"),
+     "no closed-form polynomial for kind 'simple'"),
     (lambda: closed_form_eigenvector(dataclasses.replace(CASE1_4, base=None)),
-     "structure must carry a base vector"),
+     "structure must carry a base vector: kind 'case1' needs 3 ratios"),
     (lambda: raw_variant_vector(CASE1_4, 4, 5.0), "variant must be in 0..3, got 4"),
     (lambda: raw_variant_vector(CASE1_4, -1, 5.0), "variant must be in 0..3, got -1"),
 ])

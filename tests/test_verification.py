@@ -113,11 +113,11 @@ def test_wrong_kind_for_positivity():
 
 
 def test_check_lemma_needs_a_base():
-    sample = PerturbationStructure(PerturbationKind.CASE1, 4, None, 2.0, 1.5)
+    # the structure itself refuses a missing base, before check_lemma runs
     with pytest.raises(InvalidCaseError) as exc:
-        check_lemma("1a", sample)
-    assert (type(exc.value), str(exc.value)) == (InvalidCaseError,
-                                                 "structure must carry a base vector")
+        check_lemma("1a", PerturbationStructure(PerturbationKind.CASE1, 4, None, 2.0, 1.5))
+    assert (type(exc.value), str(exc.value)) == (
+        InvalidCaseError, "structure must carry a base vector: kind 'case1' needs 3 ratios")
 
 
 @pytest.mark.parametrize("sample", [

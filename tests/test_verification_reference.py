@@ -17,7 +17,7 @@ from pcmeff import PerturbationKind, PerturbationStructure, SuiteGrid, apply_per
 from pcmeff import spectral, verification
 from pcmeff.generators import sample_base
 from pcmeff.pcm import DOUBLE_KINDS
-from pcmeff.spectral import lambda_max_closed_form
+from pcmeff.spectral import lambda_max_closed_form, lambda_max_closed_forms
 from pcmeff.verification import (
     ALL_CHECK_IDS,
     EQUALITY_REL_TOL,
@@ -127,10 +127,10 @@ def reference_suite(grid, seed):
         for n in grid.orders(kind):
             for delta in grid.ratio_values:
                 for gamma in grid.ratio_values:
-                    cell = PerturbationStructure(kind, n, delta=delta, gamma=gamma)
                     held = [check_id for check_id in ALL_CHECK_IDS
                             if verification._holds(check_id, kind, n, delta, gamma)]
-                    lam = lambda_max_closed_form(cell) if POSITIVITY_CHECK in held else None
+                    lam = (float(lambda_max_closed_forms([(kind, n, delta, gamma)])[0])
+                           if POSITIVITY_CHECK in held else None)
                     for _ in range(grid.bases(kind)):
                         sample = PerturbationStructure(kind, n, sample_base(rng, n), delta, gamma)
                         m = apply_perturbation(sample)
