@@ -11,6 +11,7 @@ sample counts, violations and the worst margin seen.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -37,9 +38,12 @@ from .spectral import form_terms, lambda_max_closed_form, lambda_max_closed_form
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
 
-# Most matrices a sweep solves as one stack.  A sweep holds the matrices of
-# a stack at once, so the cap bounds its extra memory (about 1 MB at 256 on
-# the default lemma sweep); a larger stack saves little time per member.
+# Most matrices a sweep builds and solves as one stack.  Both sweeps solve by
+# order (`_order_chunks`), the lemma sweep across kinds; a sweep holds the
+# matrices of one chunk at once, so the cap bounds that part of its memory
+# (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
+# time per member.  The lemma sweep's masks, positivity check and records
+# stay per (kind, n) stack.
 _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
@@ -268,9 +272,9 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
         raise HypothesisViolatedError(f"check {lemma_id} does not apply to kind {kind.value!r}, "
                                       f"n = {n}, delta = {delta}, gamma = {gamma}")
     report = LemmaReport(lemma_id)
-    _sweep_cells({lemma_id: report}, kind, np.array([delta]), np.array([gamma]),
-                 np.array([(1.0,) + tuple(sample.base)]),
-                 [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])
+    _sweep_cells({lemma_id: report}, np.array([delta]), np.array([gamma]),
+                 [(kind, np.array([(1.0,) + tuple(sample.base)]),
+                   [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])])
     return report
 
 
@@ -313,71 +317,131 @@ class SuiteGrid:
         Each base count covers the smallest hypothesis region among the
         checks of the kinds it feeds.
         """
-        delta, gamma = np.meshgrid(cls.ratio_values, cls.ratio_values)
-        region = {kind: min(sum(int(_holds(lem.lemma_id, kind, n, delta, gamma).sum())
-                                for n in cls.orders(kind))
-                            for lem in LEMMAS.values() if lem.kind == kind)
-                  for kind in DOUBLE_KINDS}
+        region = dict(zip(DOUBLE_KINDS, _smallest_regions(
+            cls.ratio_values, tuple(cls.orders(kind) for kind in DOUBLE_KINDS))))
         case2a = region.pop(PerturbationKind.CASE2A)
         return cls(bases_per_cell=max(1, math.ceil(samples / min(region.values()))),
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
-def _sweep_cells(reports: dict[str, LemmaReport], kind: PerturbationKind, delta: np.ndarray,
-                 gamma: np.ndarray, x: np.ndarray, roots: Sequence[float]) -> None:
-    """Record the requested checks on the samples of grid cells of one kind and order.
+@functools.cache
+def _smallest_regions(ratio_values: tuple[float, ...],
+                      orders: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Per double kind, the fewest grid samples per base that one of its lemmas gets.
 
-    Cell ``c`` has factors ``delta[c]`` and ``gamma[c]``, and row ``k`` of
-    ``x``, (1, base) of sample ``k``, belongs to cell ``k // count`` for
-    ``count`` rows per cell.  Positivity holds in every cell (no factor is 1),
-    and ``roots`` holds each cell's closed-form root if it is requested; each
-    other hypothesis is one mask over the cells.  Every check runs on stacks
-    of at most ``_STACK_CAP`` samples: positivity on the closed-form variant
-    vectors, reading no matrix, the others on one built and solved matrix stack.
+    ``orders[i]`` are the orders of ``DOUBLE_KINDS[i]``; a pure function of the
+    grid's constants, so a process builds the table once.
     """
-    n, cell = x.shape[1], np.arange(len(x)) // (len(x) // len(delta))
-    row_delta, row_gamma = delta[cell], gamma[cell]
-    if POSITIVITY_CHECK in reports:
-        # a (9, cells) table of form terms
-        terms = np.array([form_terms(d, g, lam) for d, g, lam
-                          in zip(delta.tolist(), gamma.tolist(), roots)]).T
-        for start in range(0, len(x), _STACK_CAP):
-            k = slice(start, start + _STACK_CAP)
-            v = variant_vectors(kind, x[k].T, terms[:, cell[k]])
-            margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-            reports[POSITIVITY_CHECK].record(kind, x[k], row_delta[k], row_gamma[k], margins)
-    matrix_ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
-                  and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
-    held = np.array([_holds(check_id, kind, n, delta, gamma) for check_id in matrix_ids],
-                    dtype=bool).reshape(len(matrix_ids), len(delta)).T[cell]
-    rows = np.flatnonzero(held.any(axis=1))
-    for start in range(0, len(rows), _STACK_CAP):
-        chunk = rows[start:start + _STACK_CAP]
-        xs, ds, gs = x[chunk], row_delta[chunk], row_gamma[chunk]
-        a = canonical_entries(kind, xs[:, 1:], ds, gs)
+    delta, gamma = np.meshgrid(ratio_values, ratio_values)
+    return tuple(min(sum(int(_holds(lem.lemma_id, kind, n, delta, gamma).sum())
+                         for n in kind_orders)
+                     for lem in LEMMAS.values() if lem.kind == kind)
+                 for kind, kind_orders in zip(DOUBLE_KINDS, orders))
+
+
+def _order_chunks(orders: Sequence[int], sizes: Sequence[int]):
+    """Chunks of at most ``_STACK_CAP`` items that share an order, as (group, start, stop) ranges.
+
+    Group ``g`` holds ``sizes[g]`` items of order ``orders[g]``.  Orders come
+    in order of first appearance, and each order's groups and items in index
+    order, so a sweep that solves each chunk as one stack solves by order
+    across whatever else tells its groups apart.
+    """
+    for n in dict.fromkeys(orders):
+        chunk, room = [], _STACK_CAP
+        for g in [g for g, order in enumerate(orders) if order == n]:
+            start = 0
+            while start < sizes[g]:
+                stop = min(start + room, sizes[g])
+                chunk.append((g, start, stop))
+                room -= stop - start
+                start = stop
+                if not room:
+                    yield chunk
+                    chunk, room = [], _STACK_CAP
+        if chunk:
+            yield chunk
+
+
+def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.ndarray,
+                 stacks: Sequence[tuple[PerturbationKind, np.ndarray, Sequence[float]]]) -> None:
+    """Record the requested checks on stacks of grid-cell samples, each of one kind and order.
+
+    In stack ``(kind, x, roots)``, cell ``c`` has factors ``delta[c]`` and
+    ``gamma[c]``, and row ``k`` of ``x``, (1, base) of sample ``k``, belongs
+    to cell ``k // count`` for ``count`` rows per cell.  Positivity holds in
+    every cell (no factor is 1), and ``roots`` holds each cell's closed-form
+    root if it is requested; each other hypothesis is one mask per stack over
+    its cells.  The matrices of the rows some mask holds are built, validated
+    and solved by order, across stacks and kinds, at most ``_STACK_CAP`` at a
+    time (:func:`_order_chunks`); of a chunk, only the weights and the cycle
+    margins, which read the entries, are kept.  Then each stack is recorded in
+    turn, so that a report spanning kinds sees its samples in stack order:
+    positivity on the closed-form variant vectors of at most ``_STACK_CAP``
+    samples at a time, reading no matrix, and each other check on the kept
+    weights of the rows its mask holds.
+    """
+    kinds, xs, _ = zip(*stacks)
+    counts = [len(x) // len(delta) for x in xs]
+    ids = [[check_id for check_id in reports if check_id != POSITIVITY_CHECK
+            and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)] for kind in kinds]
+    held = [np.repeat(np.array([_holds(check_id, kind, x.shape[1], delta, gamma)
+                                for check_id in kind_ids], dtype=bool)
+                      .reshape(len(kind_ids), len(delta)).T, count, axis=0)
+            for kind, x, kind_ids, count in zip(kinds, xs, ids, counts)]
+    rows = [np.flatnonzero(h.any(axis=1)) for h in held]
+    # per stack, the weights and cycle margins of the rows some mask holds
+    w, cycle = [np.empty(x.shape) for x in xs], [np.full(len(x), np.nan) for x in xs]
+    for chunk in _order_chunks([x.shape[1] for x in xs], [len(r) for r in rows]):
+        parts = [(s, rows[s][start:stop]) for s, start, stop in chunk]
+        a = np.concatenate([canonical_entries(kinds[s], xs[s][r, 1:], delta[r // counts[s]],
+                                              gamma[r // counts[s]]) for s, r in parts])
         validate_entries(a)
-        w = power_iteration_batch(a).w
-        for check_id, mask in zip(matrix_ids, held[chunk].T):
+        solved = power_iteration_batch(a).w
+        first = 0
+        for s, r in parts:
+            part = slice(first, first + len(r))
+            first += len(r)
+            w[s][r] = solved[part]
+            if CYCLE_CHECK in ids[s]:
+                on = held[s][r, ids[s].index(CYCLE_CHECK)]
+                cell = r[on] // counts[s]
+                cycle[s][r[on]] = _cycle_margins(kinds[s], solved[part][on], a[part][on],
+                                                 delta[cell], gamma[cell])
+    for s, (kind, x, roots) in enumerate(stacks):
+        if POSITIVITY_CHECK in reports:
+            # a (9, cells) table of form terms
+            terms = np.array([form_terms(d, g, lam) for d, g, lam
+                              in zip(delta.tolist(), gamma.tolist(), roots)]).T
+            for start in range(0, len(x), _STACK_CAP):
+                k = slice(start, start + _STACK_CAP)
+                cell = np.arange(start, min(start + _STACK_CAP, len(x))) // counts[s]
+                v = variant_vectors(kind, x[k].T, terms[:, cell])
+                margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
+                reports[POSITIVITY_CHECK].record(kind, x[k], delta[cell], gamma[cell], margins)
+        for check_id, mask in zip(ids[s], held[s].T):
             k = np.flatnonzero(mask)
             if not k.size:
                 continue
             lemma = LEMMAS.get(check_id)
-            reports[check_id].record(kind, xs[k], ds[k], gs[k], (
-                lemma.margin(w[k], xs[k], ds[k], gs[k]) if lemma is not None
-                else _cycle_margins(kind, w[k], a[k], ds[k], gs[k])))
+            xk, dk, gk = x[k], delta[k // counts[s]], gamma[k // counts[s]]
+            reports[check_id].record(kind, xk, dk, gk, cycle[s][k] if lemma is None
+                                     else lemma.margin(w[s][k], xk, dk, gk))
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                     check_ids: Sequence[str] = ALL_CHECK_IDS) -> list[LemmaReport]:
     """Sweep the requested checks over their hypothesis regions of the grid.
 
-    Each check is one array expression over a stack of samples, and a
-    sample is a row of bases and factors, not an object (see
-    :func:`_sweep_cells`).  Every base is drawn whichever checks are
-    requested, so a subset reports exactly what the full sweep reports for
-    it.  Reports come back in registry order followed by the positivity and
-    cycle checks, violations in draw order; the run is a pure function of
-    the grid, seed and check ids.  ``ValueError`` for an unknown check id.
+    Each check is one array expression over a (kind, n) stack of samples,
+    and a sample is a row of bases and factors, not an object.  Every
+    stack's bases are drawn first, whichever checks are requested, so a
+    subset reports exactly what the full sweep reports for it; then
+    :func:`_sweep_cells` solves the matrices by order across kinds and
+    records the stacks in draw order.  Reports come back in registry order
+    followed by the positivity and cycle checks, violations in draw order;
+    the run is a pure function of the grid, seed and check ids.
+    ``ValueError`` for an unknown check id.
     """
     unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]
     if unknown:
@@ -394,10 +458,12 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
         roots = lambda_max_closed_forms([(kind, n, d, g) for kind, n in stacks for d, g
                                          in zip(delta.tolist(), gamma.tolist())]
                                         ).reshape(len(stacks), -1).tolist()
+    drawn = []
     for (kind, n), lam in zip(stacks, roots):
         x = np.ones((len(delta) * grid.bases(kind), n))
         x[:, 1:] = sample_bases(rng, n, len(x))
-        _sweep_cells(reports, kind, delta, gamma, x, lam)
+        drawn.append((kind, x, lam))
+    _sweep_cells(reports, delta, gamma, drawn)
     return list(reports.values())
 
 
@@ -451,16 +517,17 @@ def theorem_sweep(sweep: str, samples: int, seed: int) -> TheoremReport:
     """Judge the eigenvectors of ``samples`` matrices a sweep draws from one seeded RNG.
 
     Matrices are drawn in stacks of at most ``_STACK_CAP``, and each stack's
-    eigenvectors are solved by order; power iteration draws nothing, so the
-    matrices are those of a one-at-a-time sweep.
+    eigenvectors are solved by order (:func:`_order_chunks`, as the lemma
+    sweep solves); power iteration draws nothing, so the matrices are those
+    of a one-at-a-time sweep.
     """
     name, efficient, draw = SWEEPS[sweep]
     rng = np.random.default_rng(seed)
     conforming = 0
     for start in range(0, samples, _STACK_CAP):
         ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
-        for n in {m.n for m in ms}:
-            stack = [m for m in ms if m.n == n]
+        for chunk in _order_chunks([m.n for m in ms], [1] * len(ms)):
+            stack = [ms[k] for k, _, _ in chunk]
             w = power_iteration_batch(np.array([m.entries for m in stack])).w
             conforming += sum(is_efficient(m, wm).efficient == efficient
                               for m, wm in zip(stack, w))

@@ -145,6 +145,22 @@ def test_sweep_matrices_match_the_reference_loop_bit_for_bit():
                 assert np.array_equal(r.w[k], w)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_stacks_mixing_kinds_at_one_order_match_the_reference_loop(n):
+    # the lemma sweep solves the shared-row and the disjoint-row matrices of one order as one stack
+    rng = np.random.default_rng(n)
+    shared_row, disjoint = (k for k in DOUBLE_KINDS if CANONICAL_FORMS[k].allows(n))
+    groups = [[apply_perturbation(random_structure(rng, kind, n)) for _ in range(12)]
+              for kind in (shared_row, disjoint)]
+    for stack in (groups[0] + groups[1], groups[1] + groups[0]):
+        r = power_iteration_batch(np.array([m.entries for m in stack]))
+        for k, m in enumerate(stack):
+            lam, w, residual, iterations = reference_power_iteration(m)
+            assert (r.lambda_max[k], r.residual[k], r.iterations[k]) == \
+                (lam, residual, iterations)
+            assert r.w[k].tobytes() == w.tobytes()
+
+
 def test_stack_reports_the_first_member_that_does_not_converge():
     ms = stack_of_seven(np.random.default_rng(8))
     errors = []

@@ -376,6 +376,23 @@ def test_grid_for_samples(samples, bases):
     assert (grid.bases_per_cell, grid.bases_per_cell_case2a) == bases
 
 
+def test_grid_for_samples_evaluates_the_hypotheses_once(monkeypatch):
+    evaluated = []
+    for lemma in list(LEMMAS.values()):
+        def counting(d, g, n, lemma=lemma):
+            evaluated.append(lemma.lemma_id)
+            return lemma.hypothesis(d, g, n)
+        monkeypatch.setitem(LEMMAS, lemma.lemma_id,
+                            dataclasses.replace(lemma, hypothesis=counting))
+    verification._smallest_regions.cache_clear()
+    first = SuiteGrid.for_samples(81)
+    assert set(evaluated) == set(LEMMA_IDS)
+    evaluated.clear()
+    assert SuiteGrid.for_samples(1000) == SuiteGrid(13, 63)
+    assert SuiteGrid.for_samples(81) == first == SuiteGrid(2, 6)
+    assert evaluated == []
+
+
 def test_positivity_check_reads_each_structure_once(monkeypatch):
     counted = []
     count = spectral.variant_count
@@ -488,12 +505,21 @@ def count_solves(monkeypatch):
     return sizes
 
 
-def test_suite_solves_one_stack_per_kind_and_order(monkeypatch):
+def test_suite_solves_one_stack_per_order(monkeypatch):
+    rows, _ = count_builds(monkeypatch)
     sizes = count_solves(monkeypatch)
     run_lemma_suite(SMALL_GRID, seed=1)
-    orders = sum(len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS)
-    assert len(sizes) == orders == 10
-    assert sum(sizes) == 832
+    # case1 and case2a share n = 4 (64 + 256 rows, split at the cap), case1 and
+    # case2b each order from 5 to 8 (64 + 64 rows)
+    assert sizes == [256, 64, 128, 128, 128, 128] and sum(sizes) == 832
+    # a chunk spanning two kinds is built per kind, then solved as one stack
+    assert rows == [64, 192, 64] + [64, 64] * 4
+    rows.clear()
+    sizes.clear()
+    monkeypatch.setattr(verification, "_STACK_CAP", 7)
+    run_lemma_suite(SMALL_GRID, seed=1)
+    assert max(sizes) == max(rows) == 7
+    assert sum(sizes) == sum(rows) == 832
 
 
 def test_stack_cap_changes_no_report(monkeypatch):
