@@ -258,9 +258,10 @@ def form_terms(delta: float, gamma: float, lam: float) -> tuple[float, ...]:
             lam**2, lam**3)
 
 
-# Each evaluator fills row v of w with form v, from x = (1, base) or a stack of them, and t.
-def _case1_vectors(w, x, t):
-    n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
+# Each evaluator fills row v of w with form v, from x = (1, base) or a stack of them, t and
+# the order n.
+def _case1_vectors(w, x, t, n):
+    d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3 = t
     w[0, 0] = d * g * lam * (lam - n + 1)
     w[0, 1] = (g * lam - (n - 2) * g + d + (n - 3) * d * g) / x[1]
     w[0, 2] = (d * lam - (n - 2) * d + g + (n - 3) * d * g) / x[2]
@@ -279,7 +280,7 @@ def _case1_vectors(w, x, t):
     w[3, 3:] = x[3] / x[3:] * (d * g * lam2 - 4 * d * g + g + d + d2 * g + g2 * d)
 
 
-def _case2a_vectors(w, x, t):
+def _case2a_vectors(w, x, t, n):
     d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3 = t
     w[0, 0] = d * (lam3 * g - 3 * lam2 * g - 1 + 2 * g - g2)
     w[0, 1] = (lam2 * g - 2 * lam * g + d + 2 * lam * d * g - 2 * d * g + d * g2) / x[1]
@@ -299,8 +300,8 @@ def _case2a_vectors(w, x, t):
     w[3, 3] = d * lam3 - 3 * d * lam2 - 1 + 2 * d - d2
 
 
-def _case2b_vectors(w, x, t):
-    n, (d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3) = len(x), t
+def _case2b_vectors(w, x, t, n):
+    d, g, lam, d2, g2, dm1_2, gm1_2, lam2, lam3 = t
     w[0, 0] = d * lam * (lam3 * g - (n - 1) * lam2 * g - (n - 3) * (g2 - 2 * g + 1))
     w[0, 1] = (lam3 * g - (n - 2) * lam2 * g + (n - 2) * d * g * lam2
                + (lam * d + (n - 4) * (d - 1)) * (g2 - 2 * g + 1)) / x[1]
@@ -346,18 +347,22 @@ _FORMS = {PerturbationKind.CASE1: _case1_vectors, PerturbationKind.CASE2A: _case
           PerturbationKind.CASE2B: _case2b_vectors}
 
 
-def variant_vectors(kind: PerturbationKind, x: np.ndarray, terms) -> np.ndarray:
+def variant_vectors(kind: PerturbationKind, x: np.ndarray, terms, n) -> np.ndarray:
     """Every eigenvector form of ``kind``, unnormalized, shape (variants,) + x.shape.
 
-    ``x`` is (1, base) with the :func:`form_terms` tuple, or (n, B) with
-    column ``k`` (1, base) of the ``k``-th sample and a (9, B) array of
-    terms whose column ``k`` holds that sample's :func:`form_terms`.  One
-    evaluator call fills every row, and each column gets the bits of the
-    one-dimensional call on its own parameters.  The caller has checked
-    that the closed forms apply.
+    ``x`` is (1, base) with the :func:`form_terms` tuple and the order ``n``
+    as an int, or an (m, B) array with column ``k`` (1, base) of the
+    ``k``-th sample, a (9, B) array of terms whose column ``k`` holds that
+    sample's :func:`form_terms`, and ``n`` an int or a (B,) array of orders.
+    The forms read n only from ``n``, never from the length of ``x``: a
+    sample of order n < m may repeat its last ratio in rows n .. m - 1,
+    which repeats its last component there.  One evaluator call fills every
+    row, and each column gets the bits of the one-dimensional call on its
+    own parameters, whose int n converts to float exactly.  The caller has
+    checked that the closed forms apply.
     """
     w = np.empty((variant_count(kind),) + x.shape)
-    _FORMS[kind](w, x, terms)
+    _FORMS[kind](w, x, terms, n)
     return w
 
 
@@ -373,7 +378,8 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
     terms = form_terms(structure.delta, structure.gamma, lam)
-    return variant_vectors(structure.kind, np.array([1.0, *structure.base]), terms)[variant]
+    return variant_vectors(structure.kind, np.array([1.0, *structure.base]), terms,
+                           structure.n)[variant]
 
 
 @dataclass(frozen=True)
@@ -399,7 +405,8 @@ def closed_form_eigenvector(structure: PerturbationStructure) -> ClosedFormResul
     kind, lam = structure.kind, lambda_max_closed_form(structure)
     x = np.array([1.0, *structure.base])
     with np.errstate(over="ignore", invalid="ignore"):
-        candidates = variant_vectors(kind, x, form_terms(structure.delta, structure.gamma, lam))
+        candidates = variant_vectors(kind, x, form_terms(structure.delta, structure.gamma, lam),
+                                     structure.n)
     usable = np.all((0.0 < candidates) & (candidates < np.inf), axis=1)
     if not usable.any():
         raise PotentialRangeError(f"no {kind.value} closed-form eigenvector fits in floats")

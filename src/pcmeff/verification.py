@@ -12,6 +12,7 @@ sample counts, violations and the worst margin seen.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -38,12 +39,13 @@ from .spectral import form_terms, lambda_max_closed_form, lambda_max_closed_form
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
 
-# Most matrices a sweep builds and solves as one stack.  Both sweeps solve by
+# Most matrices a sweep builds and solves as one stack, and most samples the
+# lemma sweep's positivity check evaluates at once.  Both sweeps solve by
 # order (`_order_chunks`), the lemma sweep across kinds; a sweep holds the
 # matrices of one chunk at once, so the cap bounds that part of its memory
 # (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
-# time per member.  The lemma sweep's masks, positivity check and records
-# stay per (kind, n) stack.
+# time per member.  The lemma sweep's masks stay per (kind, n) stack, and it
+# records each kind's orders as one stack.
 _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
@@ -59,18 +61,22 @@ class LemmaReport:
     violations: list = field(default_factory=list)
     min_margin: float = np.inf
 
-    def record(self, kind: PerturbationKind, x: np.ndarray, delta: np.ndarray,
+    def record(self, kind: PerturbationKind, x: np.ndarray, n: np.ndarray, delta: np.ndarray,
                gamma: np.ndarray, margins: np.ndarray) -> None:
         """Count a stack of samples and their margins; violations keep the stack's order.
 
-        Sample ``k`` has x = (1, base) in row ``k`` of ``x`` and factors
-        ``delta[k]`` and ``gamma[k]``; only a violation becomes a structure.
+        Sample ``k`` has order ``n[k]``, x = (1, base) in the first ``n[k]``
+        columns of row ``k`` of ``x`` (any columns after those are ignored),
+        and factors ``delta[k]`` and ``gamma[k]``; only a violation becomes a
+        structure.  A NaN margin is a violation, and ``min_margin`` stays NaN
+        once one is recorded.
         """
         lemma = LEMMAS.get(self.lemma_id)
         floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
         self.samples_run += len(margins)
-        self.min_margin = min(self.min_margin, float(margins.min()))
-        self.violations += [(PerturbationStructure(kind, x.shape[1], tuple(x[k, 1:].tolist()),
+        low = float(margins.min())    # NaN if any margin is
+        self.min_margin = low if math.isnan(low) else min(self.min_margin, low)
+        self.violations += [(PerturbationStructure(kind, int(n[k]), tuple(x[k, 1:n[k]].tolist()),
                                                    float(delta[k]), float(gamma[k])),
                              float(margins[k])) for k in np.flatnonzero(~(margins > floor))]
 
@@ -93,7 +99,13 @@ def _ordered(ratio, target, direction):
 
 @dataclass(frozen=True)
 class _Lemma:
-    """A statement; ``margin(w, x, delta, gamma)`` maps a stack of samples to their margins."""
+    """A statement; ``margin(w, x, delta, gamma)`` maps a stack of samples to their margins.
+
+    The sweep pads a row of ``w`` and ``x`` by repeating its last column, so
+    a margin must be a minimum over terms that a repeated column only
+    repeats, or joins in a term no lower than the rest: a pair of equal
+    ratios, whose equality margin is the whole tolerance.
+    """
 
     lemma_id: str
     kind: PerturbationKind
@@ -375,20 +387,27 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
     its cells.  The matrices of the rows some mask holds are built, validated
     and solved by order, across stacks and kinds, at most ``_STACK_CAP`` at a
     time (:func:`_order_chunks`); of a chunk, only the weights and the cycle
-    margins, which read the entries, are kept.  Then each stack is recorded in
-    turn, so that a report spanning kinds sees its samples in stack order:
-    positivity on the closed-form variant vectors of at most ``_STACK_CAP``
-    samples at a time, reading no matrix, and each other check on the kept
-    weights of the rows its mask holds.
+    margins, which read the entries, are kept.
+
+    Then each run of consecutive stacks of one kind is recorded as one stack
+    whose rows carry their own orders: the bases and weights of a lower order
+    repeat their last column up to the run's top order, which repeats a term
+    of every margin and adds to the equality checks only pairs of equal
+    ratios, whose margin is the whole tolerance, so no margin changes.  Each lemma and the cycle check is recorded
+    once per run, on the rows its masks hold, and positivity on the
+    closed-form variant vectors of at most ``_STACK_CAP`` rows at a time,
+    reading no matrix.  Runs are recorded in stack order, so that a report
+    spanning kinds sees its samples in stack order.
     """
-    kinds, xs, _ = zip(*stacks)
+    kinds, xs, roots = zip(*stacks)
     counts = [len(x) // len(delta) for x in xs]
-    ids = [[check_id for check_id in reports if check_id != POSITIVITY_CHECK
-            and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)] for kind in kinds]
+    ids = {kind: [check_id for check_id in reports if check_id != POSITIVITY_CHECK
+                  and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
+           for kind in kinds}
     held = [np.repeat(np.array([_holds(check_id, kind, x.shape[1], delta, gamma)
-                                for check_id in kind_ids], dtype=bool)
-                      .reshape(len(kind_ids), len(delta)).T, count, axis=0)
-            for kind, x, kind_ids, count in zip(kinds, xs, ids, counts)]
+                                for check_id in ids[kind]], dtype=bool)
+                      .reshape(len(ids[kind]), len(delta)).T, count, axis=0)
+            for kind, x, count in zip(kinds, xs, counts)]
     rows = [np.flatnonzero(h.any(axis=1)) for h in held]
     # per stack, the weights and cycle margins of the rows some mask holds
     w, cycle = [np.empty(x.shape) for x in xs], [np.full(len(x), np.nan) for x in xs]
@@ -403,44 +422,54 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
             part = slice(first, first + len(r))
             first += len(r)
             w[s][r] = solved[part]
-            if CYCLE_CHECK in ids[s]:
-                on = held[s][r, ids[s].index(CYCLE_CHECK)]
+            if CYCLE_CHECK in ids[kinds[s]]:
+                on = held[s][r, ids[kinds[s]].index(CYCLE_CHECK)]
                 cell = r[on] // counts[s]
                 cycle[s][r[on]] = _cycle_margins(kinds[s], solved[part][on], a[part][on],
                                                  delta[cell], gamma[cell])
-    for s, (kind, x, roots) in enumerate(stacks):
+    for kind, run in itertools.groupby(range(len(stacks)), kinds.__getitem__):
+        run = list(run)
+        top = max(xs[s].shape[1] for s in run)
+        x, wx = (np.concatenate([a[s][:, np.minimum(np.arange(top), xs[s].shape[1] - 1)]
+                                 for s in run]) for a in (xs, w))
+        n = np.concatenate([np.full(len(xs[s]), xs[s].shape[1]) for s in run])
+        # row k of the run lies in cell slot[k] % cells of stack run[slot[k] // cells]
+        slot = np.concatenate([np.arange(len(xs[s])) // counts[s] + i * len(delta)
+                               for i, s in enumerate(run)])
+        d, g = delta[slot % len(delta)], gamma[slot % len(delta)]
         if POSITIVITY_CHECK in reports:
-            # a (9, cells) table of form terms
-            terms = np.array([form_terms(d, g, lam) for d, g, lam
-                              in zip(delta.tolist(), gamma.tolist(), roots)]).T
+            # a (9, slots) table of form terms
+            terms = np.array([form_terms(dc, gc, lam) for s in run for dc, gc, lam
+                              in zip(delta.tolist(), gamma.tolist(), roots[s])]).T
             for start in range(0, len(x), _STACK_CAP):
                 k = slice(start, start + _STACK_CAP)
-                cell = np.arange(start, min(start + _STACK_CAP, len(x))) // counts[s]
-                v = variant_vectors(kind, x[k].T, terms[:, cell])
+                v = variant_vectors(kind, x[k].T, terms[:, slot[k]], n[k])
                 margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-                reports[POSITIVITY_CHECK].record(kind, x[k], delta[cell], gamma[cell], margins)
-        for check_id, mask in zip(ids[s], held[s].T):
+                reports[POSITIVITY_CHECK].record(kind, x[k], n[k], d[k], g[k], margins)
+        run_cycle = np.concatenate([cycle[s] for s in run])
+        for check_id, mask in zip(ids[kind], np.concatenate([held[s] for s in run]).T):
             k = np.flatnonzero(mask)
             if not k.size:
                 continue
             lemma = LEMMAS.get(check_id)
-            xk, dk, gk = x[k], delta[k // counts[s]], gamma[k // counts[s]]
-            reports[check_id].record(kind, xk, dk, gk, cycle[s][k] if lemma is None
-                                     else lemma.margin(w[s][k], xk, dk, gk))
+            xk, dk, gk = x[k], d[k], g[k]
+            reports[check_id].record(kind, xk, n[k], dk, gk, run_cycle[k] if lemma is None
+                                     else lemma.margin(wx[k], xk, dk, gk))
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                     check_ids: Sequence[str] = ALL_CHECK_IDS) -> list[LemmaReport]:
     """Sweep the requested checks over their hypothesis regions of the grid.
 
-    Each check is one array expression over a (kind, n) stack of samples,
-    and a sample is a row of bases and factors, not an object.  Every
-    stack's bases are drawn first, whichever checks are requested, so a
-    subset reports exactly what the full sweep reports for it; then
-    :func:`_sweep_cells` solves the matrices by order across kinds and
-    records the stacks in draw order.  Reports come back in registry order
-    followed by the positivity and cycle checks, violations in draw order;
-    the run is a pure function of the grid, seed and check ids.
+    Each check is one array expression over the samples of one kind, all
+    its orders at once, and a sample is a row of bases and factors, not an
+    object.  Every (kind, n) stack's bases are drawn first, whichever checks
+    are requested, so a subset reports exactly what the full sweep reports
+    for it; then :func:`_sweep_cells` solves the matrices by order across
+    kinds and records each kind in draw order.  Reports come back in
+    registry order followed by the positivity and cycle checks, violations
+    in draw order; the run is a pure function of the grid, seed and check
+    ids.
     ``ValueError`` for an unknown check id.
     """
     unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]

@@ -606,15 +606,36 @@ def test_stacked_variant_vectors_keep_the_one_base_bits():
             xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), (n, len(cells))))
             xs[0] = 1.0
             terms = [spectral.form_terms(d, g, lam) for d, g, lam in cells]
-            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms))
+            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms), n)
             assert stacked.shape == (variant_count(kind), n, len(cells))
             for k, (d, g, lam) in enumerate(cells):
-                one = spectral.variant_vectors(kind, xs[:, k].copy(), terms[k])
+                one = spectral.variant_vectors(kind, xs[:, k].copy(), terms[k], n)
                 assert stacked[..., k].tobytes() == one.tobytes()
                 if k >= 512:
                     st = PerturbationStructure(kind, n, tuple(xs[1:, k]), d, g)
                     for v in range(variant_count(kind)):
                         assert raw_variant_vector(st, v, lam).tobytes() == one[v].tobytes()
+
+
+def test_padded_variant_vectors_keep_each_orders_bits():
+    # one stacked call over samples of every order of a kind, each column's ratios
+    # padded to the top order by repeating its last one and its order passed
+    # explicitly, gives each column the bits of its own unpadded call, and
+    # repeats its last component in the padded rows
+    rng = np.random.default_rng(31)
+    for kind, orders in ALL_CASES:
+        top = max(orders)
+        n = np.repeat(orders, 8)
+        cells = np.exp(rng.uniform(np.log(1 / 81), np.log(81), (len(n), 3))).tolist()
+        xs = np.exp(rng.uniform(np.log(1 / 9), np.log(9), (top, len(n))))
+        xs[0] = 1.0
+        xs = xs[np.minimum(np.arange(top)[:, None], n - 1), np.arange(len(n))]
+        terms = [spectral.form_terms(d, g, lam) for d, g, lam in cells]
+        stacked = spectral.variant_vectors(kind, xs, np.transpose(terms), n)
+        for k, order in enumerate(n.tolist()):
+            one = spectral.variant_vectors(kind, xs[:order, k].copy(), terms[k], order)
+            assert stacked[:, :order, k].tobytes() == one.tobytes()
+            assert (stacked[:, order:, k] == one[:, -1:]).all()
 
 
 VARIANT_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "variant_vectors_golden.json"
@@ -641,8 +662,8 @@ def _variant_vector_digests():
             xs = np.exp(rng.uniform(-18.0, 18.0, (n, len(cells))))
             xs[0] = 1.0
             terms = [spectral.form_terms(*cell) for cell in cells]
-            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms))
-            one_base = [spectral.variant_vectors(kind, xs[:, k].copy(), terms[k])
+            stacked = spectral.variant_vectors(kind, xs, np.transpose(terms), n)
+            one_base = [spectral.variant_vectors(kind, xs[:, k].copy(), terms[k], n)
                         for k in range(len(cells))]
             digests[f"{kind.value}/{n}"] = {
                 name: hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()

@@ -218,8 +218,12 @@ def test_a_sample_outside_every_region_is_a_cycle_violation():
                                           m.entries[None], factor, factor)
     assert np.isnan(margins).all()
     report = verification.LemmaReport(CYCLE_CHECK)
-    report.record(sample.kind, np.ones((1, 5)), factor, factor, margins)
+    report.record(sample.kind, np.ones((1, 5)), [5], factor, factor, margins)
     assert not report.passed and [s for s, _ in report.violations] == [sample]
+    # the NaN reaches the worst margin, and a later number does not replace it
+    assert np.isnan(report.min_margin)
+    report.record(sample.kind, np.ones((1, 5)), [5], factor, factor, np.array([0.5]))
+    assert np.isnan(report.min_margin) and report.samples_run == 2
 
 
 def test_named_cycle_is_present_in_the_digraph():
@@ -393,7 +397,7 @@ def test_grid_for_samples_evaluates_the_hypotheses_once(monkeypatch):
     assert evaluated == []
 
 
-def test_positivity_check_reads_each_structure_once(monkeypatch):
+def test_positivity_check_reads_each_kind_once_per_chunk(monkeypatch):
     counted = []
     count = spectral.variant_count
 
@@ -406,12 +410,27 @@ def test_positivity_check_reads_each_structure_once(monkeypatch):
         monkeypatch.setattr(verification, "_STACK_CAP", cap)
         counted.clear()
         reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
-        # positivity holds in every cell, and each (kind, n) stack is evaluated
-        # once per chunk of at most _STACK_CAP samples
-        chunks = sum(math.ceil(SMALL_GRID.bases(kind) * len(SMALL_GRID.ratio_values) ** 2 / cap)
-                     for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind))
-        assert len(counted) == chunks
-        assert reports[POSITIVITY_CHECK].samples_run == 832
+        # positivity holds in every cell, and the samples of all orders of a kind
+        # are evaluated as one stack, once per chunk of at most _STACK_CAP samples
+        rows = {kind: SMALL_GRID.bases(kind) * len(SMALL_GRID.ratio_values) ** 2
+                * len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS}
+        assert counted == [kind for kind in DOUBLE_KINDS
+                           for _ in range(math.ceil(rows[kind] / cap))]
+        assert reports[POSITIVITY_CHECK].samples_run == sum(rows.values()) == 832
+
+
+def test_each_lemma_margin_is_evaluated_once_per_kind(monkeypatch):
+    evaluated = []
+    for lemma in list(LEMMAS.values()):
+        def counting(w, x, d, g, lemma=lemma):
+            evaluated.append((lemma.lemma_id, x.shape[1], len(x)))
+            return lemma.margin(w, x, d, g)
+        monkeypatch.setitem(LEMMAS, lemma.lemma_id, dataclasses.replace(lemma, margin=counting))
+    reports = {r.lemma_id: r for r in run_lemma_suite(SuiteGrid(), seed=1)}
+    # one call over every order of the lemma's kind, padded to its top order
+    assert sorted(evaluated) == sorted(
+        (lemma_id, max(SuiteGrid.orders(lemma.kind)), reports[lemma_id].samples_run)
+        for lemma_id, lemma in LEMMAS.items())
 
 
 def test_equality_checks_hold_tightly():

@@ -161,6 +161,10 @@ def test_stacked_sweep_equals_the_per_sample_path(monkeypatch, grid, seed):
     reports = run_lemma_suite(grid, seed)
     assert [r.lemma_id for r in reports] == list(ALL_CHECK_IDS)
     assert sum(len(r.violations) for r in reports) > 0
+    # a kind's orders are recorded as one padded stack: violations at several of its
+    # orders show that each keeps its own order and base
+    for kind in (PerturbationKind.CASE1, PerturbationKind.CASE2B):
+        assert len({s.n for r in reports for s, _ in r.violations if s.kind == kind}) >= 2, kind
     for r in reports:
         assert bits(r.samples_run, r.min_margin, r.violations) == bits(*reference[r.lemma_id]), \
             r.lemma_id
