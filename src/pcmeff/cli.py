@@ -11,7 +11,8 @@ numbers as the text rendering.
 Exit codes: analyze 0 = efficient, 3 = inefficient, 2 = parse error
 (input that is not UTF-8 included; a leading byte-order mark is skipped),
 1 = any other error; generate/verify 0 = success/all passed, 1 otherwise.
-An unopenable input or output path is an error (exit 1), as are an invalid
+An unopenable input or output path is an error (exit 1), as are a closed
+standard output (one error line, and nothing more at exit), an invalid
 matrix and a sink too tight to improve in floats; ``--samples`` below 1,
 ``--seed`` below 0, a tolerance that is not finite and at least 0
 (``--tol-power``: above 0) and ``--out`` and ``--sidecar`` naming one file
@@ -393,12 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed stdout fails here, as one error line, not at exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OSError, ValueError, NoConvergenceError, RootNotBracketedError,
             ImprovementFailedError) as exc:
+        if isinstance(exc, BrokenPipeError):    # the exit's flush then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

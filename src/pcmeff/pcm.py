@@ -37,7 +37,9 @@ def validate_entries(a: np.ndarray) -> None:
     Every entry must be a positive finite real, and every product a_ij * a_ji
     must lie within ``RECIPROCITY_TOL`` of 1.  Each check raises for its first
     failing cell in row-major order, member by member, so a stack with one
-    bad member fails as that member alone does.
+    bad member fails as that member alone does.  The products form an exactly
+    symmetric array (a_ij * a_ji == a_ji * a_ij), so the reciprocity test reads
+    every cell and only locating its first failure keeps the upper triangle.
     """
     n = a.shape[-1]
     bad = ~(np.isfinite(a) & (a > 0.0))
@@ -46,10 +48,10 @@ def validate_entries(a: np.ndarray) -> None:
         raise NonPositiveEntryError(*divmod(k % (n * n), n), float(a.flat[k]))
     with np.errstate(over="ignore"):    # an overflowed product is inf, which fails
         prod = a * a.swapaxes(-1, -2)    # prod[..., i, j] = a_ij * a_ji, diagonal included
-    bad = np.triu(~np.isfinite(prod)
-                  | (np.abs(prod - 1.0) > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod))))
+    bad = ~np.isfinite(prod) | (np.abs(prod - 1.0)
+                                > RECIPROCITY_TOL * np.maximum(1.0, np.abs(prod)))
     if bad.any():
-        k = int(np.argmax(bad))
+        k = int(np.argmax(np.triu(bad)))
         raise ReciprocityViolationError(*divmod(k % (n * n), n), float(prod.flat[k]))
 
 

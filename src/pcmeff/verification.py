@@ -44,8 +44,8 @@ EQUALITY_REL_TOL = 1e-9
 # order (`_order_chunks`), the lemma sweep across kinds; a sweep holds the
 # matrices of one chunk at once, so the cap bounds that part of its memory
 # (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
-# time per member.  The lemma sweep's masks stay per (kind, n) stack, and it
-# records each kind's orders as one stack.
+# time per member.  The lemma sweep evaluates its masks and margins and
+# records its checks over each kind's orders as one stack.
 _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
@@ -61,24 +61,26 @@ class LemmaReport:
     violations: list = field(default_factory=list)
     min_margin: float = np.inf
 
-    def record(self, kind: PerturbationKind, x: np.ndarray, n: np.ndarray, delta: np.ndarray,
-               gamma: np.ndarray, margins: np.ndarray) -> None:
-        """Count a stack of samples and their margins; violations keep the stack's order.
+    def record(self, kind: PerturbationKind, rows: np.ndarray, x: np.ndarray, n: np.ndarray,
+               delta: np.ndarray, gamma: np.ndarray, margins: np.ndarray) -> None:
+        """Count the samples ``rows`` of a stack and their margins; violations keep their order.
 
-        Sample ``k`` has order ``n[k]``, x = (1, base) in the first ``n[k]``
-        columns of row ``k`` of ``x`` (any columns after those are ignored),
-        and factors ``delta[k]`` and ``gamma[k]``; only a violation becomes a
-        structure.  A NaN margin is a violation, and ``min_margin`` stays NaN
-        once one is recorded.
+        ``margins[i]`` is the margin of sample ``rows[i]``.  Sample ``k`` has
+        order ``n[k]``, x = (1, base) in the first ``n[k]`` columns of row
+        ``k`` of ``x`` (any columns after those are ignored), and factors
+        ``delta[k]`` and ``gamma[k]``; only a violation's row is read, to
+        become a structure.  A NaN margin is a violation, and ``min_margin``
+        stays NaN once one is recorded.
         """
         lemma = LEMMAS.get(self.lemma_id)
         floor = 0.0 if lemma is not None and lemma.equality else STRICT_MARGIN_FLOOR
         self.samples_run += len(margins)
         low = float(margins.min())    # NaN if any margin is
         self.min_margin = low if math.isnan(low) else min(self.min_margin, low)
+        bad = ~(margins > floor)
         self.violations += [(PerturbationStructure(kind, int(n[k]), tuple(x[k, 1:n[k]].tolist()),
-                                                   float(delta[k]), float(gamma[k])),
-                             float(margins[k])) for k in np.flatnonzero(~(margins > floor))]
+                                                   float(delta[k]), float(gamma[k])), float(m))
+                            for k, m in zip(rows[bad], margins[bad])]
 
     @property
     def passed(self) -> bool:
@@ -239,17 +241,25 @@ def expand_cycle_arcs(cycle: tuple, n: int, kind: PerturbationKind) -> list[tupl
     return arcs
 
 
-def _cycle_margins(kind: PerturbationKind, w, a, delta, gamma) -> np.ndarray:
-    """Worst normalized slack of w_u / w_v over a_uv along each sample's region cycle.
+@functools.cache
+def _region_arcs(kind: PerturbationKind, n: int) -> np.ndarray:
+    """(regions, arcs, 2): each region cycle's 0-based arcs at order ``n``, one count for all."""
+    return np.array([expand_cycle_arcs(cycle, n, kind) for _, cycle in CYCLES[kind]])
 
-    A row that no region's predicate covers keeps a NaN margin: a violation.
+
+def _cycle_margins(kind: PerturbationKind, w, a, rows, delta, gamma) -> np.ndarray:
+    """Worst normalized slack of w_u / w_v over a_uv along the region cycle of each of ``rows``.
+
+    Row ``rows[k]`` of the stacks ``w`` and ``a`` has factors ``delta[k]`` and
+    ``gamma[k]``, and one gather reads every row's arcs from its region's
+    :func:`_region_arcs`.  A row that no region covers gets a NaN margin: a violation.
     """
-    margins = np.full(len(w), np.nan)
-    for predicate, cycle in CYCLES[kind]:
-        rows = np.flatnonzero(predicate(delta, gamma))
-        u, v = np.array(expand_cycle_arcs(cycle, w.shape[1], kind)).T
-        entries = a[rows][:, u, v]
-        margins[rows] = ((w[rows][:, u] / w[rows][:, v] - entries) / entries).min(axis=1)
+    inside = np.array([predicate(delta, gamma) for predicate, _ in CYCLES[kind]])
+    u, v = np.moveaxis(_region_arcs(kind, a.shape[-1])[inside.argmax(axis=0)], -1, 0)
+    r = rows[:, None]
+    entries = a[r, u, v]
+    margins = ((w[r, u] / w[r, v] - entries) / entries).min(axis=1)
+    margins[~inside.any(axis=0)] = np.nan
     return margins
 
 
@@ -381,80 +391,77 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
 
     In stack ``(kind, x, roots)``, cell ``c`` has factors ``delta[c]`` and
     ``gamma[c]``, and row ``k`` of ``x``, (1, base) of sample ``k``, belongs
-    to cell ``k // count`` for ``count`` rows per cell.  Positivity holds in
-    every cell (no factor is 1), and ``roots`` holds each cell's closed-form
-    root if it is requested; each other hypothesis is one mask per stack over
-    its cells.  The matrices of the rows some mask holds are built, validated
-    and solved by order, across stacks and kinds, at most ``_STACK_CAP`` at a
-    time (:func:`_order_chunks`); of a chunk, only the weights and the cycle
-    margins, which read the entries, are kept.
+    to cell ``k // count`` for ``count`` rows per cell.  Each run of
+    consecutive stacks of one kind becomes one stack whose rows carry their
+    own orders and factors: the bases and weights of a lower order repeat
+    their last column up to the run's top order, which repeats a term of
+    every margin and adds to the equality checks only pairs of equal
+    ratios, whose margin is the whole tolerance, so no margin changes.
 
-    Then each run of consecutive stacks of one kind is recorded as one stack
-    whose rows carry their own orders: the bases and weights of a lower order
-    repeat their last column up to the run's top order, which repeats a term
-    of every margin and adds to the equality checks only pairs of equal
-    ratios, whose margin is the whole tolerance, so no margin changes.  Each lemma and the cycle check is recorded
-    once per run, on the rows its masks hold, and positivity on the
-    closed-form variant vectors of at most ``_STACK_CAP`` rows at a time,
-    reading no matrix.  Runs are recorded in stack order, so that a report
-    spanning kinds sees its samples in stack order.
+    Positivity holds in every cell (no factor is 1), and ``roots`` holds each
+    cell's closed-form root if it is requested; each other hypothesis is one
+    mask per run, over its rows' orders and factors.  The matrices of the
+    rows some mask holds are built, validated and solved by order, across
+    stacks and kinds, at most ``_STACK_CAP`` at a time (:func:`_order_chunks`);
+    of a chunk, only each row's weights and cycle margin, which reads the
+    entries, are kept.  Each lemma's margin is then evaluated once on all its
+    run's rows (an unsolved row has weights of one, on which no margin
+    warns), and each check is recorded on the rows its mask holds;
+    positivity on the closed-form variant vectors of at most ``_STACK_CAP``
+    rows at a time, reading no matrix.  Runs are recorded in stack order,
+    so that a report spanning kinds sees its samples in stack order.
     """
     kinds, xs, roots = zip(*stacks)
-    counts = [len(x) // len(delta) for x in xs]
-    ids = {kind: [check_id for check_id in reports if check_id != POSITIVITY_CHECK
-                  and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
-           for kind in kinds}
-    held = [np.repeat(np.array([_holds(check_id, kind, x.shape[1], delta, gamma)
-                                for check_id in ids[kind]], dtype=bool)
-                      .reshape(len(ids[kind]), len(delta)).T, count, axis=0)
-            for kind, x, count in zip(kinds, xs, counts)]
-    rows = [np.flatnonzero(h.any(axis=1)) for h in held]
-    # per stack, the weights and cycle margins of the rows some mask holds
-    w, cycle = [np.empty(x.shape) for x in xs], [np.full(len(x), np.nan) for x in xs]
-    for chunk in _order_chunks([x.shape[1] for x in xs], [len(r) for r in rows]):
-        parts = [(s, rows[s][start:stop]) for s, start, stop in chunk]
-        a = np.concatenate([canonical_entries(kinds[s], xs[s][r, 1:], delta[r // counts[s]],
-                                              gamma[r // counts[s]]) for s, r in parts])
+    runs, solve = [], []    # per run, its rows' arrays; per stack, its run and the rows to solve
+    for kind, group in itertools.groupby(range(len(stacks)), kinds.__getitem__):
+        group = list(group)
+        top = max(xs[s].shape[1] for s in group)
+        x = np.concatenate([xs[s][:, np.minimum(np.arange(top), xs[s].shape[1] - 1)]
+                            for s in group])
+        n = np.concatenate([np.full(len(xs[s]), xs[s].shape[1]) for s in group])
+        # row k of the run lies in cell slot[k] % cells of stack group[slot[k] // cells]
+        slot = np.concatenate([np.arange(len(xs[s])) // (len(xs[s]) // len(delta)) + i * len(delta)
+                               for i, s in enumerate(group)])
+        d, g = delta[slot % len(delta)], gamma[slot % len(delta)]
+        ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
+               and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
+        held = np.array([_holds(check_id, kind, n, d, g) for check_id in ids],
+                        dtype=bool).reshape(len(ids), len(x))
+        run = (kind, group, x, n, d, g, slot, ids, held, np.ones(x.shape), np.full(len(x), np.nan))
+        runs.append(run)
+        need = np.flatnonzero(held.any(axis=0))
+        ends = np.cumsum([len(xs[s]) for s in group])[:-1]
+        solve += [(run, r) for r in np.split(need, np.searchsorted(need, ends))]
+    for chunk in _order_chunks([x.shape[1] for x in xs], [len(r) for _, r in solve]):
+        parts = [(solve[s][0], solve[s][1][start:stop]) for s, start, stop in chunk]
+        order = xs[chunk[0][0]].shape[1]
+        a = np.concatenate([canonical_entries(kind, x[r, 1:order], d[r], g[r])
+                            for (kind, _, x, _, d, g, *_), r in parts])
         validate_entries(a)
         solved = power_iteration_batch(a).w
         first = 0
-        for s, r in parts:
-            part = slice(first, first + len(r))
+        for (kind, _, x, _, d, g, _, ids, held, w, cycle), r in parts:
+            w[r] = solved[first:first + len(r), np.minimum(np.arange(x.shape[1]), order - 1)]
+            if CYCLE_CHECK in ids:
+                on = np.flatnonzero(held[ids.index(CYCLE_CHECK), r])
+                cycle[r[on]] = _cycle_margins(kind, solved, a, first + on, d[r[on]], g[r[on]])
             first += len(r)
-            w[s][r] = solved[part]
-            if CYCLE_CHECK in ids[kinds[s]]:
-                on = held[s][r, ids[kinds[s]].index(CYCLE_CHECK)]
-                cell = r[on] // counts[s]
-                cycle[s][r[on]] = _cycle_margins(kinds[s], solved[part][on], a[part][on],
-                                                 delta[cell], gamma[cell])
-    for kind, run in itertools.groupby(range(len(stacks)), kinds.__getitem__):
-        run = list(run)
-        top = max(xs[s].shape[1] for s in run)
-        x, wx = (np.concatenate([a[s][:, np.minimum(np.arange(top), xs[s].shape[1] - 1)]
-                                 for s in run]) for a in (xs, w))
-        n = np.concatenate([np.full(len(xs[s]), xs[s].shape[1]) for s in run])
-        # row k of the run lies in cell slot[k] % cells of stack run[slot[k] // cells]
-        slot = np.concatenate([np.arange(len(xs[s])) // counts[s] + i * len(delta)
-                               for i, s in enumerate(run)])
-        d, g = delta[slot % len(delta)], gamma[slot % len(delta)]
+    for kind, group, x, n, d, g, slot, ids, held, w, cycle in runs:
         if POSITIVITY_CHECK in reports:
             # a (9, slots) table of form terms
-            terms = np.array([form_terms(dc, gc, lam) for s in run for dc, gc, lam
+            terms = np.array([form_terms(dc, gc, lam) for s in group for dc, gc, lam
                               in zip(delta.tolist(), gamma.tolist(), roots[s])]).T
             for start in range(0, len(x), _STACK_CAP):
                 k = slice(start, start + _STACK_CAP)
                 v = variant_vectors(kind, x[k].T, terms[:, slot[k]], n[k])
                 margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
-                reports[POSITIVITY_CHECK].record(kind, x[k], n[k], d[k], g[k], margins)
-        run_cycle = np.concatenate([cycle[s] for s in run])
-        for check_id, mask in zip(ids[kind], np.concatenate([held[s] for s in run]).T):
+                reports[POSITIVITY_CHECK].record(kind, np.arange(len(x))[k], x, n, d, g, margins)
+        for check_id, mask in zip(ids, held):
             k = np.flatnonzero(mask)
-            if not k.size:
-                continue
-            lemma = LEMMAS.get(check_id)
-            xk, dk, gk = x[k], d[k], g[k]
-            reports[check_id].record(kind, xk, n[k], dk, gk, run_cycle[k] if lemma is None
-                                     else lemma.margin(wx[k], xk, dk, gk))
+            if k.size:
+                lemma = LEMMAS.get(check_id)
+                margins = cycle if lemma is None else lemma.margin(w, x, d, g)
+                reports[check_id].record(kind, k, x, n, d, g, margins[k])
 
 
 def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,

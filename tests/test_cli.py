@@ -505,6 +505,29 @@ def test_a_directory_as_output_is_named_in_the_error(example1_file, args):
     assert sorted(p.name for p in example1_file.parent.iterdir()) == ["d", "example1.txt"]
 
 
+@pytest.mark.parametrize("args, unbuffered", [
+    pytest.param(("analyze", "{dir}/example1.txt", "--json"), False, id="analyze"),
+    pytest.param(("analyze", "{dir}/example1.txt", "--json"), True, id="analyze-unbuffered"),
+    pytest.param(("generate", "--family", "case2b", "--n", "6"), False, id="generate"),
+    pytest.param(("verify", "--lemmas", "2a", "--samples", "1", "--json"), False, id="verify"),
+])
+def test_a_closed_stdout_is_one_error_line(example1_file, args, unbuffered):
+    # buffered, the report reaches the closed pipe only when stdout is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pcmeff",
+                               *(a.format(dir=example1_file.parent) for a in args)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+
+
 def test_a_directory_among_the_outputs_changes_no_file(example1_file):
     kept, target = example1_file.parent / "m.txt", example1_file.parent / "d"
     kept.write_text("old\n")

@@ -1,8 +1,8 @@
 """Relations that hold exactly in real arithmetic, checked by calling the library twice.
 
 Each needs no second implementation: the geometric-mean vector is efficient
-for every PCM, transposing or relabeling a canonical matrix moves its
-classification in a known way, and relabeling any PCM permutes its
+for every PCM, transposing, relabeling or diagonally rescaling a matrix moves
+its classification in a known way, and relabeling any PCM permutes its
 eigenvector and its efficiency certificate.
 """
 
@@ -13,6 +13,7 @@ from pcmeff import (
     GeneratorSpec,
     Pcm,
     PerturbationKind,
+    build_digraph,
     classify_perturbation,
     generate,
     is_efficient,
@@ -122,3 +123,36 @@ def test_relabeling_permutes_w_and_the_certificate():
         assert (vb.sink and relabeled(vb.sink)) == va.sink, (k, perm)
         inefficient += not va.efficient
     assert inefficient >= 300    # so the sink and the chain order are exercised
+
+
+def test_diagonal_similarity_scales_the_classification_and_keeps_the_digraph():
+    # b_ij = a_ij d_j / d_i has potentials t_v d_v / d_0: the same cells and factors,
+    # base ratios scaled by d, and for the weights w / d the same arc on every pair
+    rng = np.random.default_rng(1513)
+    families = [kind.value for kind in CANONICAL_FORMS]
+    perturbed = 0
+    for k in range(1000):
+        if k % 4 == 3:
+            m = noisy_consistent(rng, int(rng.integers(3, 13)))
+        else:
+            family = families[k % len(families)]
+            form = CANONICAL_FORMS[PerturbationKind(family)]
+            n = int(rng.integers(max(3, form.min_order), (form.max_order or 12) + 1))
+            m, _ = generate(GeneratorSpec(family, n=n, seed=k))
+        d = 10.0 ** rng.uniform(-150.0, 150.0, m.n)
+        b = Pcm(m.entries * d[None, :] / d[:, None])
+        ca, cb = classify_perturbation(m), classify_perturbation(b)
+        assert (cb.kind, cb.positions, cb.alternatives, cb.permutation) == \
+            (ca.kind, ca.positions, ca.alternatives, ca.permutation), k
+        for fa, fb in [(ca.delta, cb.delta), (ca.gamma, cb.gamma)]:
+            assert (fa is None) == (fb is None), k
+            assert fa is None or abs(fb - fa) <= 1e-12 * fa, (k, fa, fb)
+        if ca.base is not None:
+            perm = list(ca.permutation or range(m.n))
+            scaled = np.array(ca.base) * d[perm[1:]] / d[perm[0]]
+            assert np.all(np.abs(np.array(cb.base) - scaled) <= 1e-12 * scaled), k
+        perturbed += ca.delta is not None
+        w = power_iteration(m).w
+        assert np.array_equal(build_digraph(b, w / d).adjacency,
+                              build_digraph(m, w).adjacency), k
+    assert perturbed >= 500

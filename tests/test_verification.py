@@ -24,7 +24,8 @@ from pcmeff import (
     verify_theorem,
 )
 from pcmeff import cli, spectral, verification
-from pcmeff.pcm import DOUBLE_KINDS
+from pcmeff.pcm import CANONICAL_FORMS, DOUBLE_KINDS
+from pcmeff.spectral import power_iteration_batch
 from pcmeff.verification import (
     ALL_CHECK_IDS,
     CYCLE_CHECK,
@@ -214,16 +215,61 @@ def test_a_sample_outside_every_region_is_a_cycle_violation():
     sample = PerturbationStructure(PerturbationKind.CASE1, 5, (1.0,) * 4, 2.0, 2.0)
     m = apply_perturbation(sample)
     factor = np.array([2.0])
+    row = np.array([0])
     margins = verification._cycle_margins(sample.kind, power_iteration(m).w[None],
-                                          m.entries[None], factor, factor)
+                                          m.entries[None], row, factor, factor)
     assert np.isnan(margins).all()
     report = verification.LemmaReport(CYCLE_CHECK)
-    report.record(sample.kind, np.ones((1, 5)), [5], factor, factor, margins)
+    report.record(sample.kind, row, np.ones((1, 5)), [5], factor, factor, margins)
     assert not report.passed and [s for s, _ in report.violations] == [sample]
     # the NaN reaches the worst margin, and a later number does not replace it
     assert np.isnan(report.min_margin)
-    report.record(sample.kind, np.ones((1, 5)), [5], factor, factor, np.array([0.5]))
+    report.record(sample.kind, row, np.ones((1, 5)), [5], factor, factor, np.array([0.5]))
     assert np.isnan(report.min_margin) and report.samples_run == 2
+
+
+def test_every_region_of_a_kind_expands_to_one_arc_count():
+    # _cycle_margins gathers every region's arcs as one (rows, arcs) array
+    for kind in DOUBLE_KINDS:
+        form = CANONICAL_FORMS[kind]
+        for n in range(form.min_order, (form.max_order or 32) + 1):
+            counts = {len(expand_cycle_arcs(cycle, n, kind)) for _, cycle in CYCLES[kind]}
+            assert len(counts) == 1, (kind, n, counts)
+
+
+def per_region_cycle_margins(kind, w, a, delta, gamma):
+    """Each region's rows copied out of the stacks and scored on their own arcs."""
+    margins = np.full(len(w), np.nan)
+    for predicate, cycle in CYCLES[kind]:
+        rows = np.flatnonzero(predicate(delta, gamma))
+        u, v = np.array(expand_cycle_arcs(cycle, w.shape[1], kind)).T
+        entries = a[rows][:, u, v]
+        margins[rows] = ((w[rows][:, u] / w[rows][:, v] - entries) / entries).min(axis=1)
+    return margins
+
+
+@pytest.mark.parametrize("kind", DOUBLE_KINDS, ids=lambda k: k.value)
+def test_one_gather_cycle_margins_equal_the_per_region_loop(kind):
+    rng = np.random.default_rng(DOUBLE_KINDS.index(kind))
+    orders = [n for n in range(4, 13) if CANONICAL_FORMS[kind].allows(n)]
+    checked = 0
+    for n in orders:
+        count = -(-240 // len(orders))
+        delta = rng.choice(SuiteGrid.ratio_values, count)
+        gamma = rng.choice(SuiteGrid.ratio_values, count)
+        if kind == PerturbationKind.CASE1:    # delta == gamma: no region, a NaN margin
+            gamma[:3] = delta[:3]
+        a = verification.canonical_entries(kind, np.exp(rng.uniform(-2.0, 2.0, (count, n - 1))),
+                                           delta, gamma)
+        w = power_iteration_batch(a).w
+        rows = np.append(rng.permutation(count), 0)    # rows out of order, one of them twice
+        got = verification._cycle_margins(kind, w, a, rows, delta[rows], gamma[rows])
+        want = per_region_cycle_margins(kind, w[rows], a[rows], delta[rows], gamma[rows])
+        assert got.tobytes() == want.tobytes(), (kind, n)
+        nan = (delta[rows] == gamma[rows]) if kind == PerturbationKind.CASE1 else False
+        assert np.array_equal(np.isnan(got), np.broadcast_to(nan, got.shape)), (kind, n)
+        checked += len(rows)
+    assert checked >= 200
 
 
 def test_named_cycle_is_present_in_the_digraph():
@@ -336,30 +382,33 @@ def test_hypotheses_are_evaluated_once_per_stack(monkeypatch, check_ids):
     held, hypotheses = [], []
     holds = verification._holds
 
+    def shapes(n, d, g):
+        return tuple(np.unique(n).tolist()), type(d), np.shape(d), type(g), np.shape(g)
+
     def counting_holds(check_id, kind, n, delta, gamma):
-        held.append((check_id, kind, n, type(delta), delta.shape, type(gamma), gamma.shape))
+        held.append((check_id, kind, *shapes(n, delta, gamma)))
         return holds(check_id, kind, n, delta, gamma)
 
     for lemma in list(LEMMAS.values()):
         def counting(d, g, n, lemma=lemma):
-            hypotheses.append((lemma.lemma_id, n, type(d), np.shape(d), type(g), np.shape(g)))
+            hypotheses.append((lemma.lemma_id, *shapes(n, d, g)))
             return lemma.hypothesis(d, g, n)
         monkeypatch.setitem(LEMMAS, lemma.lemma_id,
                             dataclasses.replace(lemma, hypothesis=counting))
     monkeypatch.setattr(verification, "_holds", counting_holds)
     run_lemma_suite(SMALL_GRID, 1, check_ids)
-    cells = (len(SMALL_GRID.ratio_values) ** 2,)
-    # one call per (kind, n) stack for each requested check but positivity, which
-    # holds in every cell, each on the stack's cell arrays
+    rows = {kind: (len(SMALL_GRID.ratio_values) ** 2 * SMALL_GRID.bases(kind)
+                   * len(SMALL_GRID.orders(kind)),) for kind in DOUBLE_KINDS}
+    # one call per kind for each requested check but positivity, which holds in
+    # every cell, each on per-row arrays of the orders and factors of all its samples
     assert Counter(held) == Counter(
-        (check_id, kind, n, np.ndarray, cells, np.ndarray, cells)
-        for kind in DOUBLE_KINDS for n in SMALL_GRID.orders(kind) for check_id in check_ids
+        (check_id, kind, SMALL_GRID.orders(kind), np.ndarray, rows[kind], np.ndarray, rows[kind])
+        for kind in DOUBLE_KINDS for check_id in check_ids
         if check_id != POSITIVITY_CHECK
         and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind))
     assert Counter(hypotheses) == Counter(
-        (check_id, n, np.ndarray, cells, np.ndarray, cells)
-        for check_id in check_ids if check_id in LEMMAS
-        for n in SMALL_GRID.orders(LEMMAS[check_id].kind))
+        (check_id, SMALL_GRID.orders(kind), np.ndarray, rows[kind], np.ndarray, rows[kind])
+        for check_id in check_ids if check_id in LEMMAS for kind in [LEMMAS[check_id].kind])
 
 
 def test_positivity_holds_in_every_grid_cell():
@@ -426,10 +475,13 @@ def test_each_lemma_margin_is_evaluated_once_per_kind(monkeypatch):
             evaluated.append((lemma.lemma_id, x.shape[1], len(x)))
             return lemma.margin(w, x, d, g)
         monkeypatch.setitem(LEMMAS, lemma.lemma_id, dataclasses.replace(lemma, margin=counting))
-    reports = {r.lemma_id: r for r in run_lemma_suite(SuiteGrid(), seed=1)}
-    # one call over every order of the lemma's kind, padded to its top order
+    grid = SuiteGrid()
+    run_lemma_suite(grid, seed=1)
+    # one call over every sample of every order of the lemma's kind, padded to its
+    # top order, whether or not its hypothesis holds there
     assert sorted(evaluated) == sorted(
-        (lemma_id, max(SuiteGrid.orders(lemma.kind)), reports[lemma_id].samples_run)
+        (lemma_id, max(grid.orders(lemma.kind)),
+         len(grid.ratio_values) ** 2 * grid.bases(lemma.kind) * len(grid.orders(lemma.kind)))
         for lemma_id, lemma in LEMMAS.items())
 
 
