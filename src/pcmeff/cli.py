@@ -15,8 +15,9 @@ An unopenable input or output path is an error (exit 1), as are a closed
 standard output (one error line, and nothing more at exit), an invalid
 matrix and a sink too tight to improve in floats; ``--samples`` below 1,
 ``--seed`` below 0, a tolerance that is not finite and at least 0
-(``--tol-power``: above 0) and ``--out`` and ``--sidecar`` naming one file
-are usage errors (exit 2).
+(``--tol-power``: above 0), ``--out`` and ``--sidecar`` naming one file,
+and ``verify`` with neither or both of ``--lemmas`` and ``--theorem`` are
+usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -285,10 +286,6 @@ def _write_files(texts: dict[str, str]) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if (args.lemmas is None) == (args.theorem is None):
-        print("error: choose exactly one of --lemmas or --theorem", file=sys.stderr)
-        return EXIT_ERROR
-
     if args.lemmas is not None:
         wanted = ALL_CHECK_IDS if args.lemmas == "all" else tuple(args.lemmas.split(","))
         reports = run_lemma_suite(SuiteGrid.for_samples(args.samples), args.seed, wanted)
@@ -381,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_generate)
 
     p_ver = sub.add_parser("verify", help="run the inequality suite or theorem sweeps")
-    p_ver.add_argument("--lemmas", metavar="IDS",
-                       help="'all' or a comma-separated list of check ids")
-    p_ver.add_argument("--theorem", choices=tuple(THEOREMS))
+    mode = p_ver.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--lemmas", metavar="IDS",
+                      help="'all' or a comma-separated list of check ids")
+    mode.add_argument("--theorem", choices=tuple(THEOREMS))
     p_ver.add_argument("--samples", type=int_at_least(1), default=1000)
     p_ver.add_argument("--seed", type=int_at_least(0), default=42)
     p_ver.add_argument("--json", action="store_true")

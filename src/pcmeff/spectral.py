@@ -194,10 +194,10 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
     longer one runs it on numpy arrays, every live cell in one step, which
     costs about 0.3 ms for one cell but about 5 us for each further cell
     (x86-64, Python 3.11, numpy 2.4).  :func:`lambda_max_closed_form`, and
-    through it ``analyze``, :func:`closed_form_eigenvector` and
-    ``check_lemma``, solves lists of one; the lemma sweep solves its 640
-    cells as one stacked list.  Both loops do the same float operations in
-    the same order, so they give the same bits and the same error.
+    through it ``analyze`` and :func:`closed_form_eigenvector`, solves lists
+    of one; the lemma sweep solves its cells as one list, 640 on the default
+    grid and one from ``check_lemma``.  Both loops do the same float
+    operations in the same order, so they give the same bits and the same error.
     """
     coeffs = [_bracket_coeffs(*cell) for cell in cells]
     if len(cells) < _STACK_MIN_CELLS:

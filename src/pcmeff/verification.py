@@ -1,9 +1,10 @@
 """Numeric certification of the perturbed-matrix inequalities and theorems.
 
-Each check pits the eigenvector obtained by power iteration (never the
-closed forms, so the certification path is independent of the algebra the
-statements came from) against a comparison between one weight ratio and
-one matrix entry.  Strict statements must hold with a strictly positive
+Each check but positivity pits the eigenvector obtained by power iteration
+(never the closed forms, so the certification path is independent of the
+algebra the statements came from) against a comparison between one weight
+ratio and one matrix entry; positivity is the one check of the closed forms
+themselves.  Strict statements must hold with a strictly positive
 normalized margin, equality statements within a relative tolerance.  The
 suite runner sweeps a deterministic parameter grid and reports per-check
 sample counts, violations and the worst margin seen.
@@ -12,7 +13,6 @@ sample counts, violations and the worst margin seen.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -32,7 +32,7 @@ from .pcm import (
     canonical_entries,
     validate_entries,
 )
-# Nothing here calls power_iteration or raw_variant_vector; bench/spans.py wraps them here.
+# Unused here: bench/spans.py wraps lambda_max_closed_form, power_iteration, raw_variant_vector.
 from .spectral import form_terms, lambda_max_closed_form, lambda_max_closed_forms, \
     power_iteration, power_iteration_batch, raw_variant_vector, variant_vectors  # noqa: F401
 
@@ -41,11 +41,11 @@ EQUALITY_REL_TOL = 1e-9
 
 # Most matrices a sweep builds and solves as one stack, and most samples the
 # lemma sweep's positivity check evaluates at once.  Both sweeps solve by
-# order (`_order_chunks`), the lemma sweep across kinds; a sweep holds the
-# matrices of one chunk at once, so the cap bounds that part of its memory
-# (about 1 MB at 256 on the default lemma sweep); a larger stack saves little
-# time per member.  The lemma sweep evaluates its masks and margins and
-# records its checks over each kind's orders as one stack.
+# order, the lemma sweep across kinds; a sweep holds the matrices of one
+# chunk at once, so the cap bounds that part of its memory (about 1 MB at
+# 256 on the default lemma sweep); a larger stack saves little time per
+# member.  The lemma sweep evaluates its masks and margins and records its
+# checks over each kind's orders as one stack.
 _STACK_CAP = 256
 
 POSITIVITY_CHECK = "positivity"
@@ -282,7 +282,8 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
     """Evaluate one check on one sample: a report of one sample, min_margin > 0 if it held.
 
     The sweep on one grid cell with the sample's base, which every canonical
-    structure carries.  ``ValueError`` for an unknown
+    structure carries, as one kind with one one-row stack; the sweep solves
+    the cell's closed-form root for positivity.  ``ValueError`` for an unknown
     check id, then :class:`HypothesisViolatedError` naming the check and the
     sample's kind, n, delta and gamma unless the kind is double-perturbed and
     :func:`_holds` is true there (never where delta or gamma equals 1).
@@ -295,8 +296,7 @@ def check_lemma(lemma_id: str, sample: PerturbationStructure) -> LemmaReport:
                                       f"n = {n}, delta = {delta}, gamma = {gamma}")
     report = LemmaReport(lemma_id)
     _sweep_cells({lemma_id: report}, np.array([delta]), np.array([gamma]),
-                 [(kind, np.array([(1.0,) + tuple(sample.base)]),
-                   [lambda_max_closed_form(sample)] if lemma_id == POSITIVITY_CHECK else [])])
+                 [(kind, [np.array([(1.0,) + tuple(sample.base)])])])
     return report
 
 
@@ -361,96 +361,73 @@ def _smallest_regions(ratio_values: tuple[float, ...],
                  for kind, kind_orders in zip(DOUBLE_KINDS, orders))
 
 
-def _order_chunks(orders: Sequence[int], sizes: Sequence[int]):
-    """Chunks of at most ``_STACK_CAP`` items that share an order, as (group, start, stop) ranges.
-
-    Group ``g`` holds ``sizes[g]`` items of order ``orders[g]``.  Orders come
-    in order of first appearance, and each order's groups and items in index
-    order, so a sweep that solves each chunk as one stack solves by order
-    across whatever else tells its groups apart.
-    """
-    for n in dict.fromkeys(orders):
-        chunk, room = [], _STACK_CAP
-        for g in [g for g, order in enumerate(orders) if order == n]:
-            start = 0
-            while start < sizes[g]:
-                stop = min(start + room, sizes[g])
-                chunk.append((g, start, stop))
-                room -= stop - start
-                start = stop
-                if not room:
-                    yield chunk
-                    chunk, room = [], _STACK_CAP
-        if chunk:
-            yield chunk
-
-
 def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.ndarray,
-                 stacks: Sequence[tuple[PerturbationKind, np.ndarray, Sequence[float]]]) -> None:
-    """Record the requested checks on stacks of grid-cell samples, each of one kind and order.
+                 runs: Sequence[tuple[PerturbationKind, Sequence[np.ndarray]]]) -> None:
+    """Record the requested checks on each kind's grid-cell samples, all its orders at once.
 
-    In stack ``(kind, x, roots)``, cell ``c`` has factors ``delta[c]`` and
-    ``gamma[c]``, and row ``k`` of ``x``, (1, base) of sample ``k``, belongs
-    to cell ``k // count`` for ``count`` rows per cell.  Each run of
-    consecutive stacks of one kind becomes one stack whose rows carry their
-    own orders and factors: the bases and weights of a lower order repeat
-    their last column up to the run's top order, which repeats a term of
-    every margin and adds to the equality checks only pairs of equal
-    ratios, whose margin is the whole tolerance, so no margin changes.
+    In run ``(kind, xs)``, ``xs`` holds the kind's stacks in ascending order;
+    in each, cell ``c`` has factors ``delta[c]`` and ``gamma[c]``, and row
+    ``k``, (1, base) of sample ``k``, belongs to cell ``k // count`` for
+    ``count`` rows per cell.  A kind's stacks become one stack whose rows
+    carry their own orders and factors: the bases and weights of a lower
+    order repeat their last column up to the kind's top order, which repeats
+    a term of every margin and adds to the equality checks only pairs of
+    equal ratios, whose margin is the whole tolerance, so no margin changes.
 
-    Positivity holds in every cell (no factor is 1), and ``roots`` holds each
-    cell's closed-form root if it is requested; each other hypothesis is one
-    mask per run, over its rows' orders and factors.  The matrices of the
-    rows some mask holds are built, validated and solved by order, across
-    stacks and kinds, at most ``_STACK_CAP`` at a time (:func:`_order_chunks`);
-    of a chunk, only each row's weights and cycle margin, which reads the
-    entries, are kept.  Each lemma's margin is then evaluated once on all its
-    run's rows (an unsolved row has weights of one, on which no margin
-    warns), and each check is recorded on the rows its mask holds;
-    positivity on the closed-form variant vectors of at most ``_STACK_CAP``
-    rows at a time, reading no matrix.  Runs are recorded in stack order,
-    so that a report spanning kinds sees its samples in stack order.
+    Positivity holds in every cell (no factor is 1); if it is requested, one
+    solve gives every stack's cells their closed-form roots, in run and
+    stack order.  Each other hypothesis is one mask per kind, over its rows'
+    orders and factors.  Order by order, the rows some mask holds, every
+    kind's in run order, are built, validated and solved at most
+    ``_STACK_CAP`` at a time; of a chunk, only each row's weights and cycle
+    margin, which reads the entries, are kept.  Each lemma's margin is then
+    evaluated once on all its kind's rows (an unsolved row has weights of
+    one, on which no margin warns), and each check is recorded on the rows
+    its mask holds, kind by kind in run order; positivity on the closed-form
+    variant vectors of at most ``_STACK_CAP`` rows at a time, reading no matrix.
     """
-    kinds, xs, roots = zip(*stacks)
-    runs, solve = [], []    # per run, its rows' arrays; per stack, its run and the rows to solve
-    for kind, group in itertools.groupby(range(len(stacks)), kinds.__getitem__):
-        group = list(group)
-        top = max(xs[s].shape[1] for s in group)
-        x = np.concatenate([xs[s][:, np.minimum(np.arange(top), xs[s].shape[1] - 1)]
-                            for s in group])
-        n = np.concatenate([np.full(len(xs[s]), xs[s].shape[1]) for s in group])
-        # row k of the run lies in cell slot[k] % cells of stack group[slot[k] // cells]
-        slot = np.concatenate([np.arange(len(xs[s])) // (len(xs[s]) // len(delta)) + i * len(delta)
-                               for i, s in enumerate(group)])
-        d, g = delta[slot % len(delta)], gamma[slot % len(delta)]
+    cells = list(zip(delta.tolist(), gamma.tolist()))
+    if POSITIVITY_CHECK in reports:    # a (9, slots) table of form terms, one slot per stack cell
+        roots = lambda_max_closed_forms([(kind, x.shape[1], d, g) for kind, xs in runs
+                                         for x in xs for d, g in cells])
+        terms = np.array([form_terms(*cells[s % len(cells)], lam)
+                          for s, lam in enumerate(roots.tolist())]).T
+    laid, stacks = [], 0    # per kind, its rows' arrays
+    for kind, xs in runs:
+        x = np.concatenate([s[:, np.minimum(np.arange(xs[-1].shape[1]), s.shape[1] - 1)]
+                            for s in xs])
+        n = np.concatenate([np.full(len(s), s.shape[1]) for s in xs])
+        # row k lies in cell slot[k] % len(cells) of stack slot[k] // len(cells) of all runs
+        slot = np.concatenate([np.arange(len(s)) // (len(s) // len(cells)) + i * len(cells)
+                               for i, s in enumerate(xs, stacks)])
+        stacks += len(xs)
+        d, g = delta[slot % len(cells)], gamma[slot % len(cells)]
         ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
                and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
         held = np.array([_holds(check_id, kind, n, d, g) for check_id in ids],
                         dtype=bool).reshape(len(ids), len(x))
-        run = (kind, group, x, n, d, g, slot, ids, held, np.ones(x.shape), np.full(len(x), np.nan))
-        runs.append(run)
-        need = np.flatnonzero(held.any(axis=0))
-        ends = np.cumsum([len(xs[s]) for s in group])[:-1]
-        solve += [(run, r) for r in np.split(need, np.searchsorted(need, ends))]
-    for chunk in _order_chunks([x.shape[1] for x in xs], [len(r) for _, r in solve]):
-        parts = [(solve[s][0], solve[s][1][start:stop]) for s, start, stop in chunk]
-        order = xs[chunk[0][0]].shape[1]
-        a = np.concatenate([canonical_entries(kind, x[r, 1:order], d[r], g[r])
-                            for (kind, _, x, _, d, g, *_), r in parts])
-        validate_entries(a)
-        solved = power_iteration_batch(a).w
-        first = 0
-        for (kind, _, x, _, d, g, _, ids, held, w, cycle), r in parts:
-            w[r] = solved[first:first + len(r), np.minimum(np.arange(x.shape[1]), order - 1)]
-            if CYCLE_CHECK in ids:
-                on = np.flatnonzero(held[ids.index(CYCLE_CHECK), r])
-                cycle[r[on]] = _cycle_margins(kind, solved, a, first + on, d[r[on]], g[r[on]])
-            first += len(r)
-    for kind, group, x, n, d, g, slot, ids, held, w, cycle in runs:
+        laid.append((kind, x, n, d, g, slot, ids, held, np.ones(x.shape), np.full(len(x), np.nan),
+                     np.flatnonzero(held.any(axis=0))))
+    for order in sorted({x.shape[1] for _, xs in runs for x in xs}):
+        rows = [need[n[need] == order] for _, _, n, *_, need in laid]
+        owner = np.repeat(np.arange(len(laid)), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        for start in range(0, len(rows), _STACK_CAP):
+            chunk, of = rows[start:start + _STACK_CAP], owner[start:start + _STACK_CAP]
+            parts = [(laid[i], chunk[of == i]) for i in range(len(laid)) if (of == i).any()]
+            a = np.concatenate([canonical_entries(kind, x[r, 1:order], d[r], g[r])
+                                for (kind, x, _, d, g, *_), r in parts])
+            validate_entries(a)
+            solved = power_iteration_batch(a).w
+            first = 0
+            for (kind, x, _, d, g, _, ids, held, w, cycle, _), r in parts:
+                w[r] = solved[first:first + len(r), np.minimum(np.arange(x.shape[1]), order - 1)]
+                if CYCLE_CHECK in ids:
+                    on = np.flatnonzero(held[ids.index(CYCLE_CHECK), r])
+                    cycle[r[on]] = _cycle_margins(kind, solved, a, first + on, d[r[on]], g[r[on]])
+                first += len(r)
+    for kind, x, n, d, g, slot, ids, held, w, cycle, _ in laid:
         if POSITIVITY_CHECK in reports:
-            # a (9, slots) table of form terms
-            terms = np.array([form_terms(dc, gc, lam) for s in group for dc, gc, lam
-                              in zip(delta.tolist(), gamma.tolist(), roots[s])]).T
             for start in range(0, len(x), _STACK_CAP):
                 k = slice(start, start + _STACK_CAP)
                 v = variant_vectors(kind, x[k].T, terms[:, slot[k]], n[k])
@@ -470,13 +447,13 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
 
     Each check is one array expression over the samples of one kind, all
     its orders at once, and a sample is a row of bases and factors, not an
-    object.  Every (kind, n) stack's bases are drawn first, whichever checks
-    are requested, so a subset reports exactly what the full sweep reports
-    for it; then :func:`_sweep_cells` solves the matrices by order across
-    kinds and records each kind in draw order.  Reports come back in
-    registry order followed by the positivity and cycle checks, violations
-    in draw order; the run is a pure function of the grid, seed and check
-    ids.
+    object.  Every (kind, n) stack's bases are drawn first, kind by kind and
+    order by order, whichever checks are requested, so a subset reports
+    exactly what the full sweep reports for it; then :func:`_sweep_cells`
+    solves the roots and matrices and records each kind in draw order.
+    Reports come back in registry order followed by the positivity and
+    cycle checks, violations in draw order; the run is a pure function of
+    the grid, seed and check ids.
     ``ValueError`` for an unknown check id.
     """
     unknown = [check_id for check_id in check_ids if check_id not in ALL_CHECK_IDS]
@@ -488,18 +465,9 @@ def run_lemma_suite(grid: SuiteGrid | None = None, seed: int = 0,
                if check_id in check_ids}
     delta = np.repeat(grid.ratio_values, len(grid.ratio_values))    # cells: delta outer,
     gamma = np.tile(grid.ratio_values, len(grid.ratio_values))      # gamma inner
-    stacks = [(kind, n) for kind in DOUBLE_KINDS for n in grid.orders(kind)]
-    roots = [[]] * len(stacks)
-    if POSITIVITY_CHECK in reports:    # it holds in every cell: one solve covers every stack
-        roots = lambda_max_closed_forms([(kind, n, d, g) for kind, n in stacks for d, g
-                                         in zip(delta.tolist(), gamma.tolist())]
-                                        ).reshape(len(stacks), -1).tolist()
-    drawn = []
-    for (kind, n), lam in zip(stacks, roots):
-        x = np.ones((len(delta) * grid.bases(kind), n))
-        x[:, 1:] = sample_bases(rng, n, len(x))
-        drawn.append((kind, x, lam))
-    _sweep_cells(reports, delta, gamma, drawn)
+    runs = [(kind, [np.insert(sample_bases(rng, n, len(delta) * grid.bases(kind)), 0, 1.0, axis=1)
+                    for n in grid.orders(kind)]) for kind in DOUBLE_KINDS]
+    _sweep_cells(reports, delta, gamma, runs)
     return list(reports.values())
 
 
@@ -552,18 +520,18 @@ THEOREMS = {"main": ("double", "simple"), "simple": ("simple",), "apq": ("apq",)
 def theorem_sweep(sweep: str, samples: int, seed: int) -> TheoremReport:
     """Judge the eigenvectors of ``samples`` matrices a sweep draws from one seeded RNG.
 
-    Matrices are drawn in stacks of at most ``_STACK_CAP``, and each stack's
-    eigenvectors are solved by order (:func:`_order_chunks`, as the lemma
-    sweep solves); power iteration draws nothing, so the matrices are those
-    of a one-at-a-time sweep.
+    Matrices are drawn in blocks of at most ``_STACK_CAP``, and each block's
+    eigenvectors are solved one order at a time, orders in order of first
+    appearance; power iteration draws nothing, so the matrices are those of
+    a one-at-a-time sweep.
     """
     name, efficient, draw = SWEEPS[sweep]
     rng = np.random.default_rng(seed)
     conforming = 0
     for start in range(0, samples, _STACK_CAP):
         ms = [draw(rng) for _ in range(min(_STACK_CAP, samples - start))]
-        for chunk in _order_chunks([m.n for m in ms], [1] * len(ms)):
-            stack = [ms[k] for k, _, _ in chunk]
+        for n in dict.fromkeys(m.n for m in ms):
+            stack = [m for m in ms if m.n == n]
             w = power_iteration_batch(np.array([m.entries for m in stack])).w
             conforming += sum(is_efficient(m, wm).efficient == efficient
                               for m, wm in zip(stack, w))

@@ -83,7 +83,7 @@ def consistent_file(tmp_path):
 
 @pytest.mark.parametrize("args, code", [
     (("generate", "--family", "example1"), 0),
-    (("verify",), 1),
+    (("verify", "--lemmas", "9z"), 1),
     (("analyze", "{dir}/bad.txt"), 2),
     (("analyze", "{dir}/example1.txt"), 3),
 ])
@@ -700,5 +700,5 @@ def test_verify_is_deterministic_per_seed():
 
 
 def test_verify_requires_exactly_one_mode():
-    assert run_cli("verify").returncode == 1
-    assert run_cli("verify", "--lemmas", "all", "--theorem", "main").returncode == 1
+    assert run_cli("verify").returncode == 2
+    assert run_cli("verify", "--lemmas", "all", "--theorem", "main").returncode == 2

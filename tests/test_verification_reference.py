@@ -153,7 +153,8 @@ def bits(samples, min_margin, violations):
 # ---------------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("grid, seed", [(SMALL_GRID, 1), (SMALL_GRID, 4),
-                                        (SuiteGrid.for_samples(64), 42)])
+                                        (SuiteGrid.for_samples(64), 42),
+                                        (SuiteGrid(bases_per_cell=2, bases_per_cell_case2a=3), 5)])
 def test_stacked_sweep_equals_the_per_sample_path(monkeypatch, grid, seed):
     # a floor above the smallest strict margins sends samples down the violation path
     monkeypatch.setattr(verification, "STRICT_MARGIN_FLOOR", 1e-2)
