@@ -115,25 +115,39 @@ def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
                           int(r.iterations[0]))
 
 
-def _bracket_coeffs(kind: PerturbationKind, n: int, d: float, g: float) -> tuple[float, ...]:
+def _power(v, p: int):
+    """Python float ``v**p``, inf past the float range; on an array, one per distinct value.
+
+    numpy's array ``**`` may round unlike float ``**``; ``+ - * /`` round alike on both.
+    """
+    if isinstance(v, np.ndarray):
+        s = np.sort(v)
+        s = s[np.concatenate(([True], s[1:] != s[:-1]))]
+        return np.array([_power(u, p) for u in s.tolist()])[np.searchsorted(s, v)]
+    try:
+        return v**p
+    except OverflowError:    # float ** raises where numpy gives inf
+        return math.inf
+
+
+def _bracket_coeffs(kind: PerturbationKind, n, d, g) -> tuple:
     """Coefficients (highest degree first) of the non-trivial polynomial factor.
 
     The full characteristic polynomial is sign * lambda^k * bracket(lambda);
     the bracket carries every nonzero root, in particular the unique real
-    root above n.  It depends on kind, n, delta and gamma alone, and is
-    computed on Python floats, whose ``**`` may round unlike numpy's.
+    root above n.  It depends on kind, n, delta and gamma alone, Python
+    numbers or equal-length arrays of cells, each cell with its own bits; an
+    overflowed square makes the constant term infinite, failing the bracket.
     """
     if kind not in DOUBLE_KINDS:
         raise InvalidCaseError(f"no closed-form polynomial for kind {kind.value!r}")
-    n = float(n)
     if kind == PerturbationKind.CASE1:
         b1 = (g / d + d / g) + (n - 3) * (g + d + 1.0 / g + 1.0 / d) - 4.0 * n + 10.0
         return 1.0, -n, 0.0, -b1
     e = g + d + 1.0 / g + 1.0 / d - 4.0
-    try:
-        c = (g - 1.0) ** 2 * (d - 1.0) ** 2 / (g * d)
-    except OverflowError:    # float ** raises where numpy gives inf, which fails the bracket
-        c = np.inf
+    c = _power(g - 1.0, 2) * _power(d - 1.0, 2) / (g * d)
+    # NaN only where a square overflowed (inf * 0, inf / inf), as factors are positive finite
+    c = np.where(c == c, c, np.inf) if isinstance(c, np.ndarray) else c if c == c else math.inf
     if kind == PerturbationKind.CASE2A:
         return 1.0, -4.0, 0.0, -2.0 * e, -c
     return 1.0, -n, 0.0, -(n - 2) * e, -c, -(n - 4) * c
@@ -153,8 +167,8 @@ def _horner(columns, x):
     return p, dp
 
 
-# Lists shorter than this are solved cell by cell on Python floats, longer ones stacked:
-# on random cells of every kind the two loops cost the same near 96 cells.
+# Fewer cells than this are solved cell by cell on Python floats, more stacked: on
+# random cells of every kind the two loops cost the same near 100 cells.
 _STACK_MIN_CELLS = 96
 
 
@@ -175,38 +189,50 @@ def _scalar_root(coeffs: tuple[float, ...], n: float) -> float:
         x = below
 
 
-def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, float]]) -> np.ndarray:
+def lambda_max_closed_forms(groups) -> np.ndarray:
     """Unique real root above n of the bracket of each (kind, n, delta, gamma) cell, by Newton.
 
-    With delta = gamma = 1 the matrix is consistent and exactly n is
-    returned.  Otherwise p(n) < 0 < p(b) < inf must hold at the Cauchy root
-    bound b = 1 + max |coefficient|, or :class:`RootNotBracketedError` names
-    the first cell where it fails (p(b) overflows once delta or gamma is far
-    from 1), and Newton starts at b.  The roots are
-    eigenvalues of a positive matrix, so all but the Perron root are strictly
-    smaller in modulus, and by Gauss-Lucas p is increasing and convex above
-    it: the iterates descend monotonically onto it.  A cell stops at the
-    first iterate not strictly below its last or below n, and gets the bits
-    of a Newton loop on its own Python floats.
+    A group (kind, n, delta, gamma) is one cell of Python numbers, or
+    equal-length 1-D arrays of cells of one kind; the roots come back cell
+    by cell, group by group.  With delta = gamma = 1 the matrix is
+    consistent and exactly n is returned.  Otherwise p(n) < 0 < p(b) < inf
+    must hold at the Cauchy root bound b = 1 + max |coefficient|, or
+    :class:`RootNotBracketedError` names the first cell where it fails
+    (p(b) overflows once delta or gamma is far from 1), and Newton starts at
+    b.  The roots are eigenvalues of a positive matrix, so all but the
+    Perron root are strictly smaller in modulus, and by Gauss-Lucas p is
+    increasing and convex above it: the iterates descend monotonically onto
+    it.  A cell stops at the first iterate not strictly below its last or
+    below n, and gets the bits of a Newton loop on its own Python floats.
 
-    A list of fewer than ``_STACK_MIN_CELLS`` cells runs that loop cell by
-    cell on Python floats (:func:`_scalar_root`), about 13 us a cell; a
-    longer one runs it on numpy arrays, every live cell in one step, which
-    costs about 0.3 ms for one cell but about 5 us for each further cell
-    (x86-64, Python 3.11, numpy 2.4).  :func:`lambda_max_closed_form`, and
-    through it ``analyze`` and :func:`closed_form_eigenvector`, solves lists
-    of one; the lemma sweep solves its cells as one list, 640 on the default
-    grid and one from ``check_lemma``.  Both loops do the same float
-    operations in the same order, so they give the same bits and the same error.
+    Fewer than ``_STACK_MIN_CELLS`` cells run that loop cell by cell on
+    Python floats (:func:`_scalar_root`), as :func:`lambda_max_closed_form`
+    and ``check_lemma`` do.  More, such as the lemma sweep's 640, take their
+    coefficients from one :func:`_bracket_coeffs` call per kind on arrays,
+    zero-padded in front, and step every live cell at once on arrays.  On
+    random cells with factors in [e^-18, e^18], that costs about 1.7 ms for
+    one cell and 3-6 us per further cell against 25 us a cell (2 shared
+    x86-64 cores, Python 3.11, numpy 2.4).  Both loops do the same float
+    operations on the same coefficients: the same bits and the same error.
     """
-    coeffs = [_bracket_coeffs(*cell) for cell in cells]
-    if len(cells) < _STACK_MIN_CELLS:
-        return np.array([_scalar_root(c, float(cell[1])) for c, cell in zip(coeffs, cells)])
-    width = max(map(len, coeffs), default=0)
-    columns = list(np.array([(0.0,) * (width - len(c)) + c for c in coeffs]).T.copy())
-    n = np.array([float(cell[1]) for cell in cells])
-    x = np.array([1.0 + max(map(abs, c)) for c in coeffs])
+    groups = [(kind, *np.atleast_1d(n, d, g)) for kind, n, d, g in groups]
+    if sum(len(n) for _, n, _, _ in groups) < _STACK_MIN_CELLS:
+        return np.array([_scalar_root(_bracket_coeffs(kind, *cell), float(cell[0]))
+                         for kind, *a in groups for cell in zip(*(v.tolist() for v in a))])
+    of = np.repeat([kind.value for kind, *_ in groups], [len(n) for _, n, _, _ in groups])
+    n, d, g = (np.concatenate(arrays) for arrays in list(zip(*groups))[1:])
+    n, parts = n.astype(float), []
     with np.errstate(over="ignore", invalid="ignore"):
+        for kind in dict.fromkeys(kind for kind, *_ in groups):    # one formula per kind
+            at = np.flatnonzero(of == kind.value)
+            parts.append((at, _bracket_coeffs(kind, n[at], d[at], g[at])))
+        width = max(len(coeffs) for _, coeffs in parts)
+        table = np.zeros((width, len(n)))    # zero-padded in front to a common degree
+        for at, coeffs in parts:
+            for row, c in enumerate(coeffs, width - len(coeffs)):
+                table[row, at] = c
+        columns = list(table)
+        x = 1.0 + np.fmax.reduce(np.abs(table))    # skips NaN, as max() does after the leading 1
         f_n, f_bound = _horner(columns, np.array([n, x]))[0]
     # NaN fails too
     unbracketed = ~((f_n < 0.0) & (0.0 < f_bound) & (f_bound < np.inf)) & (f_n != 0.0)
@@ -228,9 +254,9 @@ def lambda_max_closed_forms(cells: list[tuple[PerturbationKind, int, float, floa
 
 
 def lambda_max_closed_form(structure: PerturbationStructure) -> float:
-    """:func:`lambda_max_closed_forms` on the one cell of ``structure``."""
-    return float(lambda_max_closed_forms(
-        [(structure.kind, structure.n, structure.delta, structure.gamma)])[0])
+    """:func:`lambda_max_closed_forms` on the one cell of ``structure``: its cell-by-cell loop."""
+    return _scalar_root(_bracket_coeffs(structure.kind, structure.n, structure.delta,
+                                        structure.gamma), float(structure.n))
 
 
 def variant_count(kind: PerturbationKind) -> int:
@@ -245,17 +271,16 @@ def variant_count(kind: PerturbationKind) -> int:
     return form.head + (form.min_order > form.head)
 
 
-def form_terms(delta: float, gamma: float, lam: float) -> tuple[float, ...]:
+def form_terms(delta, gamma, lam) -> tuple:
     """delta, gamma and lam, then the powers of them the eigenvector forms read.
 
     The powers are d**2, g**2, (d - 1)**2, (g - 1)**2, lam**2 and lam**3,
-    each taken once, on Python floats: numpy's array ``**`` may round unlike
-    float ``**``, while ``+ - * /`` round alike on both.  A stack of samples
-    passes these terms as a (9, B) array whose column ``k`` belongs to
-    column ``k`` of x.
+    by :func:`_power`.  Equal-length arrays give one array per term, entry
+    ``k`` with the bits of the float call on entry ``k``: a stack of samples
+    passes them as a (9, B) array whose column ``k`` belongs to column ``k`` of x.
     """
-    return (delta, gamma, lam, delta**2, gamma**2, (delta - 1) ** 2, (gamma - 1) ** 2,
-            lam**2, lam**3)
+    return (delta, gamma, lam, _power(delta, 2), _power(gamma, 2), _power(delta - 1, 2),
+            _power(gamma - 1, 2), _power(lam, 2), _power(lam, 3))
 
 
 # Each evaluator fills row v of w with form v, from x = (1, base) or a stack of them, t and

@@ -375,10 +375,11 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
     equal ratios, whose margin is the whole tolerance, so no margin changes.
 
     Positivity holds in every cell (no factor is 1); if it is requested, one
-    solve gives every stack's cells their closed-form roots, in run and
-    stack order.  Each other hypothesis is one mask per kind, over its rows'
-    orders and factors.  Order by order, the rows some mask holds, every
-    kind's in run order, are built, validated and solved at most
+    solve on one group of arrays per kind gives every stack's cells their
+    closed-form roots, in run and stack order, and one :func:`form_terms`
+    call their form terms.  Each other hypothesis is one mask per kind, over
+    its rows' orders and factors.  Order by order, the rows some mask holds,
+    every kind's in run order, are built, validated and solved at most
     ``_STACK_CAP`` at a time; of a chunk, only each row's weights and cycle
     margin, which reads the entries, are kept.  Each lemma's margin is then
     evaluated once on all its kind's rows (an unsolved row has weights of
@@ -386,22 +387,23 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
     its mask holds, kind by kind in run order; positivity on the closed-form
     variant vectors of at most ``_STACK_CAP`` rows at a time, reading no matrix.
     """
-    cells = list(zip(delta.tolist(), gamma.tolist()))
+    cells = len(delta)
     if POSITIVITY_CHECK in reports:    # a (9, slots) table of form terms, one slot per stack cell
-        roots = lambda_max_closed_forms([(kind, x.shape[1], d, g) for kind, xs in runs
-                                         for x in xs for d, g in cells])
-        terms = np.array([form_terms(*cells[s % len(cells)], lam)
-                          for s, lam in enumerate(roots.tolist())]).T
+        roots = lambda_max_closed_forms([(kind, np.repeat([x.shape[1] for x in xs], cells),
+                                          np.tile(delta, len(xs)), np.tile(gamma, len(xs)))
+                                         for kind, xs in runs])
+        terms = np.array(form_terms(np.tile(delta, len(roots) // cells),
+                                    np.tile(gamma, len(roots) // cells), roots))
     laid, stacks = [], 0    # per kind, its rows' arrays
     for kind, xs in runs:
         x = np.concatenate([s[:, np.minimum(np.arange(xs[-1].shape[1]), s.shape[1] - 1)]
                             for s in xs])
         n = np.concatenate([np.full(len(s), s.shape[1]) for s in xs])
-        # row k lies in cell slot[k] % len(cells) of stack slot[k] // len(cells) of all runs
-        slot = np.concatenate([np.arange(len(s)) // (len(s) // len(cells)) + i * len(cells)
+        # row k lies in cell slot[k] % cells of stack slot[k] // cells of all runs
+        slot = np.concatenate([np.arange(len(s)) // (len(s) // cells) + i * cells
                                for i, s in enumerate(xs, stacks)])
         stacks += len(xs)
-        d, g = delta[slot % len(cells)], gamma[slot % len(cells)]
+        d, g = delta[slot % cells], gamma[slot % cells]
         ids = [check_id for check_id in reports if check_id != POSITIVITY_CHECK
                and (check_id not in LEMMAS or LEMMAS[check_id].kind == kind)]
         held = np.array([_holds(check_id, kind, n, d, g) for check_id in ids],

@@ -702,3 +702,20 @@ def test_verify_is_deterministic_per_seed():
 def test_verify_requires_exactly_one_mode():
     assert run_cli("verify").returncode == 2
     assert run_cli("verify", "--lemmas", "all", "--theorem", "main").returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("verify", "--lemmas", "all", "--samples", "16", "--json"), id="lemmas"),
+    pytest.param(("verify", "--theorem", "main", "--samples", "20", "--json"), id="theorem"),
+    pytest.param(("analyze", "{path}", "--json"), id="analyze"),
+])
+def test_no_command_imports_numpy_ma(tmp_path, args):
+    # np.unique imports numpy.ma, which adds about 1.2 MB to a process's peak RSS
+    path = tmp_path / "case1.txt"
+    assert run_cli("generate", "--family", "case1", "--n", "6", "--seed", "3",
+                   "--out", str(path)).returncode == 0
+    probe = ("import sys; from pcmeff import cli; code = cli.main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, *(a.format(path=path) for a in args)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")

@@ -408,8 +408,16 @@ def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
                       for n in range(11, 11 + spectral._STACK_MIN_CELLS)]
     coeffs = spectral._bracket_coeffs
     bad = {7: (-1.0, 1.0), 9: (1.0, 0.0)}    # p(bound) < 0 at n = 7, p(n) > 0 at n = 9
-    monkeypatch.setattr(spectral, "_bracket_coeffs",
-                        lambda kind, n, d, g: bad.get(n) or coeffs(kind, n, d, g))
+
+    def injected(kind, n, d, g):
+        if np.ndim(n) == 0:
+            return bad.get(n) or coeffs(kind, n, d, g)
+        # the stacked list's one call on arrays: the bad cells zero-padded in front
+        rows = [(0.0, 0.0) + bad[m] if m in bad else coeffs(kind, m, dm, gm)
+                for m, dm, gm in zip(n.tolist(), d.tolist(), g.tolist())]
+        return tuple(np.array(rows).T)
+
+    monkeypatch.setattr(spectral, "_bracket_coeffs", injected)
     with pytest.raises(RootNotBracketedError) as scalar:
         reference_root(*cells[3])
     with pytest.raises(RootNotBracketedError) as stacked:
@@ -444,6 +452,71 @@ def test_root_beyond_the_float_range_is_unbracketed(kind, n, d, g, message):
             assert str(exc.value) == f"bracket failed: {message}"
         # the in-range cell stacked, and in a list of one
         assert_roots_match_the_reference([in_range] * spectral._STACK_MIN_CELLS)
+
+
+def kind_groups(cells):
+    """One (kind, n, delta, gamma) group of arrays per kind, and the cells in group order."""
+    kinds = dict.fromkeys(cell[0] for cell in cells)
+    ordered = [cell for kind in kinds for cell in cells if cell[0] == kind]
+    groups = [(kind, *map(np.array, zip(*[cell[1:] for cell in ordered if cell[0] == kind])))
+              for kind in kinds]
+    return groups, ordered
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("cells", [
+    pytest.param([(kind, n, d, g) for kind in DOUBLE_KINDS for n in SuiteGrid.orders(kind)
+                  for d, g in itertools.product(SuiteGrid.ratio_values, repeat=2)],
+                 id="sweep-grid"),
+    pytest.param(random_cells(np.random.default_rng(37), 400), id="random"),
+])
+def test_array_route_keeps_the_bits_of_the_cell_route(cells):
+    # one group of arrays per kind, as the lemma sweep passes its cells: each cell's
+    # coefficients, root and form terms have the bits of the Python-float calls on it
+    groups, ordered = kind_groups(cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, n, d, g in groups:
+            columns = np.array(np.broadcast_arrays(*spectral._bracket_coeffs(kind, n, d, g)))
+            assert [hexes(col) for col in columns.T] == \
+                [hexes(spectral._bracket_coeffs(kind, *cell)) for cell in
+                 zip(n.tolist(), d.tolist(), g.tolist())]
+        roots = spectral.lambda_max_closed_forms(groups)
+        assert hexes(roots) == [spectral._scalar_root(spectral._bracket_coeffs(*cell),
+                                                      float(cell[1])).hex() for cell in ordered]
+        d, g = (np.array([cell[k] for cell in ordered]) for k in (2, 3))
+        terms = np.array(spectral.form_terms(d, g, roots))
+        assert terms.shape == (9, len(ordered))
+        assert [hexes(col) for col in terms.T] == \
+            [hexes(spectral.form_terms(cell[2], cell[3], lam))
+             for cell, lam in zip(ordered, roots.tolist())]
+
+
+@pytest.mark.parametrize("kind, n, d, g, message", [
+    (PerturbationKind.CASE2B, 5, 1e70, 0.5, "p(5.0) = -7.800e+71, p(3.0000000000000004e+70) = inf"),
+    (PerturbationKind.CASE1, 4, 1e160, 0.5, "p(4.0) = -3.000e+160, p(3e+160) = inf"),
+    (PerturbationKind.CASE2A, 4, 2.0, 1e155, "p(4.0) = -inf, p(inf) = nan"),
+    # a square past the float range times a zero square, or over an infinite g * d
+    (PerturbationKind.CASE2A, 4, 1.0, 1e155, "p(4.0) = -inf, p(inf) = nan"),
+    (PerturbationKind.CASE2B, 5, 1e200, 1e200, "p(5.0) = -inf, p(inf) = nan"),
+])
+def test_array_route_names_the_first_unbracketed_cell(kind, n, d, g, message):
+    in_range = [(kind, n, r, 3.0) for r in SuiteGrid.ratio_values] * 12
+    groups, _ = kind_groups(in_range + [(kind, n, d, g), (kind, n, 1e300, 1e300)] + in_range)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootNotBracketedError) as exc:
+            spectral.lambda_max_closed_forms(groups)
+        assert str(exc.value) == f"bracket failed: {message}"
+        with pytest.raises(RootNotBracketedError) as one:
+            spectral._scalar_root(spectral._bracket_coeffs(kind, n, d, g), float(n))
+        assert str(one.value) == str(exc.value)
+        # a square past the float range is inf, on arrays as on Python floats
+        assert spectral._power(np.array([1e155, 2.0, 1e155]), 2).tolist() == \
+            [spectral._power(v, 2) for v in (1e155, 2.0, 1e155)] == [np.inf, 4.0, np.inf]
 
 
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])

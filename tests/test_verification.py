@@ -359,9 +359,10 @@ def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
     solves = []
     solve = verification.lambda_max_closed_forms
 
-    def counting_solve(cells):
-        solves.append(list(cells))
-        return solve(cells)
+    def counting_solve(groups):
+        solves.append([(kind, *cell) for kind, *arrays in groups
+                       for cell in zip(*(np.atleast_1d(a).tolist() for a in arrays))])
+        return solve(groups)
 
     def scalar(params):
         raise AssertionError("the sweep solved one root on its own")
@@ -375,6 +376,21 @@ def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
     assert len(solves) == 1
     assert len(solves[0]) == len(set(solves[0])) == len(grid) == 640
     assert set(solves[0]) == grid
+
+
+def test_suite_takes_coefficients_and_form_terms_on_arrays(monkeypatch):
+    calls, floats = Counter(), []
+    for module, name in ((spectral, "_bracket_coeffs"), (verification, "form_terms")):
+        monkeypatch.setattr(module, name, lambda *args, _call=getattr(module, name), _name=name:
+                            calls.update([_name]) or _call(*args))
+    power = spectral._power
+    monkeypatch.setattr(spectral, "_power", lambda v, p: (
+        floats.append(p) if isinstance(v, float) else None) or power(v, p))
+    run_lemma_suite(SMALL_GRID, seed=1)
+    # one coefficient call per kind and one form-term call, none per cell; each square
+    # of a factor is taken once per distinct value (8 ratios), each power of a root once
+    assert calls == {"_bracket_coeffs": 3, "form_terms": 1}
+    assert floats.count(2) <= 8 * 8 + 640 and floats.count(3) <= 640
 
 
 @pytest.mark.parametrize("check_ids", [ALL_CHECK_IDS, ("2b", "cycle"), ("positivity", "3h")])
