@@ -135,9 +135,8 @@ def check_order(kind: PerturbationKind, n: int) -> None:
     """Raise InvalidCaseError unless the canonical form of ``kind`` exists at order ``n``."""
     form = CANONICAL_FORMS[kind]
     if not form.allows(n):
-        wanted = (f">= {form.min_order}" if form.max_order is None else
-                  f"= {form.min_order}" if form.max_order == form.min_order else
-                  f"in {form.min_order}..{form.max_order}")
+        # the one bounded form, case2a, exists at a single order
+        wanted = f">= {form.min_order}" if form.max_order is None else f"= {form.min_order}"
         raise InvalidCaseError(f"kind {kind.value!r} requires n {wanted}, got {n}")
 
 

@@ -167,28 +167,6 @@ def _horner(columns, x):
     return p, dp
 
 
-# Fewer cells than this are solved cell by cell on Python floats, more stacked: on
-# random cells of every kind the two loops cost the same near 100 cells.
-_STACK_MIN_CELLS = 96
-
-
-def _scalar_root(coeffs: tuple[float, ...], n: float) -> float:
-    """The stacked loop of :func:`lambda_max_closed_forms` on one cell's Python floats."""
-    f_n = _horner(coeffs, n)[0]
-    if f_n == 0.0:
-        return n
-    x = 1.0 + max(map(abs, coeffs))
-    f_bound = _horner(coeffs, x)[0]
-    if not f_n < 0.0 < f_bound < math.inf:    # NaN fails too
-        raise RootNotBracketedError(f"bracket failed: p({n}) = {f_n:.3e}, p({x}) = {f_bound:.3e}")
-    while True:
-        f, df = _horner(coeffs, x)
-        below = x - f / df
-        if not n <= below < x:
-            return x
-        x = below
-
-
 def lambda_max_closed_forms(groups) -> np.ndarray:
     """Unique real root above n of the bracket of each (kind, n, delta, gamma) cell, by Newton.
 
@@ -203,22 +181,15 @@ def lambda_max_closed_forms(groups) -> np.ndarray:
     Perron root are strictly smaller in modulus, and by Gauss-Lucas p is
     increasing and convex above it: the iterates descend monotonically onto
     it.  A cell stops at the first iterate not strictly below its last or
-    below n, and gets the bits of a Newton loop on its own Python floats.
+    below n.
 
-    Fewer than ``_STACK_MIN_CELLS`` cells run that loop cell by cell on
-    Python floats (:func:`_scalar_root`), as :func:`lambda_max_closed_form`
-    and ``check_lemma`` do.  More, such as the lemma sweep's 640, take their
-    coefficients from one :func:`_bracket_coeffs` call per kind on arrays,
-    zero-padded in front, and step every live cell at once on arrays.  On
-    random cells with factors in [e^-18, e^18], that costs about 1.7 ms for
-    one cell and 3-6 us per further cell against 25 us a cell (2 shared
-    x86-64 cores, Python 3.11, numpy 2.4).  Both loops do the same float
-    operations on the same coefficients: the same bits and the same error.
+    Each kind's coefficients come from one :func:`_bracket_coeffs` call on
+    arrays, zero-padded in front to a common degree, and every live cell
+    steps at once on arrays.  Each cell does the float operations of
+    :func:`lambda_max_closed_form` on its own Python floats: the same bits
+    and the same error.
     """
     groups = [(kind, *np.atleast_1d(n, d, g)) for kind, n, d, g in groups]
-    if sum(len(n) for _, n, _, _ in groups) < _STACK_MIN_CELLS:
-        return np.array([_scalar_root(_bracket_coeffs(kind, *cell), float(cell[0]))
-                         for kind, *a in groups for cell in zip(*(v.tolist() for v in a))])
     of = np.repeat([kind.value for kind, *_ in groups], [len(n) for _, n, _, _ in groups])
     n, d, g = (np.concatenate(arrays) for arrays in list(zip(*groups))[1:])
     n, parts = n.astype(float), []
@@ -254,9 +225,26 @@ def lambda_max_closed_forms(groups) -> np.ndarray:
 
 
 def lambda_max_closed_form(structure: PerturbationStructure) -> float:
-    """:func:`lambda_max_closed_forms` on the one cell of ``structure``: its cell-by-cell loop."""
-    return _scalar_root(_bracket_coeffs(structure.kind, structure.n, structure.delta,
-                                        structure.gamma), float(structure.n))
+    """The root of :func:`lambda_max_closed_forms` for the cell of ``structure``, on Python floats.
+
+    It reads kind, n, delta and gamma only, and runs the stacked loop's
+    float operations on one cell's Python floats, as ``analyze`` needs.
+    """
+    coeffs = _bracket_coeffs(structure.kind, structure.n, structure.delta, structure.gamma)
+    n = float(structure.n)
+    f_n = _horner(coeffs, n)[0]
+    if f_n == 0.0:
+        return n
+    x = 1.0 + max(map(abs, coeffs))
+    f_bound = _horner(coeffs, x)[0]
+    if not f_n < 0.0 < f_bound < math.inf:    # NaN fails too
+        raise RootNotBracketedError(f"bracket failed: p({n}) = {f_n:.3e}, p({x}) = {f_bound:.3e}")
+    while True:
+        f, df = _horner(coeffs, x)
+        below = x - f / df
+        if not n <= below < x:
+            return x
+        x = below
 
 
 def variant_count(kind: PerturbationKind) -> int:
@@ -396,15 +384,22 @@ def raw_variant_vector(structure: PerturbationStructure, variant: int,
     """Row ``variant`` of :func:`variant_vectors` on ``structure``, evaluated at ``lam``.
 
     At the dominant root of the closed-form polynomial all components are
-    strictly positive.  :func:`variant_count` rejects a kind that is not
-    double perturbed.
+    strictly positive in exact arithmetic; the other rows are evaluated
+    under the same ``np.errstate`` as :func:`closed_form_eigenvector`, and a
+    row with a component that is not finite in floats raises
+    :class:`PotentialRangeError` naming the kind and the variant.
+    :func:`variant_count` rejects a kind that is not double perturbed.
     """
-    count = variant_count(structure.kind)
+    kind, count = structure.kind, variant_count(structure.kind)
     if not 0 <= variant < count:
         raise InvalidCaseError(f"variant must be in 0..{count - 1}, got {variant}")
-    terms = form_terms(structure.delta, structure.gamma, lam)
-    return variant_vectors(structure.kind, np.array([1.0, *structure.base]), terms,
-                           structure.n)[variant]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = variant_vectors(kind, np.array([1.0, *structure.base]),
+                            form_terms(structure.delta, structure.gamma, lam), structure.n)[variant]
+    if not np.isfinite(w).all():
+        raise PotentialRangeError(f"{kind.value} closed-form eigenvector variant {variant} "
+                                  "does not fit in floats")
+    return w
 
 
 @dataclass(frozen=True)

@@ -352,15 +352,18 @@ def reference_root(kind, n, d, g):
         root = below
 
 
+def cell_root(kind, n, d, g):
+    """The root of one cell by the cell loop, ``lambda_max_closed_form`` on a unit base."""
+    return lambda_max_closed_form(PerturbationStructure(kind, n, (1.0,) * (n - 1), d, g))
+
+
 def assert_roots_match_the_reference(cells):
-    # the whole list in one call, and each cell in a list of its own
+    # the whole list in one stacked call, and each cell through the cell loop
     expected = [reference_root(*cell).hex() for cell in cells]
     roots = spectral.lambda_max_closed_forms(cells)
     assert roots.shape == (len(cells),)
     assert [r.hex() for r in roots.tolist()] == expected
-    ones = [spectral.lambda_max_closed_forms([cell]) for cell in cells]
-    assert all(one.shape == (1,) for one in ones)
-    assert [one[0].item().hex() for one in ones] == expected
+    assert [cell_root(*cell).hex() for cell in cells] == expected
 
 
 def random_cells(rng, per_kind):
@@ -387,32 +390,23 @@ def test_stacked_roots_match_the_scalar_loop_on_random_cells():
     assert_roots_match_the_reference(random_cells(np.random.default_rng(29), 2000))
 
 
-@pytest.mark.parametrize("count", [spectral._STACK_MIN_CELLS - 1, spectral._STACK_MIN_CELLS])
-def test_lists_on_either_side_of_the_crossover_match_the_reference(monkeypatch, count):
+@pytest.mark.parametrize("count", [1, 2, 95, 96, 97])
+def test_lists_of_any_length_match_the_reference(count):
+    # every list runs stacked, whatever its length, kinds mixed
     rng = np.random.default_rng(31)
     cells = random_cells(rng, count)
-    cells = [cells[k] for k in rng.permutation(len(cells))[:count]]
-    scalar_root, scalar_calls = spectral._scalar_root, []
-    monkeypatch.setattr(spectral, "_scalar_root",
-                        lambda *args: scalar_calls.append(args) or scalar_root(*args))
-    roots = spectral.lambda_max_closed_forms(cells)
-    # a list shorter than the crossover is solved cell by cell, a longer one stacked
-    assert len(scalar_calls) == (count if count < spectral._STACK_MIN_CELLS else 0)
-    assert [r.hex() for r in roots.tolist()] == [reference_root(*cell).hex() for cell in cells]
+    assert_roots_match_the_reference([cells[k] for k in rng.permutation(len(cells))[:count]])
 
 
 def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
     cells = [(PerturbationKind.CASE1, n, 2.0, 3.0) for n in range(4, 11)]
-    # padded past the crossover, so that the list is solved stacked
-    padded = cells + [(PerturbationKind.CASE1, n, 2.0, 3.0)
-                      for n in range(11, 11 + spectral._STACK_MIN_CELLS)]
     coeffs = spectral._bracket_coeffs
     bad = {7: (-1.0, 1.0), 9: (1.0, 0.0)}    # p(bound) < 0 at n = 7, p(n) > 0 at n = 9
 
     def injected(kind, n, d, g):
         if np.ndim(n) == 0:
             return bad.get(n) or coeffs(kind, n, d, g)
-        # the stacked list's one call on arrays: the bad cells zero-padded in front
+        # the list's one call on arrays: the bad cells zero-padded in front
         rows = [(0.0, 0.0) + bad[m] if m in bad else coeffs(kind, m, dm, gm)
                 for m, dm, gm in zip(n.tolist(), d.tolist(), g.tolist())]
         return tuple(np.array(rows).T)
@@ -420,11 +414,11 @@ def test_stacked_root_names_the_first_unbracketed_cell(monkeypatch):
     monkeypatch.setattr(spectral, "_bracket_coeffs", injected)
     with pytest.raises(RootNotBracketedError) as scalar:
         reference_root(*cells[3])
+    with pytest.raises(RootNotBracketedError) as cell:
+        cell_root(*cells[3])
     with pytest.raises(RootNotBracketedError) as stacked:
-        spectral.lambda_max_closed_forms(padded)
-    with pytest.raises(RootNotBracketedError) as short:
         spectral.lambda_max_closed_forms(cells)
-    assert str(stacked.value) == str(short.value) == str(scalar.value) == \
+    assert str(stacked.value) == str(cell.value) == str(scalar.value) == \
         "bracket failed: p(7.0) = -6.000e+00, p(2.0) = -1.000e+00"
     assert_roots_match_the_reference(cells[:3] + cells[4:5])
 
@@ -442,16 +436,14 @@ def test_root_beyond_the_float_range_is_unbracketed(kind, n, d, g, message):
     in_range = (kind, n, 2.0, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # a list of one, a short list and a list solved stacked
+        # the cell loop, and the cell stacked alone and after an in-range cell
         for solve in (lambda_max_closed_form, closed_form_eigenvector,
-                      lambda s: spectral.lambda_max_closed_forms([in_range, (kind, n, d, g)]),
-                      lambda s: spectral.lambda_max_closed_forms(
-                          [in_range] * (spectral._STACK_MIN_CELLS - 1) + [(kind, n, d, g)])):
+                      lambda s: spectral.lambda_max_closed_forms([(kind, n, d, g)]),
+                      lambda s: spectral.lambda_max_closed_forms([in_range, (kind, n, d, g)])):
             with pytest.raises(RootNotBracketedError) as exc:
                 solve(st)
             assert str(exc.value) == f"bracket failed: {message}"
-        # the in-range cell stacked, and in a list of one
-        assert_roots_match_the_reference([in_range] * spectral._STACK_MIN_CELLS)
+        assert_roots_match_the_reference([in_range])
 
 
 def kind_groups(cells):
@@ -485,8 +477,7 @@ def test_array_route_keeps_the_bits_of_the_cell_route(cells):
                 [hexes(spectral._bracket_coeffs(kind, *cell)) for cell in
                  zip(n.tolist(), d.tolist(), g.tolist())]
         roots = spectral.lambda_max_closed_forms(groups)
-        assert hexes(roots) == [spectral._scalar_root(spectral._bracket_coeffs(*cell),
-                                                      float(cell[1])).hex() for cell in ordered]
+        assert hexes(roots) == [cell_root(*cell).hex() for cell in ordered]
         d, g = (np.array([cell[k] for cell in ordered]) for k in (2, 3))
         terms = np.array(spectral.form_terms(d, g, roots))
         assert terms.shape == (9, len(ordered))
@@ -511,9 +502,12 @@ def test_array_route_names_the_first_unbracketed_cell(kind, n, d, g, message):
         with pytest.raises(RootNotBracketedError) as exc:
             spectral.lambda_max_closed_forms(groups)
         assert str(exc.value) == f"bracket failed: {message}"
-        with pytest.raises(RootNotBracketedError) as one:
-            spectral._scalar_root(spectral._bracket_coeffs(kind, n, d, g), float(n))
-        assert str(one.value) == str(exc.value)
+        # the cell alone, stacked and through the cell loop
+        for solve in (lambda: spectral.lambda_max_closed_forms([(kind, n, d, g)]),
+                      lambda: cell_root(kind, n, d, g)):
+            with pytest.raises(RootNotBracketedError) as one:
+                solve()
+            assert str(one.value) == str(exc.value)
         # a square past the float range is inf, on arrays as on Python floats
         assert spectral._power(np.array([1e155, 2.0, 1e155]), 2).tolist() == \
             [spectral._power(v, 2) for v in (1e155, 2.0, 1e155)] == [np.inf, 4.0, np.inf]
@@ -654,6 +648,19 @@ def test_closed_form_without_a_fitting_form_names_the_kind():
         with pytest.raises(PotentialRangeError,
                            match="^no case2a closed-form eigenvector fits in floats$"):
             closed_form_eigenvector(st)
+
+
+def test_raw_variant_vector_evaluates_only_its_row_in_range():
+    # at this root, variant 3 overflows in floats and variant 0 does not: asking for
+    # variant 0 warns about no other row, and variant 3 is an error, not a row of inf
+    st = PerturbationStructure(PerturbationKind.CASE1, 4, (1.0, 1.0, 1e306), 50.0, 0.02)
+    lam = lambda_max_closed_form(st)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(raw_variant_vector(st, 0, lam)).all()
+        with pytest.raises(PotentialRangeError) as exc:
+            raw_variant_vector(st, 3, lam)
+        assert str(exc.value) == "case1 closed-form eigenvector variant 3 does not fit in floats"
 
 
 def _drawn_until(rng, holds):

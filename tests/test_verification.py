@@ -24,6 +24,7 @@ from pcmeff import (
     verify_theorem,
 )
 from pcmeff import cli, spectral, verification
+from pcmeff.generators import sample_bases
 from pcmeff.pcm import CANONICAL_FORMS, DOUBLE_KINDS
 from pcmeff.spectral import power_iteration_batch
 from pcmeff.verification import (
@@ -376,6 +377,45 @@ def test_suite_solves_the_closed_form_root_once_per_grid_cell(monkeypatch):
     assert len(solves) == 1
     assert len(solves[0]) == len(set(solves[0])) == len(grid) == 640
     assert set(solves[0]) == grid
+
+
+def test_margins_do_not_depend_on_the_base(monkeypatch):
+    # every check but positivity compares weight ratios with entries, from which the
+    # base cancels: on each cell of the default grid, 20 random bases give the
+    # unit base's margin to within 1e-10 absolute
+    bases, recorded = 21, []    # per cell, the unit base, then the random ones
+    record = verification.LemmaReport.record
+
+    def spy(self, kind, rows, *rest):
+        recorded.append((self.lemma_id, kind, rows, rest[-1]))    # rest ends with the margins
+        record(self, kind, rows, *rest)
+
+    monkeypatch.setattr(verification.LemmaReport, "record", spy)
+    grid, rng = SuiteGrid(), np.random.default_rng(43)
+    delta = np.repeat(grid.ratio_values, len(grid.ratio_values))
+    gamma = np.tile(grid.ratio_values, len(grid.ratio_values))
+    runs = []
+    for kind in DOUBLE_KINDS:
+        xs = []
+        for n in grid.orders(kind):
+            x = np.ones((len(delta), bases, n))
+            x[:, 1:, 1:] = sample_bases(rng, n, len(delta) * (bases - 1)).reshape(
+                len(delta), bases - 1, n - 1)
+            xs.append(x.reshape(-1, n))
+        runs.append((kind, xs))
+    reports = {check_id: verification.LemmaReport(check_id) for check_id in ALL_CHECK_IDS
+               if check_id != POSITIVITY_CHECK}
+    verification._sweep_cells(reports, delta, gamma, runs)
+    checked, cells, worst = set(), set(), 0.0
+    for check_id, kind, rows, margins in recorded:
+        by_cell = margins.reshape(-1, bases)    # a mask holds all or none of a cell's rows
+        assert (rows.reshape(-1, bases) % bases == np.arange(bases)).all()
+        worst = max(worst, float(np.abs(by_cell[:, 1:] - by_cell[:, :1]).max()))
+        checked.add(check_id)
+        cells.update((kind, c) for c in (rows[::bases] // bases).tolist())
+    assert checked == reports.keys()
+    assert len(cells) == 640
+    assert worst <= 1e-10
 
 
 def test_suite_takes_coefficients_and_form_terms_on_arrays(monkeypatch):
