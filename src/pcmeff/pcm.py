@@ -12,9 +12,11 @@ or 2 upper-triangle cells plus reciprocals) that restores consistency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,8 +240,45 @@ def apply_perturbation(structure: PerturbationStructure) -> Pcm:
                                  structure.gamma))
 
 
-def _upper_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+class _TriadTable(NamedTuple):
+    """The upper cells and triads of one order; see :func:`_build_triad_table`."""
+
+    cells: np.ndarray    # (3, C(n, 3)) int32: numbers of (i, k), (k, j), (i, j) per triad i < k < j
+    flat: np.ndarray     # flat position i * n + j of each upper cell, in row-major order
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _build_triad_table(n: int) -> _TriadTable:
+    """The :class:`_TriadTable` of order ``n``, with read-only arrays.
+
+    Cells are numbered in row-major order and triads come in lexicographic
+    order: the triads of first node i are one block, and with q the number
+    of the first cell (k, j) with i < k, their cells (k, j) are the cells q
+    on and (i, v) is cell q - n + v.  A table holds 12 bytes per triad and
+    at most about 70 per upper cell, by tracemalloc: 10 KB at n = 16, 4.7 MB
+    at n = 128 and 35 MB at n = 256.  :func:`_triad_table` keeps the tables
+    of the orders up to ``_KEPT_ORDER``, 0.8 MB once all of them are built.
+    """
+    k, j = np.triu_indices(n, 1)
+    cells = np.empty((3, math.comb(n, 3)), dtype=np.int32)
+    col, q = 0, n - 1
+    for i in range(n - 2):
+        width = len(k) - q
+        cells[:, col:col + width] = (q - n + k[q:], np.arange(q, len(k)), q - n + j[q:])
+        col, q = col + width, q + n - i - 2
+    flat = k * n + j
+    cells.setflags(write=False)
+    flat.setflags(write=False)
+    return _TriadTable(cells, flat, tuple(zip(k.tolist(), j.tolist())))
+
+
+_KEPT_ORDER = 32    # highest order whose triad table a process keeps
+_kept_triad_table = functools.cache(_build_triad_table)
+
+
+def _triad_table(n: int) -> _TriadTable:
+    """The triad table of order ``n``: kept once built up to ``_KEPT_ORDER``, built per call above."""
+    return _kept_triad_table(n) if n <= _KEPT_ORDER else _build_triad_table(n)
 
 
 def _misfit(a: np.ndarray, t: np.ndarray, tol: float) -> np.ndarray:
@@ -297,10 +336,10 @@ def _consistent_completion(a: np.ndarray, removed: tuple[tuple[int, int], ...], 
     return None if miss.any() else t
 
 
-def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
+def _bad_triads(a: np.ndarray, tol: float, table: _TriadTable) -> np.ndarray:
     """Triads no completion accepted at ``tol`` keeps whole, as cell indices.
 
-    Row r lists the indices, into ``_upper_pairs(n)``, of the cells (i, k),
+    Row r lists the indices, into ``table.pairs``, of the cells (i, k),
     (k, j) and (i, j) of a triad i < k < j that fails one of two tests, so
     every removal set :func:`_consistent_completion` accepts contains a
     cell of every row:
@@ -313,28 +352,22 @@ def _bad_triads(a: np.ndarray, tol: float) -> np.ndarray:
       kept cells (0, k) and (0, j) set.
 
     The second test is the size-0 check cell by cell, so the table is
-    empty exactly when the unedited matrix passes.  Both the triads, in
-    lexicographic order, and the cell numbers come from one upper-triangle
-    mask: a triad is a nonzero of ``upper[:, :, None] & upper[None]``, and
-    the running count of ``upper`` in row-major order numbers the cells.
+    empty exactly when the unedited matrix passes.  The triads, in
+    lexicographic order, and their cell numbers come from ``table``, the
+    order's :func:`_triad_table`; the logs and the misfits are gathered
+    from the upper cells by their flat positions.
     """
     n = a.shape[0]
-    idx = np.arange(n)
-    upper = idx[:, None] < idx
-    i, k, j = np.nonzero(upper[:, :, None] & upper[None])
-    root = i == 0
-    bad = np.zeros(len(i), dtype=bool)
-    bad[root] = _misfit(a, _potentials(a), tol)[k[root], j[root]]
+    bad = np.zeros(table.cells.shape[1], dtype=bool)
+    # the triads (0, k, j) come first, in the order of their cells (k, j)
+    bad[:math.comb(n - 1, 2)] = _misfit(a, _potentials(a), tol).ravel()[table.flat[n - 1:]]
     cell_tol = tol * (1.0 + 2.0 * _EPS)     # the acceptance test's own rounding
     if cell_tol < 1.0:
         bound = -np.log1p(-cell_tol)
-        logs = np.log(a)
-        lik, lkj, lij = logs[i, k], logs[k, j], logs[i, j]
+        lik, lkj, lij = np.log(a.ravel()[table.flat])[table.cells]
         slack = 8.0 * _EPS * (np.abs(lik) + np.abs(lkj) + np.abs(lij) + 3.0 * bound + 1.0)
         bad |= np.abs(lik + lkj - lij) > 3.0 * bound + slack
-    cell = np.cumsum(upper).reshape(n, n) - 1    # row-major number of each upper cell
-    i, k, j = i[bad], k[bad], j[bad]
-    return np.stack((cell[i, k], cell[k, j], cell[i, j]), axis=1)
+    return table.cells.T[bad].astype(np.intp)
 
 
 def _common_cells(triads: np.ndarray, cells: int) -> np.ndarray:
@@ -344,7 +377,7 @@ def _common_cells(triads: np.ndarray, cells: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(triads.ravel(), minlength=cells) == len(triads))
 
 
-def _hitting_sets(bad: np.ndarray, pairs: list[tuple[int, int]], size: int):
+def _hitting_sets(bad: np.ndarray, pairs: tuple[tuple[int, int], ...], size: int):
     """Removal sets of ``size`` cells that contain a cell of every bad triad.
 
     In lexicographic order.  A pair must use a cell of the first bad triad,
@@ -403,13 +436,17 @@ def classify_perturbation(m: Pcm, tol: float = DEFAULT_CONSISTENCY_TOL) -> Pertu
     float range raises :class:`PotentialRangeError` (see :func:`_potentials`),
     even when another set of its size passes, as the alternatives would
     then be incomplete; so does a primary repair whose base ratio or factor
-    leaves it (see :func:`_repair_structure`).
+    leaves it (see :func:`_repair_structure`).  The triads and cell numbers
+    of order n come from :func:`_triad_table`, which keeps them from the
+    first classification of an order up to ``_KEPT_ORDER`` (their bytes are
+    in :func:`_build_triad_table`).
     """
     if not tol >= 0:    # NaN fails too
         raise ValueError("tol must be non-negative")
     a = m.entries
-    pairs = _upper_pairs(m.n)
-    bad = _bad_triads(a, tol)
+    table = _triad_table(m.n)
+    pairs = table.pairs
+    bad = _bad_triads(a, tol, table)
     for size in (0, 1, 2):
         hits = [(removed, t) for removed in _hitting_sets(bad, pairs, size)
                 if (t := _consistent_completion(a, removed, tol)) is not None]

@@ -39,17 +39,19 @@ from .spectral import form_terms, lambda_max_closed_form, lambda_max_closed_form
 STRICT_MARGIN_FLOOR = 1e-10
 EQUALITY_REL_TOL = 1e-9
 
-# Most matrices a sweep builds and solves as one stack, and most samples the
-# lemma sweep's positivity check evaluates at once.  Both sweeps solve by
-# order, the lemma sweep across kinds; a sweep holds the matrices of one
-# chunk at once, so the cap bounds that part of its memory, at a cost in
-# time: `verify --lemmas all` at its default 1,000 samples took 102-154 ms
-# and 41.5 MB peak RSS in chunks of 256 rows against 88-95 ms and 48.1 MB
-# with one stack per order; at 10,000 samples both took 840-880 ms and the
-# cap saved about 70 MB (79.7 against 149.2 MB) (in process, 2 shared x86-64
-# cores, Python 3.11, numpy 2.4).  The lemma sweep evaluates its masks and
-# margins and records its checks over each kind's orders as one stack.
+# Most matrices a theorem sweep draws, builds and solves as one block, and
+# most entries (rows x n^2) of a stack the lemma sweep builds and solves or
+# of the samples its positivity check evaluates at once: 256 matrices of
+# order 9, the largest a theorem sweep draws (one row past order 144).  Both sweeps solve by order,
+# the lemma sweep across kinds; a sweep holds one chunk's matrices at once,
+# so the bound caps that part of its memory.  Against chunks of 256 rows at
+# every order, `verify --lemmas all` took 78-88 against 85-91 ms and peaked
+# at 42.6 against 42.3 MB at its default 1,000 samples, and 630-690 against
+# 770-800 ms and 81.3 against 81.0 MB at 10,000 (in process, the best of 5
+# runs in each of 8 and 2 processes, 2 shared x86-64 cores, Python 3.11,
+# numpy 2.4).
 _STACK_CAP = 256
+_STACK_ENTRIES = _STACK_CAP * 9**2
 
 POSITIVITY_CHECK = "positivity"
 CYCLE_CHECK = "cycle"
@@ -382,13 +384,14 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
     closed-form roots, in run and stack order, and one :func:`form_terms`
     call their form terms.  Each other hypothesis is one mask per kind, over
     its rows' orders and factors.  Order by order, the rows some mask holds,
-    every kind's in run order, are built, validated and solved at most
-    ``_STACK_CAP`` at a time; of a chunk, only each row's weights and cycle
-    margin, which reads the entries, are kept.  Each lemma's margin is then
-    evaluated once on all its kind's rows (an unsolved row has weights of
-    one, on which no margin warns), and each check is recorded on the rows
-    its mask holds, kind by kind in run order; positivity on the closed-form
-    variant vectors of at most ``_STACK_CAP`` rows at a time, reading no matrix.
+    every kind's in run order, are built, validated and solved in chunks of
+    at most ``_STACK_ENTRIES`` entries (rows x n^2), or of one row past that;
+    of a chunk, only each row's weights and cycle margin, which reads the
+    entries, are kept.  Each lemma's margin is then evaluated once on all its kind's rows (an
+    unsolved row has weights of one, on which no margin warns), and each
+    check is recorded on the rows its mask holds, kind by kind in run order;
+    positivity on the closed-form variant vectors of chunks under the same
+    bound, at the kind's top order, reading no matrix.
     """
     cells = len(delta)
     if POSITIVITY_CHECK in reports:    # a (9, slots) table of form terms, one slot per stack cell
@@ -417,8 +420,9 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
         rows = [need[n[need] == order] for _, _, n, *_, need in laid]
         owner = np.repeat(np.arange(len(laid)), [len(r) for r in rows])
         rows = np.concatenate(rows)
-        for start in range(0, len(rows), _STACK_CAP):
-            chunk, of = rows[start:start + _STACK_CAP], owner[start:start + _STACK_CAP]
+        step = max(1, _STACK_ENTRIES // order**2)
+        for start in range(0, len(rows), step):
+            chunk, of = rows[start:start + step], owner[start:start + step]
             parts = [(laid[i], chunk[of == i]) for i in range(len(laid)) if (of == i).any()]
             a = np.concatenate([canonical_entries(kind, x[r, 1:order], d[r], g[r])
                                 for (kind, x, _, d, g, *_), r in parts])
@@ -433,8 +437,9 @@ def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.n
                 first += len(r)
     for kind, x, n, d, g, slot, ids, held, w, cycle, _ in laid:
         if POSITIVITY_CHECK in reports:
-            for start in range(0, len(x), _STACK_CAP):
-                k = slice(start, start + _STACK_CAP)
+            step = max(1, _STACK_ENTRIES // x.shape[1]**2)
+            for start in range(0, len(x), step):
+                k = slice(start, start + step)
                 v = variant_vectors(kind, x[k].T, terms[:, slot[k]], n[k])
                 margins = (np.min(v, axis=1) / np.max(np.abs(v), axis=1)).min(axis=0)
                 reports[POSITIVITY_CHECK].record(kind, np.arange(len(x))[k], x, n, d, g, margins)

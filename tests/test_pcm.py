@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import pathlib
 import re
 import warnings
@@ -567,7 +568,7 @@ def test_relabeling_and_kind_match_the_reference_rules():
     sets = 0
     for n in range(2, 10):
         for size in range(3):
-            for positions in itertools.combinations(pcm._upper_pairs(n), size):
+            for positions in itertools.combinations(pcm._triad_table(n).pairs, size):
                 sets += 1
                 perm = pcm._canonical_permutation(n, positions)
                 assert perm == reference_permutation(n, positions), (n, positions)
@@ -630,7 +631,7 @@ def bfs_completion(a: np.ndarray, removed, tol: float):
 
 def exhaustive_classify(m: Pcm, tol: float) -> PerturbationStructure:
     """The search without pruning: every set of 0, 1 or 2 upper cells, in order, by BFS."""
-    pairs = pcm._upper_pairs(m.n)
+    pairs = pcm._triad_table(m.n).pairs
     for size in (0, 1, 2):
         hits = [(removed, t) for removed in itertools.combinations(pairs, size)
                 if (t := bfs_completion(m.entries, removed, tol)) is not None]
@@ -646,7 +647,7 @@ def assert_completion_equals_bfs(a: np.ndarray, tols) -> None:
     ``PotentialRangeError`` naming the set (1-based) instead.
     """
     n = a.shape[0]
-    pairs = pcm._upper_pairs(n)
+    pairs = pcm._triad_table(n).pairs
     # at n = 3 the search stops at size 1: removing (1, 2) leaves a tree
     for size in range(3 if n > 3 else 2):
         for removed in itertools.combinations(pairs, size):
@@ -751,11 +752,79 @@ def test_bad_triads_match_the_combinations_reference_at_every_analyzed_order():
         for noise in (0.0, 1e-10, 1e-4, 0.3):
             a = _skewed(consistent_pcm(log_uniform(rng, size=n - 1)).entries, rng, noise)
             for tol in ORACLE_TOLS + (1.5,):
-                got, expected = pcm._bad_triads(a, tol), reference_bad_triads(a, tol)
+                got = pcm._bad_triads(a, tol, pcm._triad_table(n))
+                expected = reference_bad_triads(a, tol)
                 assert got.dtype == np.intp and got.shape == expected.shape, (n, noise, tol)
                 assert np.array_equal(got, expected), (n, noise, tol)
                 counts[len(got) > 0] += 1
     assert counts[True] and counts[False]    # tables both empty and not
+
+
+@pytest.mark.parametrize("n", [17, 24, 32, 33])
+def test_triad_table_beyond_the_analyzed_orders_is_read_only_and_matches_the_reference(n):
+    table = pcm._triad_table(n)
+    assert table.cells.dtype == np.int32 and table.cells.size == 3 * math.comb(n, 3)
+    for array in (table.cells, table.flat):
+        with pytest.raises(ValueError):
+            array[...] = array
+    # kept up to order 32, built anew above
+    assert (pcm._triad_table(n) is table) == (n <= pcm._KEPT_ORDER == 32)
+    # at noise 0.3 and tol 1e-9 nearly every triad is bad, so every column is compared
+    rng = np.random.default_rng(n)
+    for noise in (1e-10, 0.3):
+        a = _skewed(consistent_pcm(log_uniform(rng, size=n - 1)).entries, rng, noise)
+        for tol in (1e-9, 1.5):
+            got, expected = pcm._bad_triads(a, tol, table), reference_bad_triads(a, tol)
+            assert got.dtype == np.intp and np.array_equal(got, expected), (noise, tol)
+
+
+def cache_probe_matrices() -> list[Pcm]:
+    """Seeded matrices of orders 3-16, in ascending order.
+
+    Per order: every family ``generate`` allows, relabeled; a noisy one; and
+    from n = 4 a simple one whose repair needs a potential of 10^-340.
+    """
+    rng = np.random.default_rng(35)
+    ms = []
+    for n in range(3, 17):
+        for family in FAMILIES:
+            try:
+                m, _ = generate(GeneratorSpec(family, n=n, seed=n))
+            except InvalidCaseError:
+                continue
+            perm = rng.permutation(n)
+            ms.append(Pcm(m.entries[np.ix_(perm, perm)]))
+        ms.append(Pcm(_skewed(consistent_pcm(log_uniform(rng, size=n - 1)).entries, rng, 0.3)))
+        if n >= 4:
+            logs = np.array([0.0, -160.0, -340.0] + [-160.0] * (n - 3))
+            with np.errstate(over="ignore"):
+                a = 10.0 ** (logs - logs[:, None])
+            a[0, 2], a[2, 0] = 1e-300, 1e300
+            ms.append(Pcm(a))
+    return ms
+
+
+def classification_outcome(m: Pcm):
+    try:
+        return golden_record(classify_perturbation(m))
+    except PotentialRangeError as error:
+        return str(error)
+
+
+def test_the_triad_table_cache_adds_no_state(monkeypatch):
+    ms = cache_probe_matrices()
+    pcm._kept_triad_table.cache_clear()
+    ascending = [classification_outcome(m) for m in ms]
+    pcm._kept_triad_table.cache_clear()
+    shuffled = {int(k): classification_outcome(ms[k])
+                for k in np.random.default_rng(36).permutation(len(ms))}
+    monkeypatch.setattr(pcm, "_triad_table", pcm._build_triad_table)
+    uncached = [classification_outcome(m) for m in ms]
+    assert ascending == [shuffled[k] for k in range(len(ms))] == uncached
+    # every kind, and one range error per n >= 4
+    kinds = {r["kind"] for r in ascending if not isinstance(r, str)}
+    assert kinds == {kind.value for kind in PerturbationKind}
+    assert sum(isinstance(r, str) for r in ascending) == 13
 
 
 def test_potentials_beyond_the_float_range_raise_no_warning():

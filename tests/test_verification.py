@@ -511,16 +511,17 @@ def test_positivity_check_reads_each_kind_once_per_chunk(monkeypatch):
         return count(kind)
 
     monkeypatch.setattr(spectral, "variant_count", counting_count)
-    for cap in (verification._STACK_CAP, 7):
-        monkeypatch.setattr(verification, "_STACK_CAP", cap)
+    for budget in (verification._STACK_ENTRIES, 7 * 8**2):
+        monkeypatch.setattr(verification, "_STACK_ENTRIES", budget)
         counted.clear()
         reports = {r.lemma_id: r for r in run_lemma_suite(SMALL_GRID, seed=1)}
         # positivity holds in every cell, and the samples of all orders of a kind
-        # are evaluated as one stack, once per chunk of at most _STACK_CAP samples
+        # are evaluated as one stack, once per chunk of at most budget // top**2
+        # samples, for the kind's top order
         rows = {kind: SMALL_GRID.bases(kind) * len(SMALL_GRID.ratio_values) ** 2
                 * len(SMALL_GRID.orders(kind)) for kind in DOUBLE_KINDS}
-        assert counted == [kind for kind in DOUBLE_KINDS
-                           for _ in range(math.ceil(rows[kind] / cap))]
+        assert counted == [kind for kind in DOUBLE_KINDS for _ in range(
+            math.ceil(rows[kind] / (budget // SMALL_GRID.orders(kind)[-1]**2)))]
         assert reports[POSITIVITY_CHECK].samples_run == sum(rows.values()) == 832
 
 
@@ -632,29 +633,57 @@ def count_solves(monkeypatch):
     return sizes
 
 
+def chunk_sizes(budget: int) -> list[int]:
+    """The SMALL_GRID solves under an entry budget: 320 rows at n = 4, 128 at n = 5..8."""
+    return [min(budget // n**2, rows - start) for n, rows in zip(range(4, 9), [320] + [128] * 4)
+            for start in range(0, rows, budget // n**2)]
+
+
 def test_suite_solves_one_stack_per_order(monkeypatch):
     rows, _ = count_builds(monkeypatch)
     sizes = count_solves(monkeypatch)
     run_lemma_suite(SMALL_GRID, seed=1)
-    # case1 and case2a share n = 4 (64 + 256 rows, split at the cap), case1 and
-    # case2b each order from 5 to 8 (64 + 64 rows)
-    assert sizes == [256, 64, 128, 128, 128, 128] and sum(sizes) == 832
-    # a chunk spanning two kinds is built per kind, then solved as one stack
-    assert rows == [64, 192, 64] + [64, 64] * 4
+    # case1 and case2a share n = 4 (64 + 256 rows), case1 and case2b each
+    # order from 5 to 8 (64 + 64 rows); no stack reaches 256 * 9**2 entries
+    assert sizes == chunk_sizes(verification._STACK_ENTRIES) == [320, 128, 128, 128, 128]
+    # a stack spanning two kinds is built per kind, then solved as one stack
+    assert rows == [64, 256] + [64, 64] * 4
     rows.clear()
     sizes.clear()
-    monkeypatch.setattr(verification, "_STACK_CAP", 7)
+    # 28 rows of order 4 a chunk, 7 of order 8
+    monkeypatch.setattr(verification, "_STACK_ENTRIES", 7 * 8**2)
     run_lemma_suite(SMALL_GRID, seed=1)
-    assert max(sizes) == max(rows) == 7
-    assert sum(sizes) == sum(rows) == 832
+    assert sizes == chunk_sizes(7 * 8**2) and sizes[:3] == [28, 28, 28] and sizes[-1] == 2
+    assert max(rows) == 28 and sum(sizes) == sum(rows) == 832
 
 
 def test_stack_cap_changes_no_report(monkeypatch):
     whole = report_bits(run_lemma_suite(SMALL_GRID, seed=4))
     sizes = count_solves(monkeypatch)
-    monkeypatch.setattr(verification, "_STACK_CAP", 7)
+    monkeypatch.setattr(verification, "_STACK_ENTRIES", 7 * 8**2)
     assert report_bits(run_lemma_suite(SMALL_GRID, seed=4)) == whole
-    assert max(sizes) == 7 and sum(sizes) == 832
+    assert sizes == chunk_sizes(7 * 8**2) and sum(sizes) == 832
+
+
+def test_entry_budget_below_one_matrix_solves_one_row_at_a_time(monkeypatch):
+    check_ids = ("positivity", "cycle", "1a", "3h")
+    whole = report_bits(run_lemma_suite(SMALL_GRID, seed=4, check_ids=check_ids))
+    sizes = count_solves(monkeypatch)
+    monkeypatch.setattr(verification, "_STACK_ENTRIES", 4**2 - 1)
+    assert report_bits(run_lemma_suite(SMALL_GRID, seed=4, check_ids=check_ids)) == whole
+    assert set(sizes) == {1} and len(sizes) > 0
+
+
+@pytest.mark.parametrize("kind", [PerturbationKind.CASE1, PerturbationKind.CASE2B])
+def test_check_lemma_holds_one_matrix_past_the_entry_budget(monkeypatch, kind):
+    n = 145    # the first order one of whose matrices holds more than the budget
+    assert (n - 1)**2 <= verification._STACK_ENTRIES < n**2
+    sample = PerturbationStructure(kind, n, tuple(np.linspace(0.5, 2.0, n - 1)), 3.0, 0.5)
+    reports = [check_lemma(check_id, sample) for check_id in ("positivity", "cycle")]
+    assert all(r.passed and r.samples_run == 1 for r in reports)
+    monkeypatch.setattr(verification, "_STACK_ENTRIES", n**2)
+    assert report_bits(reports) == report_bits(
+        [check_lemma(check_id, sample) for check_id in ("positivity", "cycle")])
 
 
 @pytest.mark.parametrize("check_ids", [("2a",), ("1a", "3h"), ("positivity",), ("cycle", "2j")])
