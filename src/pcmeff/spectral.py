@@ -60,6 +60,13 @@ def _max_over_order(v: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(v.transpose(2, 0, 1, 3).copy(), axis=0)
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not tol > 0:    # NaN fails too
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
                           max_iter: int = DEFAULT_MAX_ITER) -> BatchSpectralResult:
     """Dominant eigenpairs of a (B, n, n) array of validated PCM entries, all-ones start.
@@ -73,10 +80,7 @@ def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
     other member.  When some member has not converged after ``max_iter``
     steps, :class:`NoConvergenceError` names the residual of the first one.
     """
-    if not tol > 0:    # NaN fails too
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_stopping(tol, max_iter)
     count, n = len(a), a.shape[-1]
     if not count:
         raise ValueError("power iteration needs at least one matrix")
@@ -109,10 +113,31 @@ def power_iteration_batch(a: np.ndarray, tol: float = DEFAULT_POWER_TOL,
 
 def power_iteration(m: Pcm, tol: float = DEFAULT_POWER_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
-    """Dominant eigenpair of one PCM: :func:`power_iteration_batch` on a stack of one."""
-    r = power_iteration_batch(m.entries[None], tol, max_iter)
-    return SpectralResult(float(r.lambda_max[0]), r.w[0], float(r.residual[0]),
-                          int(r.iterations[0]))
+    """Dominant eigenpair of one PCM: the steps of :func:`power_iteration_batch`, unstacked.
+
+    A step writes one matrix-vector product, its sum and the normalized
+    iterate into one block's buffers, on the (n, n) entries; the arithmetic
+    is the stacked loop's, so every result and error has its bits.
+    """
+    _check_stopping(tol, max_iter)
+    a, n = m.entries, m.n
+    ws, ys, lams = np.empty((_BLOCK + 1, n)), np.empty((_BLOCK, n)), np.empty(_BLOCK)
+    ws[0] = 1.0 / n    # step s multiplies ws[s] into ys[s], estimate lams[s]
+    w_rows, y_rows = list(ws), list(ys)    # row views, made once
+    for taken in range(0, max_iter, _BLOCK):
+        steps = min(_BLOCK, max_iter - taken)
+        for s in range(steps):
+            y = np.matmul(a, w_rows[s], out=y_rows[s])
+            lams[s] = lam = np.add.reduce(y)    # w sums to 1
+            np.divide(y, lam, out=w_rows[s + 1])
+        w = ws[:steps]
+        residual = np.abs(ys[:steps] - lams[:steps, None] * w).max(axis=1) / w.max(axis=1)
+        done = residual <= tol
+        if done.any():
+            s = int(done.argmax())    # the first converged step
+            return SpectralResult(float(lams[s]), ws[s].copy(), float(residual[s]), taken + s + 1)
+        ws[0] = ws[steps]
+    raise NoConvergenceError(max_iter, float(residual[-1]))
 
 
 def _power(v, p: int):

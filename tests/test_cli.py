@@ -160,6 +160,20 @@ def test_analyze_reports_numeric_failure(example1_file, monkeypatch, capsys, err
     assert err == f"error: {error}\n"
 
 
+def test_generate_reports_an_allocation_failure_as_one_error_line(monkeypatch, capsys):
+    # numpy raises a MemoryError subclass, e.g. at --family consistent --n 300000
+    error = MemoryError("Unable to allocate 671. GiB for an array with shape "
+                        "(300000, 300000) and data type float64")
+
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "generate", fail)
+    assert cli.main(["generate", "--family", "consistent", "--n", "300000"]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
 def test_pair_without_a_hit_is_a_tie(tmp_path, capsys):
     # a_12 a_21 = 1 + 5e-13: at --tol-tie 0, w_1/w_2 < a_12 and w_2/w_1 < a_21
     path = tmp_path / "m.txt"

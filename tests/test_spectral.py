@@ -27,6 +27,7 @@ from pcmeff import (
     variant_count,
 )
 from pcmeff.pcm import CANONICAL_FORMS, DOUBLE_KINDS
+from pcmeff.spectral import DEFAULT_MAX_ITER
 
 from conftest import EXAMPLE1_W, charpoly_oracle, consistent_pcm, eval_charpoly
 
@@ -201,18 +202,36 @@ def members_converging_at_steps_1_to_17():
     return [found[step] for step in range(1, 18)]
 
 
+def reference_or_error(m, max_iter):
+    try:
+        return reference_power_iteration(m, max_iter=max_iter)
+    except NoConvergenceError as error:
+        return error
+
+
+def assert_matches_reference(solve, expected):
+    """``solve()`` gives the bits of a reference result, or raises its NoConvergenceError."""
+    if isinstance(expected, NoConvergenceError):
+        with pytest.raises(NoConvergenceError) as error:
+            solve()
+        assert str(error.value) == str(expected)
+        assert float(error.value.residual).hex() == float(expected.residual).hex()
+        return
+    lam, w, residual, iterations = expected
+    r = solve()
+    assert (r.lambda_max, r.residual, r.iterations) == (lam, residual, iterations)
+    assert r.w.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("max_iter", [1, 7, 9, 40])
 def test_members_converging_at_every_step_match_the_reference_loop(max_iter):
     # steps 1 to 17 cross the block boundaries after steps 8 and 16; a run cut at
     # max_iter reports the first member the reference loop cannot finish
     ms = members_converging_at_steps_1_to_17()
     for stack in (ms, ms[::-1], ms[7:10], ms[8:9]):
-        expected = []
-        for m in stack:
-            try:
-                expected.append(reference_power_iteration(m, max_iter=max_iter))
-            except NoConvergenceError as error:
-                expected.append(error)
+        expected = [reference_or_error(m, max_iter) for m in stack]
+        for m, e in zip(stack, expected):    # each member alone, through the one-matrix loop
+            assert_matches_reference(lambda: power_iteration(m, max_iter=max_iter), e)
         failed = [e for e in expected if isinstance(e, NoConvergenceError)]
         if failed:
             with pytest.raises(NoConvergenceError) as stacked:
@@ -226,6 +245,24 @@ def test_members_converging_at_every_step_match_the_reference_loop(max_iter):
             assert (r.lambda_max[k], r.residual[k], r.iterations[k]) == \
                 (lam, residual, iterations)
             assert r.w[k].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 16, 32, 64, 128, 200])
+def test_one_matrix_loop_matches_the_reference_loop_at_larger_orders(n):
+    # numpy sums 1-D arrays with eight partial sums from n = 8, split recursively above 128
+    rng = np.random.default_rng(100 + n)
+    ms = []
+    for sigma in (0.05, 0.3, 1.0):    # seeded noisy consistent PCMs
+        x = np.exp(rng.uniform(np.log(1 / 9), np.log(9), n))
+        noise = np.exp(np.triu(rng.normal(0.0, sigma, (n, n)), 1))
+        ms.append(Pcm(np.outer(x, 1 / x) * noise / noise.T))
+    for kind in (PerturbationKind.CASE1, PerturbationKind.CASE2B):    # relabeled canonical ones
+        p = rng.permutation(n)
+        ms.append(Pcm(apply_perturbation(random_structure(rng, kind, n)).entries[np.ix_(p, p)]))
+    for m in ms:
+        for max_iter in (DEFAULT_MAX_ITER, 5):
+            assert_matches_reference(lambda: power_iteration(m, max_iter=max_iter),
+                                     reference_or_error(m, max_iter))
 
 
 # ----------------------------------------------------- characteristic polynomial
