@@ -208,25 +208,20 @@ def lambda_max_closed_forms(groups) -> np.ndarray:
     it.  A cell stops at the first iterate not strictly below its last or
     below n.
 
-    Each kind's coefficients come from one :func:`_bracket_coeffs` call on
-    arrays, zero-padded in front to a common degree, and every live cell
-    steps at once on arrays.  Each cell does the float operations of
-    :func:`lambda_max_closed_form` on its own Python floats: the same bits
-    and the same error.
+    Each group's coefficients come from one :func:`_bracket_coeffs` call on
+    its own arrays, zero-padded in front to the widest degree and joined in
+    input order, and every live cell steps at once on arrays.  Each cell
+    does the float operations of :func:`lambda_max_closed_form` on its own
+    Python floats: the same bits and the same error.
     """
-    groups = [(kind, *np.atleast_1d(n, d, g)) for kind, n, d, g in groups]
-    of = np.repeat([kind.value for kind, *_ in groups], [len(n) for _, n, _, _ in groups])
-    n, d, g = (np.concatenate(arrays) for arrays in list(zip(*groups))[1:])
-    n, parts = n.astype(float), []
+    groups = [(kind, np.atleast_1d(n).astype(float), *np.atleast_1d(d, g))
+              for kind, n, d, g in groups]
+    n = np.concatenate([n for _, n, _, _ in groups])
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind in dict.fromkeys(kind for kind, *_ in groups):    # one formula per kind
-            at = np.flatnonzero(of == kind.value)
-            parts.append((at, _bracket_coeffs(kind, n[at], d[at], g[at])))
-        width = max(len(coeffs) for _, coeffs in parts)
-        table = np.zeros((width, len(n)))    # zero-padded in front to a common degree
-        for at, coeffs in parts:
-            for row, c in enumerate(coeffs, width - len(coeffs)):
-                table[row, at] = c
+        coeffs = [_bracket_coeffs(*group) for group in groups]
+        width = max(map(len, coeffs))    # zero-padded in front to a common degree
+        table = np.concatenate([np.array(np.broadcast_arrays(*(0.0,) * (width - len(c)), *c))
+                                for c in coeffs], axis=1)
         columns = list(table)
         x = 1.0 + np.fmax.reduce(np.abs(table))    # skips NaN, as max() does after the leading 1
         f_n, f_bound = _horner(columns, np.array([n, x]))[0]

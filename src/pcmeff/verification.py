@@ -344,26 +344,24 @@ class SuiteGrid:
         Each base count covers the smallest hypothesis region among the
         checks of the kinds it feeds.
         """
-        region = dict(zip(DOUBLE_KINDS, _smallest_regions(
-            cls.ratio_values, tuple(cls.orders(kind) for kind in DOUBLE_KINDS))))
+        region = dict(zip(DOUBLE_KINDS, _smallest_regions()))
         case2a = region.pop(PerturbationKind.CASE2A)
         return cls(bases_per_cell=max(1, math.ceil(samples / min(region.values()))),
                    bases_per_cell_case2a=max(1, math.ceil(samples / case2a)))
 
 
 @functools.cache
-def _smallest_regions(ratio_values: tuple[float, ...],
-                      orders: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _smallest_regions() -> tuple[int, ...]:
     """Per double kind, the fewest grid samples per base that one of its lemmas gets.
 
-    ``orders[i]`` are the orders of ``DOUBLE_KINDS[i]``; a pure function of the
-    grid's constants, so a process builds the table once.
+    A pure function of :class:`SuiteGrid`'s constants, so a process builds
+    the table once.
     """
-    delta, gamma = np.meshgrid(ratio_values, ratio_values)
+    delta, gamma = np.meshgrid(SuiteGrid.ratio_values, SuiteGrid.ratio_values)
     return tuple(min(sum(int(_holds(lem.lemma_id, kind, n, delta, gamma).sum())
-                         for n in kind_orders)
+                         for n in SuiteGrid.orders(kind))
                      for lem in LEMMAS.values() if lem.kind == kind)
-                 for kind, kind_orders in zip(DOUBLE_KINDS, orders))
+                 for kind in DOUBLE_KINDS)
 
 
 def _sweep_cells(reports: dict[str, LemmaReport], delta: np.ndarray, gamma: np.ndarray,

@@ -127,11 +127,12 @@ def test_relabeling_permutes_w_and_the_certificate():
 
 def test_diagonal_similarity_scales_the_classification_and_keeps_the_digraph():
     # b_ij = a_ij d_j / d_i has potentials t_v d_v / d_0: the same cells and factors,
-    # base ratios scaled by d, and for the weights w / d the same arc on every pair
+    # base ratios scaled by d, and for the weights w / d the same arc on every pair;
+    # half of the canonical draws carry a third perturbed cell, outside the form's cells
     rng = np.random.default_rng(1513)
     families = [kind.value for kind in CANONICAL_FORMS]
     perturbed = 0
-    for k in range(1000):
+    for k in range(1500):
         if k % 4 == 3:
             m = noisy_consistent(rng, int(rng.integers(3, 13)))
         else:
@@ -139,6 +140,13 @@ def test_diagonal_similarity_scales_the_classification_and_keeps_the_digraph():
             form = CANONICAL_FORMS[PerturbationKind(family)]
             n = int(rng.integers(max(3, form.min_order), (form.max_order or 12) + 1))
             m, _ = generate(GeneratorSpec(family, n=n, seed=k))
+            if k // 4 % 2:
+                free = [(i, j) for i, j in zip(*np.triu_indices(n, 1)) if (i, j) not in form.cells]
+                i, j = free[rng.integers(len(free))]
+                a = m.entries.copy()
+                a[i, j] *= np.exp(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 2.5))
+                a[j, i] = 1.0 / a[i, j]
+                m = Pcm(a)
         d = 10.0 ** rng.uniform(-150.0, 150.0, m.n)
         b = Pcm(m.entries * d[None, :] / d[:, None])
         ca, cb = classify_perturbation(m), classify_perturbation(b)

@@ -550,6 +550,36 @@ def test_array_route_names_the_first_unbracketed_cell(kind, n, d, g, message):
             [spectral._power(v, 2) for v in (1e155, 2.0, 1e155)] == [np.inf, 4.0, np.inf]
 
 
+@pytest.mark.parametrize("bad", [None, (PerturbationKind.CASE1, 4, 1e160, 0.5)])
+def test_groups_are_solved_as_given(monkeypatch, bad):
+    # a kind in groups that are not adjacent, a one-cell tuple among groups of arrays:
+    # one _bracket_coeffs call per group, and each root keeps its cell's bits and place
+    case1, case2a, case2b = ([cell for cell in random_cells(np.random.default_rng(41), 40)
+                              if cell[0] == kind] for kind in DOUBLE_KINDS)
+    parts = [case1[:20], case2b[:1], case2a, case1[20:] + [bad] * (bad is not None), case2b[1:]]
+    groups = [kind_groups(part)[0][0] for part in parts]
+    groups[1] = parts[1][0]    # one cell of Python numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bad is None:
+            expected = [cell_root(*cell).hex() for part in parts for cell in part]
+        else:
+            with pytest.raises(RootNotBracketedError) as one:
+                cell_root(*bad)
+        calls = []
+        coeffs = spectral._bracket_coeffs
+        monkeypatch.setattr(spectral, "_bracket_coeffs",
+                            lambda *group: calls.append(group[0]) or coeffs(*group))
+        if bad is None:
+            assert hexes(spectral.lambda_max_closed_forms(groups)) == expected
+        else:
+            with pytest.raises(RootNotBracketedError) as exc:
+                spectral.lambda_max_closed_forms(groups)
+            assert str(exc.value) == str(one.value) == \
+                "bracket failed: p(4.0) = -3.000e+160, p(3e+160) = inf"
+    assert calls == [part[0][0] for part in parts]
+
+
 @pytest.mark.parametrize("d,g", [(np.nan, 2.0), (2.0, np.inf), (0.0, 2.0)])
 def test_polynomial_needs_positive_finite_factors(d, g):
     with pytest.raises(InvalidCaseError, match="positive finite"):
